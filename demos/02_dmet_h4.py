@@ -14,15 +14,12 @@ spacing = 1.8  # stretched chain: correlation matters here
 m = chem_io.s_orbital_integrals(chem_io.hydrogen_chain(np.arange(4) * spacing))
 mf = mean_field.scf_solve(m)
 # full-system FCI needs orthonormal orbitals; localize first
-X = mean_field.lowdin_orthonormalize(m.S)
-m_loc = embedding.localize_integrals(m, X)
+m_loc, D_loc = embedding.dmet_setup(m, mf)
 e_fci_full, _ = fci.fci_ground_state(m_loc.h_core, m_loc.eri, m_loc.e_nuclear, 4)
 print(f"H4 chain, spacing {spacing} bohr")
 print(f"E_HF        = {mf.e_total:.6f} Ha")
 print(f"E_FCI(full) = {e_fci_full:.6f} Ha")
 
-S_half = np.linalg.inv(X)
-D_loc = S_half @ mf.D @ S_half
 cb = embedding.dmet_cluster_basis(D_loc, FragmentSpec([0, 1]))
 print(f"\nfragment {{0,1}}: {cb.fragment.shape[1]} fragment "
       f"+ {cb.bath.shape[1]} bath orbitals")

@@ -11,11 +11,8 @@ from qfp import chem_io, embedding, mean_field, quantum_sim as qs
 from qfp.embedding import FragmentSpec
 
 m = chem_io.s_orbital_integrals(chem_io.h2_geometry(1.4))
-mf = mean_field.scf_solve(m)
-X = mean_field.lowdin_orthonormalize(m.S)
-m_loc = embedding.localize_integrals(m, X)
-S_half = np.linalg.inv(X)
-cb = embedding.dmet_cluster_basis(S_half @ mf.D @ S_half, FragmentSpec([0]))
+m_loc, D_loc = embedding.dmet_setup(m, mean_field.scf_solve(m))
+cb = embedding.dmet_cluster_basis(D_loc, FragmentSpec([0]))
 eh = embedding.dmet_hamiltonian(m_loc, cb)
 
 H = qs.jordan_wigner(eh)

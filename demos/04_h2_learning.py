@@ -13,11 +13,8 @@ from qfp.embedding import FragmentSpec
 
 def dmet_h2(z):
     m = chem_io.s_orbital_integrals(chem_io.h2_geometry(z))
-    mf = mean_field.scf_solve(m)
-    X = mean_field.lowdin_orthonormalize(m.S)
-    m_loc = embedding.localize_integrals(m, X)
-    S_half = np.linalg.inv(X)
-    cb = embedding.dmet_cluster_basis(S_half @ mf.D @ S_half, FragmentSpec([0]))
+    m_loc, D_loc = embedding.dmet_setup(m, mean_field.scf_solve(m))
+    cb = embedding.dmet_cluster_basis(D_loc, FragmentSpec([0]))
     return embedding.dmet_hamiltonian(m_loc, cb)
 
 zs = np.linspace(1.0, 3.0, 30)

@@ -102,16 +102,25 @@ class MolecularIntegrals:
     e_nuclear: float
 
     def validate(self, tol: float = 1e-8) -> None:
+        """Raise ValueError on a shape, finiteness, symmetry or electron-count fault."""
+        def require(ok, what):
+            if not ok:
+                raise ValueError(f"invalid integrals: {what}")
+
         n = self.n_orbitals
-        assert self.S.shape == (n, n) and self.h_core.shape == (n, n)
-        assert self.eri.shape == (n, n, n, n)
-        assert np.all(np.isfinite(self.S)) and np.all(np.isfinite(self.h_core))
-        assert np.all(np.isfinite(self.eri))
-        assert np.allclose(self.S, self.S.T, atol=tol)
-        assert np.allclose(self.h_core, self.h_core.T, atol=tol)
+        require(self.S.shape == (n, n) and self.h_core.shape == (n, n),
+                f"S and h_core must be {n}x{n}")
+        require(self.eri.shape == (n, n, n, n), f"eri must be {n}x{n}x{n}x{n}")
+        require(np.all(np.isfinite(self.S)) and np.all(np.isfinite(self.h_core)),
+                "non-finite S or h_core")
+        require(np.all(np.isfinite(self.eri)), "non-finite eri")
+        require(np.allclose(self.S, self.S.T, atol=tol), "S not symmetric")
+        require(np.allclose(self.h_core, self.h_core.T, atol=tol), "h_core not symmetric")
         for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
-            assert np.allclose(self.eri, self.eri.transpose(perm), atol=tol)
-        assert self.n_electrons % 2 == 0 and self.n_electrons > 0
+            require(np.allclose(self.eri, self.eri.transpose(perm), atol=tol),
+                    f"eri not symmetric under {perm}")
+        require(self.n_electrons % 2 == 0 and self.n_electrons > 0,
+                "electron count must be even and positive")
 
 
 def _boys_f0(x: np.ndarray) -> np.ndarray:
@@ -376,7 +385,9 @@ def load_manifest(path: str) -> DatasetManifest:
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     seen = set()
-    for e in raw["entries"]:
+    for i, e in enumerate(raw["entries"]):
+        if not isinstance(e, dict) or "id" not in e:
+            raise ManifestError(f"{path}: entry {i} is not an object with an `id`")
         mid = str(e["id"])
         if mid in seen:
             raise ManifestError(f"{path}: duplicate molecule id {mid!r}")

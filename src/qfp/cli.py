@@ -71,6 +71,13 @@ def _read_targets(path: str) -> dict:
     return targets
 
 
+def _load_features(path: str):
+    try:
+        return chem_io.load_features(path)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+
+
 def _align_targets(ids, targets: dict) -> np.ndarray:
     missing = [i for i in ids if i not in targets]
     extra = sorted(set(targets) - set(ids))
@@ -118,7 +125,7 @@ def _model_spec_from_args(args) -> dict:
 
 
 def cmd_train(args) -> int:
-    ids, grid, X = chem_io.load_features(args.features)
+    ids, grid, X = _load_features(args.features)
     y = _align_targets(ids, _read_targets(args.targets))
     spec = _model_spec_from_args(args)
     os.makedirs(args.out, exist_ok=True)
@@ -201,7 +208,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    ids, grid, X = chem_io.load_features(args.features)
+    ids, grid, X = _load_features(args.features)
     if len(ids) == 0:
         raise DataError(f"{args.features}: empty feature table")
     os.makedirs(args.out, exist_ok=True)
@@ -251,11 +258,13 @@ def cmd_optimize_measurement(args) -> int:
     tr, va, _ = fingerprint_ml.train_val_test_split(len(y), seed=args.seed)
     iu = np.triu_indices(n_orb)
 
-    def objective(vec):
+    def symmetric(vec):
         O = np.zeros((n_orb, n_orb))
         O[iu] = vec
-        O = O + np.triu(O, k=1).T
-        X = fingerprint_ml.one_body_features(trajs, O)
+        return O + np.triu(O, k=1).T
+
+    def objective(vec):
+        X = fingerprint_ml.one_body_features(trajs, symmetric(vec))
         model = fingerprint_ml.krr_fit(
             X[tr], y[tr],
             length_scale=cfg.model.get("length_scale", 1.0),
@@ -266,9 +275,7 @@ def cmd_optimize_measurement(args) -> int:
     bounds = [(-1.0, 1.0)] * len(iu[0])
     state = fingerprint_ml.gp_optimize(objective, bounds, budget=args.budget,
                                        seed=args.seed)
-    O_best = np.zeros((n_orb, n_orb))
-    O_best[iu] = state.best_point
-    O_best = O_best + np.triu(O_best, k=1).T
+    O_best = symmetric(state.best_point)
     _write_json(
         {"points": state.points.tolist(), "values": state.values.tolist(),
          "length_scale": state.length_scale,

@@ -15,7 +15,7 @@ import numpy as np
 
 from qfp import fci
 from qfp.chem_io import MolecularIntegrals
-from qfp.mean_field import MeanFieldSolution
+from qfp.mean_field import MeanFieldSolution, lowdin_orthonormalize
 
 __all__ = [
     "FragmentSpec",
@@ -23,13 +23,13 @@ __all__ = [
     "EmbeddedHamiltonian",
     "transform_integrals",
     "localize_integrals",
+    "dmet_setup",
     "homo_lumo_active_space",
     "dmet_cluster_basis",
     "dmet_hamiltonian",
     "fit_chemical_potential",
     "fragment_count_builder",
     "cluster_reduce",
-    "project_fock",
     "to_molecular_integrals",
     "EmbeddingError",
 ]
@@ -122,6 +122,17 @@ def localize_integrals(m: MolecularIntegrals, X: np.ndarray) -> MolecularIntegra
         eri=eri_loc,
         e_nuclear=m.e_nuclear,
     )
+
+
+def dmet_setup(m: MolecularIntegrals, mf: MeanFieldSolution):
+    """Lowdin-localized integrals and mean-field 1-RDM, the input of a DMET cluster.
+
+    Returns (m_loc, D_loc) with D_loc = S^{1/2} D S^{1/2}; pass D_loc to
+    dmet_cluster_basis and m_loc to dmet_hamiltonian.
+    """
+    X = lowdin_orthonormalize(m.S)
+    S_half = np.linalg.inv(X)
+    return localize_integrals(m, X), S_half @ mf.D @ S_half
 
 
 def _coulomb_exchange(eri, D, exchange_factor=0.5):
@@ -299,7 +310,11 @@ def fragment_count_builder(m_loc: MolecularIntegrals, cb: ClusterBasis,
 
 def fit_chemical_potential(builder, n_target: float, tol: float = 1e-6,
                            bracket=(-1.0, 1.0), max_iter: int = 100) -> float:
-    """Bisection on the (monotone) fragment filling as a function of mu."""
+    """Bisection on the (monotone) fragment filling as a function of mu.
+
+    Raises EmbeddingError when max_iter bisections leave the filling
+    further than tol from n_target.
+    """
     lo, hi = bracket
     f_lo = builder(lo) - n_target
     f_hi = builder(hi) - n_target
@@ -318,16 +333,14 @@ def fit_chemical_potential(builder, n_target: float, tol: float = 1e-6,
         if abs(f_mid) < tol:
             return mid
         if f_mid * f_lo < 0:
-            hi = mid
+            hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-def project_fock(F_loc: np.ndarray, cb: ClusterBasis) -> np.ndarray:
-    """Mean-field Fock matrix projected into the cluster space."""
-    C = cb.cluster
-    return C.T @ F_loc @ C
+    raise EmbeddingError(
+        f"chemical potential not within {tol:g} of filling {n_target} after "
+        f"{max_iter} bisections: bracket [{lo:.17g}, {hi:.17g}], "
+        f"residuals {f_lo:+.3e} / {f_hi:+.3e}"
+    )
 
 
 def cluster_reduce(

@@ -104,30 +104,34 @@ def compute_fingerprint(
         raise ValueError("empty time grid")
     observable = observable or {"kind": "F"}
     evolver = evolver or {"kind": "exact"}
-    okind = observable["kind"]
-    n = eh.n_active_orbitals
-
-    rows = []
-    for psi in _evolved_states(eh, initial_kind, time_grid, evolver):
-        rho = quantum_sim.rdm1(psi)
-        if okind == "F":
-            rows.append(quantum_sim.expval_F(eh.h_eff, rho))
-        elif okind == "O":
-            rows.append(quantum_sim.expval_O(np.asarray(observable["matrix"]), rho))
-        elif okind == "rdm":
-            iu = np.triu_indices(n, k=1)
-            rows.append(np.concatenate([
-                np.real(np.diag(rho)), np.real(rho[iu]), np.imag(rho[iu]),
-            ]))
-        else:
-            raise ValueError(f"unknown observable kind {okind!r}")
-    label = okind if okind != "O" else "custom-O"
+    measure = _observable_fn(eh, observable)
+    rows = [measure(psi) for psi in _evolved_states(eh, initial_kind, time_grid, evolver)]
+    label = "custom-O" if observable["kind"] == "O" else observable["kind"]
     return Fingerprint(
         molecule_id=molecule_id,
         time_grid=time_grid,
         label=f"{label}|{evolver.get('kind', 'exact')}",
         values=np.asarray(rows),
     )
+
+
+def _observable_fn(eh: EmbeddedHamiltonian, observable: dict):
+    """psi -> value of an observable spec (see compute_fingerprint)."""
+    kind = observable["kind"]
+    if kind == "F":
+        return lambda psi: quantum_sim.expval_F(eh.h_eff, quantum_sim.rdm1(psi))
+    if kind == "O":
+        O = np.asarray(observable["matrix"], dtype=float)
+        return lambda psi: quantum_sim.expval_O(O, quantum_sim.rdm1(psi))
+    if kind == "rdm":
+        iu = np.triu_indices(eh.n_active_orbitals, k=1)
+
+        def elements(psi):
+            rho = quantum_sim.rdm1(psi)
+            return np.concatenate([np.real(np.diag(rho)), np.real(rho[iu]), np.imag(rho[iu])])
+
+        return elements
+    raise ValueError(f"unknown observable kind {kind!r}")
 
 
 def rdm_trajectory(eh: EmbeddedHamiltonian, initial_kind: str, time_grid,
@@ -382,6 +386,23 @@ def _gp_loglik(X, y, ls, sv, nv):
     return float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))))
 
 
+def _gp_hyperparameters(X, y, bounds):
+    """Standardized y and the (length scale, signal, noise variance) of the
+    fixed log-grid with the highest marginal likelihood."""
+    ym, ys = y.mean(), y.std()
+    ys = ys if ys > 1e-12 else 1.0
+    yn = (y - ym) / ys
+    ls_grid = np.geomspace(0.05, 5.0, 8) * float(np.mean(bounds[:, 1] - bounds[:, 0]))
+    nv_grid = np.geomspace(1e-8, 1e-2, 4)
+    best = (-np.inf, ls_grid[0], 1.0, nv_grid[0])
+    for ls in ls_grid:
+        for nv in nv_grid:
+            ll = _gp_loglik(X, yn, ls, 1.0, nv)
+            if ll > best[0]:
+                best = (ll, ls, 1.0, nv)
+    return (yn, *best[1:])
+
+
 def _gp_posterior(X, y, Xs, ls, sv, nv):
     K = sv * _rbf(X, X, ls) + nv * np.eye(len(y))
     Ks = sv * _rbf(Xs, X, ls)
@@ -409,21 +430,8 @@ def gp_optimize(objective, bounds, budget: int = 25, seed: int = 0,
     X = _latin_hypercube(5, d, bounds, rng)
     y = np.array([float(objective(x)) for x in X])
 
-    ls_grid = np.geomspace(0.05, 5.0, 8) * float(np.mean(bounds[:, 1] - bounds[:, 0]))
-    nv_grid = np.geomspace(1e-8, 1e-2, 4)
-
     while len(y) < budget:
-        ym, ys = y.mean(), y.std()
-        ys = ys if ys > 1e-12 else 1.0
-        yn = (y - ym) / ys
-        best = (-np.inf, ls_grid[0], 1.0, nv_grid[0])
-        for ls in ls_grid:
-            for nv in nv_grid:
-                ll = _gp_loglik(X, yn, ls, 1.0, nv)
-                if ll > best[0]:
-                    best = (ll, ls, 1.0, nv)
-        _, ls, sv, nv = best
-
+        yn, ls, sv, nv = _gp_hyperparameters(X, y, bounds)
         cand = bounds[:, 0] + rng.random((n_candidates, d)) * (bounds[:, 1] - bounds[:, 0])
         mean, var = _gp_posterior(X, yn, cand, ls, sv, nv)
         sd = np.sqrt(var)
@@ -439,16 +447,9 @@ def gp_optimize(objective, bounds, budget: int = 25, seed: int = 0,
         X = np.vstack([X, x_next])
         y = np.append(y, y_next)
 
-    ym, ys = y.mean(), y.std()
-    ys = ys if ys > 1e-12 else 1.0
-    best = (-np.inf, ls_grid[0], 1.0, nv_grid[0])
-    for ls in ls_grid:
-        for nv in nv_grid:
-            ll = _gp_loglik(X, (y - ym) / ys, ls, 1.0, nv)
-            if ll > best[0]:
-                best = (ll, ls, 1.0, nv)
-    return GPState(points=X, values=y, length_scale=best[1],
-                   signal_variance=best[2], noise_variance=best[3], bounds=bounds)
+    _, ls, sv, nv = _gp_hyperparameters(X, y, bounds)
+    return GPState(points=X, values=y, length_scale=ls,
+                   signal_variance=sv, noise_variance=nv, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -333,6 +333,9 @@ def build_molecule(entry: ManifestEntry) -> MolecularIntegrals:
 def embed_molecule(m: MolecularIntegrals, emb: dict) -> embedding.EmbeddedHamiltonian:
     """Mean field + the configured embedding for one molecule."""
     xf = float(emb.get("exchange_factor", 0.5))
+    if emb["mode"] == "dmet" and max(emb["fragment"]) >= m.n_orbitals:
+        raise ConfigError(f"embedding.fragment: index {max(emb['fragment'])} out of "
+                          f"range for a molecule with {m.n_orbitals} orbitals")
     try:
         mf = mean_field.scf_solve(m)
         if not mf.converged:
@@ -342,10 +345,7 @@ def embed_molecule(m: MolecularIntegrals, emb: dict) -> embedding.EmbeddedHamilt
                 m, mf, emb["n_active_electrons"], emb["n_active_orbitals"],
                 exchange_factor=xf,
             )
-        X = mean_field.lowdin_orthonormalize(m.S)
-        m_loc = embedding.localize_integrals(m, X)
-        S_half = np.linalg.inv(X)
-        D_loc = S_half @ mf.D @ S_half
+        m_loc, D_loc = embedding.dmet_setup(m, mf)
         cb = embedding.dmet_cluster_basis(D_loc, embedding.FragmentSpec(emb["fragment"]))
         mu = 0.0
         if emb.get("fit_mu", False):
@@ -373,18 +373,21 @@ def load_dataset(cfg: PipelineConfig, base_dir: str = ".") -> DatasetManifest:
             return chem_io.load_manifest(path)
         except chem_io.ManifestError as exc:
             raise DataError(str(exc)) from exc
-    zs = np.linspace(ds["rmin"], ds["rmax"], ds["count"])
-    width = max(3, len(str(len(zs) - 1)))
-    entries = [
+    return _h2_scan(ds["rmin"], ds["rmax"], ds["count"])
+
+
+def _h2_scan(rmin, rmax, count) -> DatasetManifest:
+    """Uniform H2 separation scan: ids h2_000.., geometry generators, z targets."""
+    width = max(3, len(str(count - 1)))
+    return DatasetManifest(entries=[
         ManifestEntry(
             molecule_id=f"h2_{i:0{width}d}",
             source={"generator": {"kind": "h2", "separation": float(z)}},
             target=float(z),
             label=f"H2 z={z:.6f} bohr",
         )
-        for i, z in enumerate(zs)
-    ]
-    return DatasetManifest(entries=entries)
+        for i, z in enumerate(np.linspace(rmin, rmax, count))
+    ])
 
 
 def _noisy_fingerprint(eh, cfg: PipelineConfig, grid, molecule_id):
@@ -393,11 +396,7 @@ def _noisy_fingerprint(eh, cfg: PipelineConfig, grid, molecule_id):
     prep, _ = quantum_sim.prepare_initial(
         cfg.initial_state, H.n_qubits, eh.n_active_electrons
     )
-    if cfg.observable["kind"] == "F":
-        obs = lambda psi: quantum_sim.expval_F(eh.h_eff, quantum_sim.rdm1(psi))
-    else:
-        O = np.asarray(cfg.observable["matrix"], dtype=float)
-        obs = lambda psi: quantum_sim.expval_O(O, quantum_sim.rdm1(psi))
+    obs = fingerprint_ml._observable_fn(eh, cfg.observable)
     ns = quantum_sim.NoiseSpec(
         p=spec["p"], scale=spec.get("scale", 1), seed=spec.get("seed", 0)
     )
@@ -419,7 +418,13 @@ def _noisy_fingerprint(eh, cfg: PipelineConfig, grid, molecule_id):
 
 def _one_fingerprint(entry, cfg, grid):
     m = build_molecule(entry)
-    eh = embed_molecule(m, cfg.embedding)
+    try:
+        eh = embed_molecule(m, cfg.embedding)
+        n = eh.n_active_orbitals
+        if cfg.observable["kind"] == "O" and np.shape(cfg.observable["matrix"]) != (n, n):
+            raise ConfigError(f"observable.matrix: expected {n}x{n} for the active space")
+    except ConfigError as exc:
+        raise ConfigError(f"molecule {entry.molecule_id!r}: {exc}") from exc
     try:
         if cfg.noise is not None:
             fp = _noisy_fingerprint(eh, cfg, grid, entry.molecule_id)
@@ -463,32 +468,25 @@ def generate_h2_dataset(rmin: float, rmax: float, count: int, out_dir: str):
     if rmax <= rmin:
         raise ConfigError("--rmax must exceed --rmin")
     os.makedirs(out_dir, exist_ok=True)
-    zs = np.linspace(rmin, rmax, count)
-    width = max(3, len(str(count - 1)))
-    entries = []
-    for i, z in enumerate(zs):
-        mid = f"h2_{i:0{width}d}"
-        m = chem_io.s_orbital_integrals(chem_io.h2_geometry(float(z)))
+    manifest = _h2_scan(rmin, rmax, count)
+    for i, e in enumerate(manifest.entries):
+        m = build_molecule(e)
         mf = mean_field.scf_solve(m)
         if not mf.converged:
-            raise NumericalError(f"SCF did not converge for z={z:.6f}")
+            raise NumericalError(f"SCF did not converge for z={e.target:.6f}")
         h_mo, eri_mo = embedding.transform_integrals(m.h_core, m.eri, mf.C)
         m_mo = MolecularIntegrals(
             n_orbitals=m.n_orbitals, n_electrons=m.n_electrons,
             S=np.eye(m.n_orbitals), h_core=h_mo, eri=eri_mo,
             e_nuclear=m.e_nuclear,
         )
-        fname = f"{mid}.fcidump"
+        fname = f"{e.molecule_id}.fcidump"
         with open(os.path.join(out_dir, fname), "w") as fh:
             fh.write(chem_io.emit_fcidump(m_mo))
-        entries.append(ManifestEntry(
-            molecule_id=mid, source={"fcidump": fname},
-            target=float(z), label=f"H2 z={z:.6f} bohr",
-        ))
-    chem_io.save_manifest(DatasetManifest(entries=entries),
-                          os.path.join(out_dir, "manifest.json"))
+        manifest.entries[i] = replace(e, source={"fcidump": fname})
+    chem_io.save_manifest(manifest, os.path.join(out_dir, "manifest.json"))
     with open(os.path.join(out_dir, "targets.csv"), "w") as fh:
         fh.write("molecule_id,target\n")
-        for e in entries:
+        for e in manifest.entries:
             fh.write(f"{e.molecule_id},{e.target:.17g}\n")
-    return [e.molecule_id for e in entries]
+    return [e.molecule_id for e in manifest.entries]

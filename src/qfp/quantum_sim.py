@@ -273,20 +273,24 @@ def _apply_prot(psi, theta, string):
     return math.cos(theta / 2) * psi - 1j * math.sin(theta / 2) * apply_pauli(string, psi)
 
 
+def _apply_gate(psi, gate):
+    # PROT first: Trotter circuits are almost all PauliRotation gates.
+    if gate[0] == "PROT":
+        return _apply_prot(psi, gate[1], gate[2])
+    if gate[0] == "X":
+        return _apply_x(psi, gate[1])
+    if gate[0] == "RY":
+        return _apply_ry(psi, gate[1], gate[2])
+    raise ValueError(f"unknown gate {gate[0]!r}")
+
+
 def run_sequence(gs: GateSequence, psi0: np.ndarray) -> np.ndarray:
     """Apply gates in order; includes the tracked global phase."""
     if psi0.shape[0] != 1 << gs.n_qubits:
         raise ValueError("state dimension does not match sequence qubit count")
     psi = np.asarray(psi0, dtype=complex)
     for gate in gs.gates:
-        if gate[0] == "X":
-            psi = _apply_x(psi, gate[1])
-        elif gate[0] == "RY":
-            psi = _apply_ry(psi, gate[1], gate[2])
-        elif gate[0] == "PROT":
-            psi = _apply_prot(psi, gate[1], gate[2])
-        else:
-            raise ValueError(f"unknown gate {gate[0]!r}")
+        psi = _apply_gate(psi, gate)
     if gs.global_phase:
         psi = psi * np.exp(-1j * gs.global_phase)
     return psi
@@ -410,7 +414,7 @@ def rdm1(psi: np.ndarray) -> np.ndarray:
             for sp in range(2):
                 rho[r, s] += np.vdot(lowered[2 * s + sp], lowered[2 * r + sp])
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise AssertionError("one-body density matrix not Hermitian")
+        raise ValueError("one-body density matrix not Hermitian")
     return rho
 
 
@@ -421,13 +425,14 @@ def expval_F(h_eff: np.ndarray, rdm: np.ndarray) -> float:
 
 def expval_O(O: np.ndarray, rdm: np.ndarray) -> float:
     """General one-body expectation <O> = sum O_rs <a+_s a_r>."""
-    O = np.asarray(O)
+    O, rdm = np.asarray(O), np.asarray(rdm)
     if O.shape != rdm.shape:
         raise ValueError("operator/density dimension mismatch")
     if np.max(np.abs(O - O.conj().T)) > 1e-10:
         raise ValueError("observable must be Hermitian")
     val = complex(np.sum(O * rdm))
-    assert abs(val.imag) < 1e-10, f"imaginary residue {val.imag:.2e}"
+    if not abs(val.imag) < 1e-10:
+        raise ValueError(f"imaginary residue {val.imag:.2e}")
     return float(val.real)
 
 
@@ -534,13 +539,9 @@ def noisy_expectation(
     vals = np.empty(n_trajectories)
     for k in range(n_trajectories):
         psi = psi0
+        # No global phase: it cannot change a measured value.
         for gate in folded.gates:
-            if gate[0] == "X":
-                psi = _apply_x(psi, gate[1])
-            elif gate[0] == "RY":
-                psi = _apply_ry(psi, gate[1], gate[2])
-            else:
-                psi = _apply_prot(psi, gate[1], gate[2])
+            psi = _apply_gate(psi, gate)
             if ns.p > 0 and rng.random() < ns.p:
                 support = _gate_support(gate)
                 code = rng.integers(1, 4 ** len(support))

@@ -26,11 +26,7 @@ def h4_molecule(spacing=1.4):
 def dmet_h2(z, fragment=(0,)):
     """H2 DMET cluster Hamiltonian in the Lowdin-localized atomic basis."""
     m = h2_molecule(z)
-    mf = mean_field.scf_solve(m)
-    X = mean_field.lowdin_orthonormalize(m.S)
-    m_loc = embedding.localize_integrals(m, X)
-    S_half = np.linalg.inv(X)
-    D_loc = S_half @ mf.D @ S_half
+    m_loc, D_loc = embedding.dmet_setup(m, mean_field.scf_solve(m))
     cb = embedding.dmet_cluster_basis(D_loc, embedding.FragmentSpec(list(fragment)))
     return embedding.dmet_hamiltonian(m_loc, cb)
 

@@ -26,10 +26,7 @@ def check(num, desc, ok, detail=""):
 
 def _localized_cluster(m, fragment):
     mf = mean_field.scf_solve(m)
-    X = mean_field.lowdin_orthonormalize(m.S)
-    m_loc = embedding.localize_integrals(m, X)
-    S_half = np.linalg.inv(X)
-    D_loc = S_half @ mf.D @ S_half
+    m_loc, D_loc = embedding.dmet_setup(m, mf)
     cb = embedding.dmet_cluster_basis(D_loc, FragmentSpec(list(fragment)))
     return mf, m_loc, D_loc, cb
 

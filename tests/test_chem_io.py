@@ -134,3 +134,12 @@ def test_feature_table_round_trip(tmp_path):
     assert ids2 == ids
     assert np.array_equal(grid2, grid)
     assert np.array_equal(vals2, vals)  # 17 significant digits is lossless
+
+
+def test_validate_raises_value_error():
+    m = h2_molecule(1.4)
+    h = m.h_core.copy()
+    h[0, 1] += 1e-3
+    bad = MolecularIntegrals(m.n_orbitals, m.n_electrons, m.S, h, m.eri, m.e_nuclear)
+    with pytest.raises(ValueError, match="h_core not symmetric"):
+        bad.validate()

@@ -230,3 +230,41 @@ def test_optimize_measurement_h2(h2_dataset):
     hist = json.loads((out / "gp_history.json").read_text())
     assert len(hist["values"]) == 10
     assert min(hist["values"]) == best["validation_mse"]
+
+
+def test_dmet_fragment_out_of_range_exit_2(h2_dataset):
+    # H2 has orbitals 0 and 1 only
+    cfg = write_config(h2_dataset, name="frag.json",
+                       embedding={"mode": "dmet", "fragment": [2]})
+    assert run("fingerprint", "--config", cfg, "--out",
+               str(h2_dataset / "o")) == 2
+
+
+def test_observable_matrix_size_mismatch_exit_2(h2_dataset):
+    # a 3x3 operator on the (2e,2o) active space
+    cfg = write_config(h2_dataset, name="obs.json",
+                       observable={"kind": "O", "matrix": np.eye(3).tolist()})
+    assert run("fingerprint", "--config", cfg, "--out",
+               str(h2_dataset / "o")) == 2
+
+
+@pytest.mark.parametrize("entry", [
+    {"generator": {"kind": "h2", "separation": 1.4}, "target": 1.4},
+    "h2_000",
+])
+def test_manifest_entry_without_id_exit_3(tmp_path, entry):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": [entry]}))
+    cfg = write_config(tmp_path)
+    assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+
+
+@pytest.mark.parametrize("command,args", [
+    ("train", ["--targets", "t.csv", "--model", "krr"]),
+    ("cluster", ["--k", "2"]),
+])
+def test_ragged_feature_table_exit_3(tmp_path, monkeypatch, command, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.csv").write_text("molecule_id,t=0,t=1\nm0,0.1,0.2\nm1,0.3\n")
+    (tmp_path / "t.csv").write_text("molecule_id,target\nm0,1.0\nm1,2.0\n")
+    assert run(command, "--features", "f.csv", *args, "--out", "o") == 3

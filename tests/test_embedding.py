@@ -10,10 +10,7 @@ from conftest import dmet_h2, h2_molecule, h4_molecule
 
 def _localized(m):
     mf = mean_field.scf_solve(m)
-    X = mean_field.lowdin_orthonormalize(m.S)
-    m_loc = embedding.localize_integrals(m, X)
-    S_half = np.linalg.inv(X)
-    return mf, m_loc, S_half @ mf.D @ S_half
+    return (mf, *embedding.dmet_setup(m, mf))
 
 
 def test_h2_active_space_fci_matches_full_fci():
@@ -106,6 +103,13 @@ def test_h4_chemical_potential_fit():
     builder = embedding.fragment_count_builder(m_loc, cb)
     mu = embedding.fit_chemical_potential(builder, 2.0)
     assert abs(builder(mu) - 2.0) < 1e-6
+
+
+def test_mu_fit_raises_when_filling_never_within_tol():
+    # the filling jumps across the target, so no mu comes within tol
+    step = lambda mu: 2.0 if mu > 0.3 else 1.0
+    with pytest.raises(EmbeddingError, match="bracket"):
+        embedding.fit_chemical_potential(step, 1.5)
 
 
 def test_dmet_h2_bath_size():

@@ -158,6 +158,12 @@ def test_expval_O_rejects_non_hermitian():
         qs.expval_O(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2) + 0j)
 
 
+def test_expval_O_rejects_imaginary_residue():
+    # Hermitian O against a non-Hermitian density leaves <O> = 1j
+    with pytest.raises(ValueError, match="imaginary residue"):
+        qs.expval_O([[0, 1], [1, 0]], [[0, 1j], [0, 0]])
+
+
 def test_sample_histogram_basis_state():
     hist = qs.sample_histogram(qs.basis_state(0b0101, 4), shots=100, seed=7)
     assert hist == {"0101": 100}
