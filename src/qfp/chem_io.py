@@ -380,7 +380,7 @@ def load_manifest(path: str) -> DatasetManifest:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "entries" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
         raise ManifestError(f"{path}: manifest must be an object with an `entries` list")
     base = os.path.dirname(os.path.abspath(path))
     entries = []
@@ -395,24 +395,37 @@ def load_manifest(path: str) -> DatasetManifest:
         source = {}
         if "fcidump" in e:
             fpath = e["fcidump"]
+            if not isinstance(fpath, str):
+                raise ManifestError(f"{path}: id {mid!r}: `fcidump` must be a file name")
             if not os.path.isabs(fpath):
                 fpath = os.path.join(base, fpath)
             if not os.path.exists(fpath):
                 raise ManifestError(f"{path}: id {mid!r} references missing file {fpath}")
             source["fcidump"] = fpath
         elif "generator" in e:
+            if not isinstance(e["generator"], dict):
+                raise ManifestError(f"{path}: id {mid!r}: `generator` must be an object")
             source["generator"] = dict(e["generator"])
         else:
             raise ManifestError(f"{path}: id {mid!r} has neither `fcidump` nor `generator`")
+        target = _manifest_value(float, e.get("target", math.nan), path, f"id {mid!r}: `target`")
         entries.append(
             ManifestEntry(
                 molecule_id=mid,
                 source=source,
-                target=float(e.get("target", math.nan)),
+                target=target,
                 label=str(e.get("label", "")),
             )
         )
-    return DatasetManifest(entries=entries, format_version=int(raw.get("format_version", 1)))
+    version = _manifest_value(int, raw.get("format_version", 1), path, "`format_version`")
+    return DatasetManifest(entries=entries, format_version=version)
+
+
+def _manifest_value(convert, value, path, what):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"{path}: {what}: bad value {value!r}") from exc
 
 
 def save_manifest(manifest: DatasetManifest, path: str) -> None:

@@ -61,8 +61,11 @@ def _evolved_states(eh: EmbeddedHamiltonian, initial_kind: str, time_grid, evolv
     """Yield the state at each grid time for the requested evolver spec.
 
     evolver: {"kind": "exact"} or {"kind": "trotter", "order": o, "r": r}.
-    A trotter evolver builds trotter_sequence(H, t, o, r) afresh at each grid
-    time, so its r steps span the whole of [0, t]: the step size grows with t.
+    A trotter evolver applies trotter_sequence(H, t, o, r) at each grid time,
+    so its r steps span the whole of [0, t]: the step size grows with t.  All
+    grid times are evolved together as one (T, 2^n) batch by
+    quantum_sim.trotter_states, which holds T x 2^n x 16 B per array (119 KB
+    for 29 times at 8 qubits, 30 MB at 16 qubits).
     """
     ph = quantum_sim.jordan_wigner(eh)
     n_qubits = 2 * eh.n_active_orbitals
@@ -75,12 +78,7 @@ def _evolved_states(eh: EmbeddedHamiltonian, initial_kind: str, time_grid, evolv
     elif kind == "trotter":
         order = int(evolver.get("order", 2))
         r = int(evolver.get("r", 1))
-        for t in time_grid:
-            if t == 0.0:
-                yield psi0.copy()
-            else:
-                gs = quantum_sim.trotter_sequence(ph, t, order=order, r=r)
-                yield quantum_sim.run_sequence(gs, psi0)
+        yield from quantum_sim.trotter_states(ph, psi0, time_grid, order=order, r=r)
     else:
         raise ValueError(f"unknown evolver kind {kind!r}")
 

@@ -318,16 +318,27 @@ def build_molecule(entry: ManifestEntry) -> MolecularIntegrals:
             raise DataError(
                 f"molecule {entry.molecule_id!r}: h2 generator takes `separation`"
             )
-        return chem_io.s_orbital_integrals(chem_io.h2_geometry(float(gen["separation"])))
+        z = _generator_number(gen["separation"], entry, "separation")
+        return chem_io.s_orbital_integrals(chem_io.h2_geometry(z))
     if kind == "chain":
         if set(gen) != {"z_positions"}:
             raise DataError(
                 f"molecule {entry.molecule_id!r}: chain generator takes `z_positions`"
             )
+        zs = gen["z_positions"]
+        if not isinstance(zs, (list, tuple)):
+            raise DataError(f"molecule {entry.molecule_id!r}: `z_positions` must be a list")
         return chem_io.s_orbital_integrals(
-            chem_io.hydrogen_chain([float(z) for z in gen["z_positions"]])
+            chem_io.hydrogen_chain([_generator_number(z, entry, "z_positions") for z in zs])
         )
     raise DataError(f"molecule {entry.molecule_id!r}: unknown generator kind {kind!r}")
+
+
+def _generator_number(v, entry: ManifestEntry, key: str) -> float:
+    try:
+        return float(v)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"molecule {entry.molecule_id!r}: bad `{key}` value {v!r}") from exc
 
 
 def embed_molecule(m: MolecularIntegrals, emb: dict) -> embedding.EmbeddedHamiltonian:

@@ -268,3 +268,24 @@ def test_ragged_feature_table_exit_3(tmp_path, monkeypatch, command, args):
     (tmp_path / "f.csv").write_text("molecule_id,t=0,t=1\nm0,0.1,0.2\nm1,0.3\n")
     (tmp_path / "t.csv").write_text("molecule_id,target\nm0,1.0\nm1,2.0\n")
     assert run(command, "--features", "f.csv", *args, "--out", "o") == 3
+
+
+H2_ENTRY = {"id": "h2_000", "generator": {"kind": "h2", "separation": 1.4}, "target": 1.4}
+
+
+@pytest.mark.parametrize("manifest", [
+    {"entries": 5},
+    {"entries": [{**H2_ENTRY, "target": "abc"}]},
+    {"entries": [H2_ENTRY], "format_version": "x"},
+    {"entries": [{**H2_ENTRY, "generator": 5}]},
+    {"entries": [{"id": "m0", "fcidump": 5, "target": 1.0}]},
+    {"entries": [{**H2_ENTRY, "generator": {"kind": "h2", "separation": "x"}}]},
+    {"entries": [{**H2_ENTRY, "generator": {"kind": "chain", "z_positions": 5}}]},
+    {"entries": [{**H2_ENTRY, "generator": {"kind": "chain", "z_positions": [0.0, "a"]}}]},
+], ids=["entries", "target", "format_version", "generator", "fcidump",
+        "separation", "z_positions", "z_position_item"])
+def test_malformed_manifest_value_exit_3(tmp_path, manifest):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "manifest.json").write_text(json.dumps(manifest))
+    cfg = write_config(tmp_path)
+    assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 3

@@ -125,6 +125,64 @@ def test_trotter_t_zero_is_identity_with_phase(h2_pauli):
     assert np.allclose(psi, psi0, atol=1e-12)
 
 
+@pytest.fixture(scope="module")
+def h4_pauli():
+    m = h4_molecule(1.5)
+    return qs.jordan_wigner(
+        embedding.homo_lumo_active_space(m, mean_field.scf_solve(m), 4, 3))
+
+
+@pytest.mark.parametrize("grid", [np.arange(0.0, 6.5, 0.5), [0.3, 0.7, 1.9, 2.0, 5.5, 11.25]],
+                         ids=["from_zero", "uneven"])
+@pytest.mark.parametrize("kind", ["hf_ground", "homo_lumo_excited", "half_occupied"])
+def test_trotter_states_match_run_sequence_bitwise(h2_pauli, h4_pauli, kind, grid):
+    for ph, n_electrons in ((h2_pauli, 2), (h4_pauli, 4)):
+        _, psi0 = qs.prepare_initial(kind, ph.n_qubits, n_electrons)
+        for order in (1, 2):
+            for r in (1, 2, 3):
+                batch = qs.trotter_states(ph, psi0, grid, order=order, r=r)
+                assert batch.shape == (len(grid), 1 << ph.n_qubits)
+                for t, psi in zip(grid, batch):
+                    ref = (psi0 if t == 0.0 else qs.run_sequence(
+                        qs.trotter_sequence(ph, t, order=order, r=r), psi0))
+                    assert np.array_equal(psi, ref), (order, r, t)
+
+
+def test_trotter_states_all_zero_times_copy_the_state(h2_pauli):
+    psi0 = qs.basis_state(3, 4)
+    out = qs.trotter_states(h2_pauli, psi0, [0.0, 0.0])
+    assert np.array_equal(out, [psi0, psi0])
+    out[0, 0] = 7.0
+    assert psi0[0] == 0.0
+    with pytest.raises(ValueError):
+        qs.trotter_states(h2_pauli, qs.basis_state(0, 3), [1.0])
+
+
+def _parity_vector_bit_loop(mask, n_qubits):
+    """The per-bit reference: XOR one bit of the mask at a time."""
+    b = np.arange(1 << n_qubits)
+    acc = np.zeros(1 << n_qubits, dtype=np.int64)
+    mm = mask
+    while mm:
+        low = mm & -mm
+        acc ^= (b & low) != 0
+        mm ^= low
+    return 1 - 2 * acc
+
+
+@pytest.mark.parametrize("n_qubits", range(13))
+def test_parity_vector_matches_bit_loop(n_qubits):
+    rng = np.random.default_rng(n_qubits)
+    full = (1 << n_qubits) - 1
+    masks = {0, full, full & 0b1010101010101} | set(
+        int(m) for m in rng.integers(0, full + 1, size=20))
+    for mask in masks:
+        got = qs._parity_vector(mask, n_qubits)
+        ref = _parity_vector_bit_loop(mask, n_qubits)
+        assert got.dtype == ref.dtype == np.int64
+        assert np.array_equal(got, ref), mask
+
+
 def test_sequence_text_round_trip():
     gs = GateSequence(
         gates=[("X", 0), ("RY", 0.5, 2), ("PROT", -1.25, "XZYI")],
