@@ -27,7 +27,6 @@ from qfp.quantum_sim import (
     GateSequence,
     NoiseSpec,
     PauliHamiltonian,
-    evolve_exact,
     jordan_wigner,
     prepare_initial,
     rdm1,
@@ -55,7 +54,6 @@ __all__ = [
     "GateSequence",
     "NoiseSpec",
     "PauliHamiltonian",
-    "evolve_exact",
     "jordan_wigner",
     "prepare_initial",
     "rdm1",

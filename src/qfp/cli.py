@@ -29,11 +29,13 @@ except Exception:  # pragma: no cover - metadata missing in odd installs
 def _load_config(path: str) -> PipelineConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     return PipelineConfig.from_dict(raw)
 
 

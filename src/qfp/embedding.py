@@ -294,16 +294,25 @@ def dmet_hamiltonian(
 
 def fragment_count_builder(m_loc: MolecularIntegrals, cb: ClusterBasis,
                            exchange_factor: float = 0.5):
-    """builder(mu) -> fragment electron count in the cluster ground state."""
-    n_frag = cb.fragment.shape[1]
+    """builder(mu) -> fragment electron count in the cluster ground state.
+
+    The cluster Hamiltonian is built once, at mu = 0.  The -mu shift on the
+    fragment diagonal of h_eff adds -mu * N_frag, and N_frag is diagonal in
+    the determinant basis: with fragment orbitals first and spins
+    interleaved, a determinant's fragment occupation is the popcount of its
+    low 2 * n_frag bits.  So each call is one eigh of H0 - mu diag(n_f) on
+    the N-electron sector, and the count is sum_i v0_i^2 n_f_i.
+    """
+    eh = dmet_hamiltonian(m_loc, cb, mu=0.0, exchange_factor=exchange_factor)
+    idx = fci.sector_indices(2 * eh.n_active_orbitals, eh.n_active_electrons)
+    H0 = fci.fock_space_hamiltonian(eh.h_eff, eh.eri_active, 0.0)[np.ix_(idx, idx)]
+    n_f = np.bitwise_count(idx & ((1 << 2 * cb.fragment.shape[1]) - 1)).astype(float)
 
     def count(mu: float) -> float:
-        eh = dmet_hamiltonian(m_loc, cb, mu=mu, exchange_factor=exchange_factor)
-        _, psi = fci.fci_ground_state(
-            eh.h_eff, eh.eri_active, 0.0, eh.n_active_electrons
-        )
-        rho = fci.determinant_rdm1(psi, eh.n_active_orbitals)
-        return float(np.trace(rho[:n_frag, :n_frag]))
+        if not np.isfinite(mu):
+            raise EmbeddingError("chemical potential must be finite")
+        _, v = np.linalg.eigh(H0 - np.diag(mu * n_f))
+        return float(v[:, 0] ** 2 @ n_f)
 
     return count
 

@@ -116,10 +116,8 @@ def compute_fingerprint(
 def _observable_fn(eh: EmbeddedHamiltonian, observable: dict):
     """psi -> value of an observable spec (see compute_fingerprint)."""
     kind = observable["kind"]
-    if kind == "F":
-        return lambda psi: quantum_sim.expval_F(eh.h_eff, quantum_sim.rdm1(psi))
-    if kind == "O":
-        O = np.asarray(observable["matrix"], dtype=float)
+    if kind in ("F", "O"):
+        O = eh.h_eff if kind == "F" else np.asarray(observable["matrix"], dtype=float)
         return lambda psi: quantum_sim.expval_O(O, quantum_sim.rdm1(psi))
     if kind == "rdm":
         iu = np.triu_indices(eh.n_active_orbitals, k=1)

@@ -9,6 +9,7 @@ that the CLI translates into exit codes.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -31,6 +32,11 @@ __all__ = [
 ]
 
 INITIAL_KINDS = ("hf_ground", "homo_lumo_excited", "half_occupied")
+
+# Largest time grid a config may ask for.  The grid, and the states and
+# values of all its times, are held in memory at once; a grid far past this
+# fails to allocate instead of being rejected as a config error.
+MAX_GRID_POINTS = 10**6
 
 
 class ConfigError(ValueError):
@@ -60,6 +66,12 @@ def _number(d, key, where, lo=None, hi=None):
     v = d[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {v!r}")
     if lo is not None and v < lo:
         raise ConfigError(f"{where}.{key}: {v} below minimum {lo}")
     if hi is not None and v > hi:
@@ -140,6 +152,8 @@ def _validate_time_grid(d):
         raise ConfigError("time_grid.step: must be positive")
     if stop < start:
         raise ConfigError("time_grid: stop must be >= start")
+    if (stop - start) / step + 1 > MAX_GRID_POINTS:
+        raise ConfigError(f"time_grid: more than {MAX_GRID_POINTS} points")
     return dict(d)
 
 

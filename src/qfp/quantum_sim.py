@@ -28,13 +28,11 @@ __all__ = [
     "ExactEvolver",
     "jordan_wigner",
     "prepare_initial",
-    "evolve_exact",
     "trotter_sequence",
     "trotter_states",
     "run_sequence",
     "fold_sequence",
     "rdm1",
-    "expval_F",
     "expval_O",
     "number_expectation",
     "sample_histogram",
@@ -358,11 +356,6 @@ class ExactEvolver:
         return V @ (np.exp(-1j * self.eigenvalues * t) * (V.conj().T @ psi0))
 
 
-def evolve_exact(ph: PauliHamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt) |psi0> via dense eigendecomposition."""
-    return ExactEvolver(ph).evolve(psi0, t)
-
-
 def trotter_sequence(ph: PauliHamiltonian, t: float, order: int = 2, r: int = 1) -> GateSequence:
     """Product-formula approximation to exp(-iHt) as PauliRotation gates.
 
@@ -466,11 +459,6 @@ def rdm1(psi: np.ndarray) -> np.ndarray:
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise ValueError("one-body density matrix not Hermitian")
     return rho
-
-
-def expval_F(h_eff: np.ndarray, rdm: np.ndarray) -> float:
-    """Energy-weighted density observable F = sum h_eff_rs rho_rs."""
-    return expval_O(h_eff, rdm)
 
 
 def expval_O(O: np.ndarray, rdm: np.ndarray) -> float:

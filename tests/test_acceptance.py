@@ -99,7 +99,7 @@ def test_criterion_4_trotter_scaling():
     eh = dmet_h2(1.4)
     H = qs.jordan_wigner(eh)
     _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
-    exact = qs.evolve_exact(H, psi0, 4.0)
+    exact = qs.ExactEvolver(H).evolve(psi0, 4.0)
     ratios = {}
     for order in (1, 2):
         errs = {r: np.linalg.norm(

@@ -289,3 +289,28 @@ def test_malformed_manifest_value_exit_3(tmp_path, manifest):
     (tmp_path / "data" / "manifest.json").write_text(json.dumps(manifest))
     cfg = write_config(tmp_path)
     assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+
+
+H2_SCAN = {"kind": "h2", "rmin": 1.0, "rmax": 2.0, "count": 2}
+
+
+@pytest.mark.parametrize("time_grid", [
+    {"start": 0, "stop": float("inf"), "step": 0.5},
+    {"start": 0, "stop": float("nan"), "step": 0.5},
+    {"start": 0, "stop": 1e12, "step": 1e-3},
+], ids=["infinite_stop", "nan_stop", "too_many_points"])
+def test_unusable_time_grid_exit_2(tmp_path, time_grid):
+    cfg = write_config(tmp_path, dataset=H2_SCAN, time_grid=time_grid)
+    assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+
+
+def test_config_path_is_directory_exit_2(tmp_path):
+    assert run("fingerprint", "--config", str(tmp_path), "--out",
+               str(tmp_path / "o")) == 2
+
+
+def test_config_not_utf8_exit_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"dataset": {"kind": "h2"}, "label": "café"}'.encode("latin-1"))
+    assert run("fingerprint", "--config", str(path), "--out",
+               str(tmp_path / "o")) == 2

@@ -105,6 +105,37 @@ def test_h4_chemical_potential_fit():
     assert abs(builder(mu) - 2.0) < 1e-6
 
 
+def _per_step_count_builder(m_loc, cb):
+    """Fragment count from a fresh cluster FCI at every mu: the reference route."""
+    n_frag = cb.fragment.shape[1]
+
+    def count(mu):
+        eh = embedding.dmet_hamiltonian(m_loc, cb, mu=mu)
+        _, psi = fci.fci_ground_state(eh.h_eff, eh.eri_active, 0.0,
+                                      eh.n_active_electrons)
+        rho = fci.determinant_rdm1(psi, eh.n_active_orbitals)
+        return float(np.trace(rho[:n_frag, :n_frag]))
+
+    return count
+
+
+@pytest.mark.parametrize("n_atoms", [4, 6])
+def test_fragment_count_builder_matches_per_step_fci(n_atoms):
+    m = chem_io.s_orbital_integrals(chem_io.hydrogen_chain(np.arange(n_atoms) * 1.4))
+    _, m_loc, D_loc = _localized(m)
+    cb = embedding.dmet_cluster_basis(D_loc, FragmentSpec([0, 1]))
+    builder = embedding.fragment_count_builder(m_loc, cb)
+    reference = _per_step_count_builder(m_loc, cb)
+    for mu in (-1.0, -0.3, 0.0, 0.4, 1.0):
+        assert abs(builder(mu) - reference(mu)) < 1e-10
+    target = float(np.trace(D_loc[:2, :2]))
+    assert (embedding.fit_chemical_potential(builder, target)
+            == embedding.fit_chemical_potential(reference, target))
+    for mu in (np.nan, np.inf, -np.inf):
+        with pytest.raises(EmbeddingError, match="finite"):
+            builder(mu)
+
+
 def test_mu_fit_raises_when_filling_never_within_tol():
     # the filling jumps across the target, so no mu comes within tol
     step = lambda mu: 2.0 if mu > 0.3 else 1.0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -94,7 +96,7 @@ def test_exact_evolution_conserves_everything(h2_active, h2_pauli):
 
 def test_trotter_converges_to_exact(h2_pauli):
     _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
-    exact = qs.evolve_exact(h2_pauli, psi0, 2.0)
+    exact = qs.ExactEvolver(h2_pauli).evolve(psi0, 2.0)
     for order in (1, 2):
         approx = qs.run_sequence(
             qs.trotter_sequence(h2_pauli, 2.0, order=order, r=256), psi0)
@@ -104,7 +106,7 @@ def test_trotter_converges_to_exact(h2_pauli):
 def test_trotter_error_scaling_with_r(h2_pauli):
     # one halving of dt: order-1 error ~ /2, order-2 error ~ /4
     _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
-    exact = qs.evolve_exact(h2_pauli, psi0, 1.0)
+    exact = qs.ExactEvolver(h2_pauli).evolve(psi0, 1.0)
     for order, expected in ((1, 2.0), (2, 4.0)):
         errs = [np.linalg.norm(
             qs.run_sequence(qs.trotter_sequence(h2_pauli, 1.0, order, r), psi0)
@@ -196,7 +198,7 @@ def test_sequence_text_round_trip():
 
 def test_rdm1_properties(h2_pauli):
     _, psi0 = qs.prepare_initial("half_occupied", 4, 2)
-    psi = qs.evolve_exact(h2_pauli, psi0, 1.5)
+    psi = qs.ExactEvolver(h2_pauli).evolve(psi0, 1.5)
     rho = qs.rdm1(psi)
     assert np.allclose(rho, rho.conj().T, atol=1e-12)
     assert np.trace(rho).real == pytest.approx(qs.number_expectation(psi), abs=1e-10)
@@ -207,7 +209,7 @@ def test_rdm1_properties(h2_pauli):
 def test_expval_F_at_t0_matches_direct_sum(h2_active):
     _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
     rho = qs.rdm1(psi0)
-    val = qs.expval_F(h2_active.h_eff, rho)
+    val = qs.expval_O(h2_active.h_eff, rho)
     assert val == pytest.approx(2.0 * h2_active.h_eff[0, 0], abs=1e-12)
 
 
@@ -259,7 +261,7 @@ def test_fold_sequence_preserves_unitary(h2_pauli):
 def test_noisy_expectation_zero_noise_matches_ideal(h2_active, h2_pauli):
     prep, _ = qs.prepare_initial("hf_ground", 4, 2)
     circ = prep + qs.trotter_sequence(h2_pauli, 1.0, order=2, r=1)
-    obs = lambda psi: qs.expval_F(h2_active.h_eff, qs.rdm1(psi))
+    obs = lambda psi: qs.expval_O(h2_active.h_eff, qs.rdm1(psi))
     ideal = obs(qs.run_sequence(circ, qs.basis_state(0, 4)))
     mean, err = qs.noisy_expectation(circ, obs, NoiseSpec(p=0.0), 5, seed=0)
     assert mean == pytest.approx(ideal, abs=1e-12)
@@ -269,10 +271,78 @@ def test_noisy_expectation_zero_noise_matches_ideal(h2_active, h2_pauli):
 def test_noisy_expectation_deterministic_given_seed(h2_active, h2_pauli):
     prep, _ = qs.prepare_initial("hf_ground", 4, 2)
     circ = prep + qs.trotter_sequence(h2_pauli, 1.0, order=2, r=1)
-    obs = lambda psi: qs.expval_F(h2_active.h_eff, qs.rdm1(psi))
+    obs = lambda psi: qs.expval_O(h2_active.h_eff, qs.rdm1(psi))
     a = qs.noisy_expectation(circ, obs, NoiseSpec(p=0.05), 50, seed=9)
     b = qs.noisy_expectation(circ, obs, NoiseSpec(p=0.05), 50, seed=9)
     assert a == b
+
+
+_PAULI_2X2 = {"I": np.eye(2), "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+              "Y": np.array([[0.0, -1j], [1j, 0.0]]), "Z": np.diag([1.0, -1.0])}
+
+
+def _kron_string(symbols):
+    """Dense operator of one 2x2 factor per qubit, qubit 0 the least significant bit."""
+    M = np.eye(1)
+    for factor in symbols:
+        M = np.kron(factor, M)
+    return M
+
+
+def _exact_noisy_expectation(gs, O, p, scale):
+    """Tr(rho O) after the folded circuit under the per-gate Pauli channel.
+
+    Brute-force density-matrix reference built from Kronecker products:
+    after each folded gate rho -> (1 - p) rho + p * mean(P rho P) over the
+    4^k - 1 non-identity Pauli strings on the gate's k-qubit support.
+    """
+    n = gs.n_qubits
+    eye = [np.eye(2)] * n
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+    channels = {}
+    for gate in qs.fold_sequence(gs, scale).gates:
+        if gate[0] == "PROT":
+            support = [q for q, ch in enumerate(gate[2]) if ch != "I"]
+            P = _kron_string([_PAULI_2X2[ch] for ch in gate[2]])
+            U = np.cos(gate[1] / 2) * np.eye(1 << n) - 1j * np.sin(gate[1] / 2) * P
+        else:
+            q = gate[1] if gate[0] == "X" else gate[2]
+            support = [q]
+            if gate[0] == "X":
+                u = _PAULI_2X2["X"]
+            else:
+                c, s = np.cos(gate[1] / 2), np.sin(gate[1] / 2)
+                u = np.array([[c, -s], [s, c]])
+            U = _kron_string([u if k == q else np.eye(2) for k in range(n)])
+        rho = U @ rho @ U.conj().T
+        key = tuple(support)
+        if key not in channels:
+            errors = []
+            for symbols in itertools.product("IXYZ", repeat=len(support)):
+                if set(symbols) != {"I"}:
+                    factors = list(eye)
+                    for q, ch in zip(support, symbols):
+                        factors[q] = _PAULI_2X2[ch]
+                    errors.append(_kron_string(factors))
+            channels[key] = errors
+        errors = channels[key]
+        rho = (1 - p) * rho + p * sum(E @ rho @ E for E in errors) / len(errors)
+    return float(np.real(np.trace(rho @ O)))
+
+
+@pytest.mark.parametrize("scale", [1, 3])
+def test_noisy_expectation_matches_density_matrix_oracle(h2_pauli, scale):
+    # p = 0.05 moves the energy 33 (scale 1) and 54 (scale 3) standard errors from
+    # the ideal value; a Pauli on only the first support qubit misses by 12
+    prep, _ = qs.prepare_initial("hf_ground", 4, 2)
+    circ = prep + qs.trotter_sequence(h2_pauli, 1.0, order=2, r=1)
+    O = h2_pauli.to_matrix()
+    exact = _exact_noisy_expectation(circ, O, 0.05, scale)
+    ideal = _exact_noisy_expectation(circ, O, 0.0, scale)
+    mean, err = qs.noisy_expectation(circ, O, NoiseSpec(p=0.05, scale=scale), 1000, seed=3)
+    assert abs(exact - ideal) > 15 * err
+    assert abs(mean - exact) < 4 * err
 
 
 def test_zne_recovers_polynomials():
@@ -294,4 +364,4 @@ def test_dmet_cluster_evolution_consistency():
     H_f = fci.fock_space_hamiltonian(eh.h_eff, eh.eri_active, eh.e_core)
     w, V = np.linalg.eigh(H_f)
     ref = V @ (np.exp(-1j * w * 2.5) * (V.conj().T @ psi0))
-    assert np.linalg.norm(qs.evolve_exact(H, psi0, 2.5) - ref) < 1e-10
+    assert np.linalg.norm(qs.ExactEvolver(H).evolve(psi0, 2.5) - ref) < 1e-10
