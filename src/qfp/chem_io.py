@@ -380,6 +380,8 @@ def load_manifest(path: str) -> DatasetManifest:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ManifestError(f"{path}: JSON nested too deeply to read") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
         raise ManifestError(f"{path}: manifest must be an object with an `entries` list")
     base = os.path.dirname(os.path.abspath(path))

@@ -34,6 +34,8 @@ def _load_config(path: str) -> PipelineConfig:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply to read") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     return PipelineConfig.from_dict(raw)

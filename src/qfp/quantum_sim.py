@@ -13,6 +13,7 @@ with Y = i X Z, so products are bitwise operations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -92,10 +93,15 @@ def _pauli_action(string: str):
     return np.arange(1 << n) ^ x, 1j ** ny * _parity_vector(z, n)
 
 
+def _apply_action(psi, action):
+    """P psi for action = _pauli_action(P), on states of shape (..., 2^n)."""
+    perm, pv = action
+    return (pv * psi).take(perm, axis=-1)
+
+
 def apply_pauli(string: str, psi: np.ndarray) -> np.ndarray:
     """Apply a Pauli string to a statevector (or to each row of a batch)."""
-    perm, pv = _pauli_action(string)
-    return (pv * psi).take(perm, axis=-1)
+    return _apply_action(psi, _pauli_action(string))
 
 
 def pauli_matrix(terms, n_qubits: int) -> np.ndarray:
@@ -252,11 +258,12 @@ def prepare_initial(kind: str, n_qubits: int, n_electrons: int):
 
 
 def _apply_x(psi, q):
-    b = np.arange(psi.shape[0])
-    return psi[b ^ (1 << q)]
+    return psi.take(np.arange(psi.shape[-1]) ^ (1 << q), axis=-1)
 
 
 def _apply_ry(psi, theta, q):
+    # Each row's 2^n amplitudes split into whole (2, 2^q) blocks, so one
+    # reshape covers a single state and every row of a (..., 2^n) batch.
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     v = psi.reshape(-1, 2, 1 << q)
     out = np.empty_like(v)
@@ -273,19 +280,30 @@ def _apply_prot(psi, theta, action):
     as the scalar call on that row alone: the factors are the same Python
     floats, broadcast as complex128 so that no cast enters the product.
     """
-    perm, pv = action
     if np.ndim(theta):
         c = np.array([math.cos(a / 2) for a in theta], dtype=complex)[..., None]
         js = np.array([1j * math.sin(a / 2) for a in theta])[..., None]
     else:
         c, js = math.cos(theta / 2), 1j * math.sin(theta / 2)
-    return c * psi - js * (pv * psi).take(perm, axis=-1)
+    return c * psi - js * _apply_action(psi, action)
 
 
-def _apply_gate(psi, gate):
+def _cached_action(actions: dict, string: str):
+    """_pauli_action(string), built once per dict of actions."""
+    action = actions.get(string)
+    if action is None:
+        action = actions[string] = _pauli_action(string)
+    return action
+
+
+def _apply_gate(psi, gate, actions: dict):
+    """Apply one gate to a state or to every row of a (..., 2^n) batch.
+
+    actions caches each PROT string's _pauli_action for one circuit run.
+    """
     # PROT first: Trotter circuits are almost all PauliRotation gates.
     if gate[0] == "PROT":
-        return _apply_prot(psi, gate[1], _pauli_action(gate[2]))
+        return _apply_prot(psi, gate[1], _cached_action(actions, gate[2]))
     if gate[0] == "X":
         return _apply_x(psi, gate[1])
     if gate[0] == "RY":
@@ -298,8 +316,9 @@ def run_sequence(gs: GateSequence, psi0: np.ndarray) -> np.ndarray:
     if psi0.shape[0] != 1 << gs.n_qubits:
         raise ValueError("state dimension does not match sequence qubit count")
     psi = np.asarray(psi0, dtype=complex)
+    actions = {}
     for gate in gs.gates:
-        psi = _apply_gate(psi, gate)
+        psi = _apply_gate(psi, gate, actions)
     if gs.global_phase:
         psi = psi * np.exp(-1j * gs.global_phase)
     return psi
@@ -416,9 +435,8 @@ def trotter_states(ph: PauliHamiltonian, psi0: np.ndarray, times,
     psi = out[live]
     actions = {}
     for g, gate in enumerate(seqs[0].gates):
-        if gate[2] not in actions:
-            actions[gate[2]] = _pauli_action(gate[2])
-        psi = _apply_prot(psi, [gs.gates[g][1] for gs in seqs], actions[gate[2]])
+        psi = _apply_prot(psi, [gs.gates[g][1] for gs in seqs],
+                          _cached_action(actions, gate[2]))
     for k, gs in enumerate(seqs):
         if gs.global_phase:
             psi[k] = psi[k] * np.exp(-1j * gs.global_phase)
@@ -430,17 +448,25 @@ def trotter_states(ph: PauliHamiltonian, psi0: np.ndarray, times,
 # Observables
 # ---------------------------------------------------------------------------
 
-def _apply_annihilation(psi: np.ndarray, mode: int) -> np.ndarray:
-    """a_mode |psi> with the Jordan-Wigner parity sign."""
-    n = int(round(math.log2(psi.shape[0])))
-    bit = 1 << mode
-    b = np.arange(psi.shape[0])
-    occ = (b & bit) != 0
-    sign = _parity_vector(bit - 1, n)
-    out = np.zeros_like(psi, dtype=complex)
-    src = b[occ]
-    out[src ^ bit] = sign[src] * psi[src]
-    return out
+@functools.lru_cache(maxsize=None)
+def _lowering_tables(n_qubits: int):
+    """(dst, src, sign) per mode P, with (a_P psi)[dst] = sign * psi[src].
+
+    src are the indices with mode P occupied, dst = src with it cleared, and
+    sign the Jordan-Wigner parity of the modes below P, as int64.  Built once
+    per qubit count; the arrays are read-only because every caller shares
+    them.
+    """
+    b = np.arange(1 << n_qubits)
+    tables = []
+    for mode in range(n_qubits):
+        bit = 1 << mode
+        src = b[(b & bit) != 0]
+        table = (src ^ bit, src, _parity_vector(bit - 1, n_qubits)[src])
+        for a in table:
+            a.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
 
 
 def rdm1(psi: np.ndarray) -> np.ndarray:
@@ -450,7 +476,9 @@ def rdm1(psi: np.ndarray) -> np.ndarray:
     if m % 2 != 0:
         raise ValueError("odd qubit count; interleaved spin convention violated")
     n = m // 2
-    lowered = [_apply_annihilation(psi, P) for P in range(m)]
+    lowered = np.zeros((m, dim), dtype=complex)
+    for P, (dst, src, sign) in enumerate(_lowering_tables(m)):
+        lowered[P, dst] = sign * psi[src]
     rho = np.zeros((n, n), dtype=complex)
     for r in range(n):
         for s in range(n):
@@ -562,11 +590,44 @@ def noisy_expectation(
     is followed, with probability p, by a uniformly random non-identity
     Pauli on its support.  `observable` is a dense matrix or a callable
     psi -> float.  Returns (mean, standard error).
+
+    Noise events do not depend on the state, so all of them are drawn first,
+    trajectory by trajectory and gate by gate, in the order of a loop that
+    runs one trajectory at a time.  The folded circuit then runs once on a
+    (K, 2^n) batch of the K trajectories, and after each gate every drawn
+    Pauli string is applied to the rows that drew it.  Each row goes through
+    the same floating-point operations as that loop, and each final state is
+    measured on its own, so mean and standard error equal the one-at-a-time
+    loop bit for bit.
+
+    Memory: the batch and each per-gate temporary hold K x 2^n complex128
+    values, 16 B each: 25.6 KB for 100 trajectories at 4 qubits, 8.2 MB for
+    500 at 10 qubits.
     """
     folded = fold_sequence(gs, ns.scale)
     rng = np.random.default_rng(ns.seed if seed is None else seed)
     n = gs.n_qubits
-    psi0 = basis_state(0, n)
+    # drawn[g] maps each Pauli string drawn after folded gate g to its rows.
+    drawn = [{} for _ in folded.gates]
+    if ns.p > 0:
+        supports = [_gate_support(gate) for gate in folded.gates]
+        for k in range(n_trajectories):
+            for g, support in enumerate(supports):
+                if rng.random() < ns.p:
+                    code = rng.integers(1, 4 ** len(support))
+                    s = ["I"] * n
+                    for q in support:
+                        s[q] = _SYMBOLS[code % 4]
+                        code //= 4
+                    drawn[g].setdefault("".join(s), []).append(k)
+
+    actions = {}
+    psi = np.repeat(basis_state(0, n)[None, :], n_trajectories, axis=0)
+    # No global phase: it cannot change a measured value.
+    for gate, errors in zip(folded.gates, drawn):
+        psi = _apply_gate(psi, gate, actions)
+        for s, rows in errors.items():
+            psi[rows] = _apply_action(psi[rows], _cached_action(actions, s))
 
     def measure(psi):
         if callable(observable):
@@ -576,21 +637,7 @@ def noisy_expectation(
 
     vals = np.empty(n_trajectories)
     for k in range(n_trajectories):
-        psi = psi0
-        # No global phase: it cannot change a measured value.
-        for gate in folded.gates:
-            psi = _apply_gate(psi, gate)
-            if ns.p > 0 and rng.random() < ns.p:
-                support = _gate_support(gate)
-                code = rng.integers(1, 4 ** len(support))
-                s = ["I"] * n
-                for q in support:
-                    s[q] = _SYMBOLS[code % 4]
-                    code //= 4
-                if all(ch == "I" for ch in s):
-                    s[support[0]] = "X"
-                psi = apply_pauli("".join(s), psi)
-        vals[k] = measure(psi)
+        vals[k] = measure(psi[k])
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_trajectories)) if n_trajectories > 1 else 0.0
     return mean, stderr

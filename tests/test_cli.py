@@ -314,3 +314,20 @@ def test_config_not_utf8_exit_2(tmp_path):
     path.write_bytes('{"dataset": {"kind": "h2"}, "label": "café"}'.encode("latin-1"))
     assert run("fingerprint", "--config", str(path), "--out",
                str(tmp_path / "o")) == 2
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_config_nested_too_deeply_exit_2(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    assert run("fingerprint", "--config", str(path), "--out",
+               str(tmp_path / "o")) == 2
+
+
+def test_manifest_nested_too_deeply_exit_3(tmp_path):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "manifest.json").write_text(DEEP_JSON)
+    cfg = write_config(tmp_path)
+    assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 3

@@ -345,6 +345,95 @@ def test_noisy_expectation_matches_density_matrix_oracle(h2_pauli, scale):
     assert abs(mean - exact) < 4 * err
 
 
+def _scalar_noisy_expectation(gs, observable, ns, n_trajectories, seed):
+    """The one-trajectory-at-a-time loop that noisy_expectation batches.
+
+    Each trajectory draws rng.random() after every folded gate and, on a
+    hit, rng.integers(1, 4^k) for the Pauli on the gate's k-qubit support.
+    """
+    folded = qs.fold_sequence(gs, ns.scale)
+    rng = np.random.default_rng(seed)
+    n = gs.n_qubits
+
+    def measure(psi):
+        if callable(observable):
+            return observable(psi)
+        return float(np.vdot(psi, observable @ psi).real)
+
+    vals = np.empty(n_trajectories)
+    for k in range(n_trajectories):
+        psi = qs.basis_state(0, n)
+        for gate in folded.gates:
+            psi = qs.run_sequence(GateSequence(gates=[gate], n_qubits=n), psi)
+            if ns.p > 0 and rng.random() < ns.p:
+                support = qs._gate_support(gate)
+                code = rng.integers(1, 4 ** len(support))
+                s = ["I"] * n
+                for q in support:
+                    s[q] = "IXYZ"[code % 4]
+                    code //= 4
+                psi = qs.apply_pauli("".join(s), psi)
+        vals[k] = measure(psi)
+    mean = float(vals.mean())
+    stderr = float(vals.std(ddof=1) / np.sqrt(n_trajectories)) if n_trajectories > 1 else 0.0
+    return mean, stderr
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["callable", "dense"])
+@pytest.mark.parametrize("kind", ["hf_ground", "homo_lumo_excited", "half_occupied"])
+def test_noisy_expectation_matches_scalar_loop_bitwise(h2_pauli, h4_pauli, kind, dense):
+    for ph, n_electrons in ((h2_pauli, 2), (h4_pauli, 4)):
+        prep, _ = qs.prepare_initial(kind, ph.n_qubits, n_electrons)
+        circ = prep + qs.trotter_sequence(ph, 1.0, order=2, r=1)
+        n = ph.n_qubits // 2
+        O = np.diag(np.arange(1.0, n + 1)) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        obs = ph.to_matrix() if dense else (lambda psi: qs.expval_O(O, qs.rdm1(psi)))
+        for scale in (1, 3, 5):
+            for p in (0.0, 0.1):
+                for n_traj in (1, 12):
+                    ns = NoiseSpec(p=p, scale=scale)
+                    got = qs.noisy_expectation(circ, obs, ns, n_traj, seed=scale + 7)
+                    ref = _scalar_noisy_expectation(circ, obs, ns, n_traj, scale + 7)
+                    assert got == ref, (ph.n_qubits, scale, p, n_traj)
+
+
+def _apply_annihilation_reference(psi, mode):
+    """a_mode |psi> with the Jordan-Wigner parity sign, one full copy per mode."""
+    n = int(round(np.log2(psi.shape[0])))
+    bit = 1 << mode
+    b = np.arange(psi.shape[0])
+    occ = (b & bit) != 0
+    sign = qs._parity_vector(bit - 1, n)
+    out = np.zeros_like(psi, dtype=complex)
+    src = b[occ]
+    out[src ^ bit] = sign[src] * psi[src]
+    return out
+
+
+def _rdm1_reference(psi):
+    m = int(round(np.log2(psi.shape[0])))
+    n = m // 2
+    lowered = [_apply_annihilation_reference(psi, P) for P in range(m)]
+    rho = np.zeros((n, n), dtype=complex)
+    for r in range(n):
+        for s in range(n):
+            for sp in range(2):
+                rho[r, s] += np.vdot(lowered[2 * s + sp], lowered[2 * r + sp])
+    return rho
+
+
+@pytest.mark.parametrize("n_qubits", [2, 4, 8, 10])
+def test_rdm1_matches_reference_bytes(n_qubits):
+    rng = np.random.default_rng(n_qubits)
+    dim = 1 << n_qubits
+    states = [qs.basis_state(dim - 1, n_qubits), rng.normal(size=dim)]
+    for _ in range(20):
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        states.append(psi / np.linalg.norm(psi))
+    for psi in states:
+        assert qs.rdm1(psi).tobytes() == _rdm1_reference(psi).tobytes()
+
+
 def test_zne_recovers_polynomials():
     quad = lambda lam: 1.0 - 0.1 * lam + 0.02 * lam ** 2
     pts = {lam: quad(lam) for lam in (1, 3, 5)}
