@@ -375,13 +375,15 @@ class DatasetManifest:
 
 def load_manifest(path: str) -> DatasetManifest:
     """Load and validate a dataset manifest JSON file."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise ManifestError(f"{path}: JSON nested too deeply to read") from exc
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ManifestError(f"{path}: JSON nested too deeply to read") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ManifestError(f"{path}: cannot read manifest: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
         raise ManifestError(f"{path}: manifest must be an object with an `entries` list")
     base = os.path.dirname(os.path.abspath(path))

@@ -57,28 +57,32 @@ def _provenance(out_dir: str, command: str, args: dict, config: dict | None):
 def _read_targets(path: str) -> dict:
     if not os.path.exists(path):
         raise DataError(f"targets file not found: {path}")
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read targets: {exc}") from exc
+    header = lines[0].rstrip("\n").split(",") if lines else []
+    if header != ["molecule_id", "target"]:
+        raise DataError(f"{path}: expected header `molecule_id,target`")
     targets = {}
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header != ["molecule_id", "target"]:
-            raise DataError(f"{path}: expected header `molecule_id,target`")
-        for ln, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{ln}: expected two columns")
-            try:
-                targets[parts[0]] = float(parts[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: bad target {parts[1]!r}") from exc
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\n").split(",")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{ln}: expected two columns")
+        try:
+            targets[parts[0]] = float(parts[1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{ln}: bad target {parts[1]!r}") from exc
     return targets
 
 
 def _load_features(path: str):
     try:
         return chem_io.load_features(path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # unreadable file or bad table
         raise DataError(str(exc)) from exc
 
 
@@ -254,10 +258,11 @@ def cmd_optimize_measurement(args) -> int:
     n_orb = None
     for e in manifest.entries:
         m = pipeline.build_molecule(e)
-        eh = pipeline.embed_molecule(m, cfg.embedding)
+        with pipeline.molecule_errors(e.molecule_id):
+            eh = pipeline.embed_molecule(m, cfg.embedding)
+            trajs.append(fingerprint_ml.rdm_trajectory(
+                eh, cfg.initial_state, grid, evolver=cfg.evolver))
         n_orb = eh.n_active_orbitals
-        trajs.append(fingerprint_ml.rdm_trajectory(
-            eh, cfg.initial_state, grid, evolver=cfg.evolver))
     trajs = np.real(np.array(trajs))
     tr, va, _ = fingerprint_ml.train_val_test_split(len(y), seed=args.seed)
     iu = np.triu_indices(n_orb)

@@ -29,8 +29,6 @@ __all__ = [
     "dmet_hamiltonian",
     "fit_chemical_potential",
     "fragment_count_builder",
-    "cluster_reduce",
-    "to_molecular_integrals",
     "EmbeddingError",
 ]
 
@@ -142,11 +140,11 @@ def _coulomb_exchange(eri, D, exchange_factor=0.5):
 
 
 def _freeze_window(h, eri, e_const, n_electrons, n_elec_act, n_orb_act,
-                   eps=None, exchange_factor=0.5):
+                   eps, exchange_factor):
     """Freeze orbitals outside a window centered on the Fermi level.
 
-    Orbitals are assumed energy-ordered.  Returns (h_eff, eri_act, e_core,
-    active index array).
+    Orbitals are ordered by their energies eps.  Returns (h_eff, eri_act,
+    e_core).
     """
     n = h.shape[0]
     n_occ = n_electrons // 2
@@ -158,12 +156,11 @@ def _freeze_window(h, eri, e_const, n_electrons, n_elec_act, n_orb_act,
         )
     lo = n_occ - n_act_occ
     hi = lo + n_orb_act
-    if eps is not None:
-        for edge in (lo, hi):
-            if 0 < edge < n and abs(eps[edge] - eps[edge - 1]) < 1e-8:
-                raise EmbeddingError(
-                    f"active window edge splits a degenerate pair at index {edge}"
-                )
+    for edge in (lo, hi):
+        if 0 < edge < n and abs(eps[edge] - eps[edge - 1]) < 1e-8:
+            raise EmbeddingError(
+                f"active window edge splits a degenerate pair at index {edge}"
+            )
     inact = np.arange(lo)
     act = np.arange(lo, hi)
 
@@ -173,7 +170,7 @@ def _freeze_window(h, eri, e_const, n_electrons, n_elec_act, n_orb_act,
     h_eff = (h + V)[np.ix_(act, act)]
     e_core = e_const + np.sum(D_in * h) + 0.5 * np.sum(D_in * V)
     eri_act = eri[np.ix_(act, act, act, act)]
-    return h_eff, eri_act, e_core, act
+    return h_eff, eri_act, e_core
 
 
 def homo_lumo_active_space(
@@ -185,7 +182,7 @@ def homo_lumo_active_space(
 ) -> EmbeddedHamiltonian:
     """Freeze MOs outside a HOMO/LUMO-centered window at the SCF level."""
     h_mo, eri_mo = transform_integrals(m.h_core, m.eri, mf.C)
-    h_eff, eri_act, e_core, _ = _freeze_window(
+    h_eff, eri_act, e_core = _freeze_window(
         h_mo, eri_mo, m.e_nuclear, m.n_electrons, n_elec_act, n_orb_act,
         eps=mf.eps, exchange_factor=exchange_factor,
     )
@@ -349,44 +346,4 @@ def fit_chemical_potential(builder, n_target: float, tol: float = 1e-6,
         f"chemical potential not within {tol:g} of filling {n_target} after "
         f"{max_iter} bisections: bracket [{lo:.17g}, {hi:.17g}], "
         f"residuals {f_lo:+.3e} / {f_hi:+.3e}"
-    )
-
-
-def cluster_reduce(
-    eh: EmbeddedHamiltonian,
-    fock_cluster: np.ndarray,
-    n_elec_act: int,
-    n_orb_act: int,
-    exchange_factor: float = 0.5,
-) -> EmbeddedHamiltonian:
-    """Rotate to the cluster Fock eigenbasis and freeze a HOMO-LUMO window."""
-    if fock_cluster.shape != eh.h_eff.shape:
-        raise EmbeddingError("cluster Fock dimension mismatch")
-    eps, R = np.linalg.eigh(fock_cluster)
-    h_rot, eri_rot = transform_integrals(eh.h_eff, eh.eri_active, R)
-    h_eff, eri_act, e_core, _ = _freeze_window(
-        h_rot, eri_rot, eh.e_core, eh.n_active_electrons, n_elec_act, n_orb_act,
-        eps=eps, exchange_factor=exchange_factor,
-    )
-    return EmbeddedHamiltonian(
-        n_active_orbitals=n_orb_act,
-        n_active_electrons=n_elec_act,
-        h_eff=h_eff,
-        eri_active=eri_act,
-        e_core=e_core,
-        mu=eh.mu,
-        provenance="cluster-reduced",
-    )
-
-
-def to_molecular_integrals(eh: EmbeddedHamiltonian) -> MolecularIntegrals:
-    """View an embedded Hamiltonian as integrals (for FCIDUMP interchange)."""
-    n = eh.n_active_orbitals
-    return MolecularIntegrals(
-        n_orbitals=n,
-        n_electrons=eh.n_active_electrons,
-        S=np.eye(n),
-        h_core=eh.h_eff.copy(),
-        eri=eh.eri_active.copy(),
-        e_nuclear=eh.e_core,
     )

@@ -62,10 +62,9 @@ def _evolved_states(eh: EmbeddedHamiltonian, initial_kind: str, time_grid, evolv
 
     evolver: {"kind": "exact"} or {"kind": "trotter", "order": o, "r": r}.
     A trotter evolver applies trotter_sequence(H, t, o, r) at each grid time,
-    so its r steps span the whole of [0, t]: the step size grows with t.  All
-    grid times are evolved together as one (T, 2^n) batch by
-    quantum_sim.trotter_states, which holds T x 2^n x 16 B per array (119 KB
-    for 29 times at 8 qubits, 30 MB at 16 qubits).
+    so its r steps span the whole of [0, t]: the step size grows with t.  The
+    sequence is built once on the whole grid, and run_sequence evolves all
+    grid times together as one (T, 2^n) batch (memory: see run_sequence).
     """
     ph = quantum_sim.jordan_wigner(eh)
     n_qubits = 2 * eh.n_active_orbitals
@@ -78,7 +77,8 @@ def _evolved_states(eh: EmbeddedHamiltonian, initial_kind: str, time_grid, evolv
     elif kind == "trotter":
         order = int(evolver.get("order", 2))
         r = int(evolver.get("r", 1))
-        yield from quantum_sim.trotter_states(ph, psi0, time_grid, order=order, r=r)
+        yield from quantum_sim.run_sequence(
+            quantum_sim.trotter_sequence(ph, time_grid, order=order, r=r), psi0)
     else:
         raise ValueError(f"unknown evolver kind {kind!r}")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "worker_count",
     "build_molecule",
     "embed_molecule",
+    "molecule_errors",
     "run_fingerprints",
     "generate_h2_dataset",
 ]
@@ -321,9 +323,7 @@ def build_molecule(entry: ManifestEntry) -> MolecularIntegrals:
         try:
             with open(entry.source["fcidump"]) as fh:
                 return chem_io.parse_fcidump(fh.read())
-        except FileNotFoundError as exc:
-            raise DataError(f"molecule {entry.molecule_id!r}: {exc}") from exc
-        except chem_io.FcidumpError as exc:
+        except (OSError, ValueError) as exc:  # unreadable file or bad FCIDUMP
             raise DataError(f"molecule {entry.molecule_id!r}: {exc}") from exc
     gen = dict(entry.source["generator"])
     kind = gen.pop("kind", None)
@@ -441,16 +441,24 @@ def _noisy_fingerprint(eh, cfg: PipelineConfig, grid, molecule_id):
     )
 
 
+@contextmanager
+def molecule_errors(molecule_id: str):
+    """Name the molecule in its ConfigError (exit 2) or ValueError/LinAlgError (exit 4)."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"molecule {molecule_id!r}: {exc}") from exc
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise NumericalError(f"molecule {molecule_id!r}: {exc}") from exc
+
+
 def _one_fingerprint(entry, cfg, grid):
     m = build_molecule(entry)
-    try:
+    with molecule_errors(entry.molecule_id):
         eh = embed_molecule(m, cfg.embedding)
         n = eh.n_active_orbitals
         if cfg.observable["kind"] == "O" and np.shape(cfg.observable["matrix"]) != (n, n):
             raise ConfigError(f"observable.matrix: expected {n}x{n} for the active space")
-    except ConfigError as exc:
-        raise ConfigError(f"molecule {entry.molecule_id!r}: {exc}") from exc
-    try:
         if cfg.noise is not None:
             fp = _noisy_fingerprint(eh, cfg, grid, entry.molecule_id)
         else:
@@ -458,8 +466,6 @@ def _one_fingerprint(entry, cfg, grid):
                 eh, cfg.initial_state, grid, observable=cfg.observable,
                 evolver=cfg.evolver, molecule_id=entry.molecule_id,
             )
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(f"molecule {entry.molecule_id!r}: {exc}") from exc
     return fp.values.reshape(len(grid), -1)
 
 

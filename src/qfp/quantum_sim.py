@@ -30,19 +30,15 @@ __all__ = [
     "jordan_wigner",
     "prepare_initial",
     "trotter_sequence",
-    "trotter_states",
     "run_sequence",
     "fold_sequence",
     "rdm1",
     "expval_O",
     "number_expectation",
-    "sample_histogram",
     "noisy_expectation",
     "zne_extrapolate",
     "pauli_matrix",
     "apply_pauli",
-    "sequence_to_text",
-    "sequence_from_text",
 ]
 
 _SYMBOLS = "IXYZ"
@@ -202,7 +198,11 @@ def jordan_wigner(eh: EmbeddedHamiltonian) -> PauliHamiltonian:
 
 @dataclass
 class GateSequence:
-    """Ordered list of gates: ("X", q), ("RY", theta, q), ("PROT", theta, string)."""
+    """Ordered list of gates: ("X", q), ("RY", theta, q), ("PROT", theta, string).
+
+    A PROT theta and the global phase may be 1-D arrays with one value per
+    time of a grid (see trotter_sequence).
+    """
 
     gates: list
     n_qubits: int
@@ -312,46 +312,26 @@ def _apply_gate(psi, gate, actions: dict):
 
 
 def run_sequence(gs: GateSequence, psi0: np.ndarray) -> np.ndarray:
-    """Apply gates in order; includes the tracked global phase."""
-    if psi0.shape[0] != 1 << gs.n_qubits:
-        raise ValueError("state dimension does not match sequence qubit count")
+    """Apply gates in order; includes the tracked global phase.
+
+    A sequence from trotter_sequence on a 1-D grid of T times holds one angle
+    per time in each PROT gate and one global phase per time.  It maps a
+    state psi0 to a (T, 2^n) batch whose row k equals the run of
+    trotter_sequence(ph, times[k], order, r) on psi0 bit for bit.  Memory:
+    T x 2^n complex128 values per array, 16 B each: 119 KB for 29 times at
+    8 qubits, 30 MB at 16 qubits.
+    """
     psi = np.asarray(psi0, dtype=complex)
+    if psi.shape[-1] != 1 << gs.n_qubits:
+        raise ValueError("state dimension does not match sequence qubit count")
     actions = {}
     for gate in gs.gates:
         psi = _apply_gate(psi, gate, actions)
-    if gs.global_phase:
+    if np.ndim(gs.global_phase):
+        psi = psi * np.exp(-1j * gs.global_phase)[:, None]
+    elif gs.global_phase:
         psi = psi * np.exp(-1j * gs.global_phase)
     return psi
-
-
-def sequence_to_text(gs: GateSequence) -> str:
-    lines = [f"# qubits {gs.n_qubits} phase {gs.global_phase:.17g}"]
-    for gate in gs.gates:
-        if gate[0] == "X":
-            lines.append(f"X {gate[1]}")
-        elif gate[0] == "RY":
-            lines.append(f"RY {gate[1]:.17g} {gate[2]}")
-        else:
-            lines.append(f"PROT {gate[1]:.17g} {gate[2]}")
-    return "\n".join(lines) + "\n"
-
-
-def sequence_from_text(text: str) -> GateSequence:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    n_qubits, phase = int(head[2]), float(head[4])
-    gates = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "X":
-            gates.append(("X", int(parts[1])))
-        elif parts[0] == "RY":
-            gates.append(("RY", float(parts[1]), int(parts[2])))
-        elif parts[0] == "PROT":
-            gates.append(("PROT", float(parts[1]), parts[2]))
-        else:
-            raise ValueError(f"unknown gate line {ln!r}")
-    return GateSequence(gates=gates, n_qubits=n_qubits, global_phase=phase)
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +355,16 @@ class ExactEvolver:
         return V @ (np.exp(-1j * self.eigenvalues * t) * (V.conj().T @ psi0))
 
 
-def trotter_sequence(ph: PauliHamiltonian, t: float, order: int = 2, r: int = 1) -> GateSequence:
+def trotter_sequence(ph: PauliHamiltonian, t: float | np.ndarray, order: int = 2,
+                     r: int = 1) -> GateSequence:
     """Product-formula approximation to exp(-iHt) as PauliRotation gates.
 
     r is the total number of repetitions over the whole of [0, t], not a
     count per unit time: order 1 takes r steps of t/r, order 2 takes r
     symmetric (Strang) steps built from half-steps of t/(2r). For a fixed
-    step size on a time grid, scale r with t.  trotter_states applies these
-    sequences for a whole time grid at once, with the same meaning of r.
+    step size on a time grid, scale r with t.  t may also be a 1-D array of
+    times: the arithmetic is elementwise, so each angle and the global phase
+    hold one value per time, and run_sequence evolves the whole grid at once.
     """
     if order not in (1, 2):
         raise ValueError("only orders 1 and 2 supported")
@@ -405,43 +387,6 @@ def trotter_sequence(ph: PauliHamiltonian, t: float, order: int = 2, r: int = 1)
         for _ in range(r):
             gates.extend(cycle)
     return GateSequence(gates=gates, n_qubits=ph.n_qubits, global_phase=phase)
-
-
-def trotter_states(ph: PauliHamiltonian, psi0: np.ndarray, times,
-                   order: int = 2, r: int = 1) -> np.ndarray:
-    """States trotter_sequence(ph, t, order, r) |psi0> for every t in times, shape (T, 2^n).
-
-    The sequences of all nonzero times share their Pauli strings and their
-    order; only the angles and the global phase scale with t.  So every
-    nonzero time is evolved in one (T, 2^n) batch, one gate call per string
-    occurrence, with each string's permutation and phase-parity vector built
-    once.  Angles and phases come from trotter_sequence itself, and r keeps
-    its meaning (r steps over the whole of [0, t]).  Row k equals
-    run_sequence(trotter_sequence(ph, times[k], order, r), psi0) bit for bit;
-    a row with t = 0 is a copy of psi0.
-
-    Memory: the batch and each per-gate temporary hold T x 2^n complex128
-    values, 16 B each: 119 KB for 29 times at 8 qubits, 30 MB at 16 qubits.
-    """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (1 << ph.n_qubits,):
-        raise ValueError("state dimension does not match Hamiltonian qubit count")
-    times = np.asarray(times, dtype=float)
-    out = np.repeat(psi0[None, :], times.size, axis=0)
-    live = np.flatnonzero(times != 0.0)
-    if live.size == 0:
-        return out
-    seqs = [trotter_sequence(ph, t, order=order, r=r) for t in times[live]]
-    psi = out[live]
-    actions = {}
-    for g, gate in enumerate(seqs[0].gates):
-        psi = _apply_prot(psi, [gs.gates[g][1] for gs in seqs],
-                          _cached_action(actions, gate[2]))
-    for k, gs in enumerate(seqs):
-        if gs.global_phase:
-            psi[k] = psi[k] * np.exp(-1j * gs.global_phase)
-    out[live] = psi
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -509,20 +454,6 @@ def number_expectation(psi: np.ndarray) -> float:
     for q in range(n):
         counts += (b >> q) & 1
     return float(np.sum(counts * np.abs(psi) ** 2))
-
-
-def sample_histogram(psi: np.ndarray, shots: int, seed: int) -> dict:
-    """Multinomial measurement histogram {bitstring: count}, qubit 0 rightmost."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    n = int(round(math.log2(psi.shape[0])))
-    probs = np.abs(psi) ** 2
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    return {
-        format(i, f"0{n}b"): int(c) for i, c in enumerate(draws) if c > 0
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -331,3 +331,49 @@ def test_manifest_nested_too_deeply_exit_3(tmp_path):
     (tmp_path / "data" / "manifest.json").write_text(DEEP_JSON)
     cfg = write_config(tmp_path)
     assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+
+
+FEATURES_CSV = "molecule_id,t=0,t=1\nm0,0.1,0.2\nm1,0.3,0.4\n"
+TARGETS_CSV = "molecule_id,target\nm0,1.0\nm1,2.0\n"
+FINGERPRINT = ["fingerprint", "--config", "config.json"]
+TRAIN = ["train", "--features", "f.csv", "--targets", "t.csv", "--model", "krr"]
+
+
+# {path: text, bytes, or None for a directory}, CLI arguments
+@pytest.mark.parametrize("files,argv", [
+    ({"data/manifest.json": '{"entries": [], "label": "café"}'.encode("latin-1")},
+     FINGERPRINT),
+    ({"data/manifest.json": None}, FINGERPRINT),
+    ({"data/manifest.json": json.dumps({"entries": [{"id": "m0", "fcidump": "m0"}]}),
+      "data/m0": None}, FINGERPRINT),
+    ({"f.csv": FEATURES_CSV, "t.csv": None}, TRAIN),
+    ({"f.csv": None, "t.csv": TARGETS_CSV}, TRAIN),
+    ({"f.csv": None}, ["cluster", "--features", "f.csv", "--k", "2"]),
+], ids=["manifest_not_utf8", "manifest_is_directory", "fcidump_is_directory",
+        "targets_is_directory", "train_features_is_directory",
+        "cluster_features_is_directory"])
+def test_unreadable_input_file_exit_3(tmp_path, monkeypatch, files, argv):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    (tmp_path / "data").mkdir()
+    for name, content in files.items():
+        path = tmp_path / name
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+    assert run(*argv, "--out", "o") == 3
+
+
+def test_optimize_measurement_names_failing_molecule_exit_4(tmp_path, capsys):
+    # homo_lumo_excited needs a virtual orbital, which (2e,1o) does not have
+    cfg = write_config(
+        tmp_path, dataset={**H2_SCAN, "count": 5}, initial_state="homo_lumo_excited",
+        embedding={"mode": "active_space", "n_active_electrons": 2, "n_active_orbitals": 1})
+    assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "fp")) == 4
+    assert "molecule 'h2_000'" in capsys.readouterr().err
+    assert run("optimize-measurement", "--config", cfg, "--budget", "5",
+               "--out", str(tmp_path / "opt")) == 4
+    assert "molecule 'h2_000'" in capsys.readouterr().err

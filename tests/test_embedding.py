@@ -150,26 +150,6 @@ def test_dmet_h2_bath_size():
     assert eh.fragment_mask.tolist() == [True, False]
 
 
-def test_cluster_reduce_preserves_energy_at_full_size():
-    eh = dmet_h2(1.4)
-    red = embedding.cluster_reduce(eh, eh.h_eff, eh.n_active_electrons,
-                                   eh.n_active_orbitals)
-    e0, _ = fci.fci_ground_state(eh.h_eff, eh.eri_active, eh.e_core,
-                                 eh.n_active_electrons)
-    e1, _ = fci.fci_ground_state(red.h_eff, red.eri_active, red.e_core,
-                                 red.n_active_electrons)
-    assert e1 == pytest.approx(e0, abs=1e-10)
-
-
-def test_fcidump_interchange_preserves_fci_energy():
-    eh = dmet_h2(1.4)
-    text = chem_io.emit_fcidump(embedding.to_molecular_integrals(eh))
-    back = chem_io.parse_fcidump(text)
-    e0, _ = fci.fci_ground_state(eh.h_eff, eh.eri_active, eh.e_core, 2)
-    e1, _ = fci.fci_ground_state(back.h_core, back.eri, back.e_nuclear, 2)
-    assert e1 == pytest.approx(e0, abs=1e-10)
-
-
 def test_mu_shifts_fragment_diagonal_only():
     m = h2_molecule(1.4)
     _, m_loc, D_loc = _localized(m)

@@ -138,11 +138,15 @@ def h4_pauli():
                          ids=["from_zero", "uneven"])
 @pytest.mark.parametrize("kind", ["hf_ground", "homo_lumo_excited", "half_occupied"])
 def test_trotter_states_match_run_sequence_bitwise(h2_pauli, h4_pauli, kind, grid):
+    # A sequence built on the whole grid runs as one (T, 2^n) batch whose
+    # rows equal the per-time runs bit for bit.
+    times = np.asarray(grid, dtype=float)
     for ph, n_electrons in ((h2_pauli, 2), (h4_pauli, 4)):
         _, psi0 = qs.prepare_initial(kind, ph.n_qubits, n_electrons)
         for order in (1, 2):
             for r in (1, 2, 3):
-                batch = qs.trotter_states(ph, psi0, grid, order=order, r=r)
+                batch = qs.run_sequence(
+                    qs.trotter_sequence(ph, times, order=order, r=r), psi0)
                 assert batch.shape == (len(grid), 1 << ph.n_qubits)
                 for t, psi in zip(grid, batch):
                     ref = (psi0 if t == 0.0 else qs.run_sequence(
@@ -152,12 +156,12 @@ def test_trotter_states_match_run_sequence_bitwise(h2_pauli, h4_pauli, kind, gri
 
 def test_trotter_states_all_zero_times_copy_the_state(h2_pauli):
     psi0 = qs.basis_state(3, 4)
-    out = qs.trotter_states(h2_pauli, psi0, [0.0, 0.0])
+    out = qs.run_sequence(qs.trotter_sequence(h2_pauli, np.zeros(2)), psi0)
     assert np.array_equal(out, [psi0, psi0])
     out[0, 0] = 7.0
     assert psi0[0] == 0.0
     with pytest.raises(ValueError):
-        qs.trotter_states(h2_pauli, qs.basis_state(0, 3), [1.0])
+        qs.run_sequence(qs.trotter_sequence(h2_pauli, np.ones(1)), qs.basis_state(0, 3))
 
 
 def _parity_vector_bit_loop(mask, n_qubits):
@@ -183,17 +187,6 @@ def test_parity_vector_matches_bit_loop(n_qubits):
         ref = _parity_vector_bit_loop(mask, n_qubits)
         assert got.dtype == ref.dtype == np.int64
         assert np.array_equal(got, ref), mask
-
-
-def test_sequence_text_round_trip():
-    gs = GateSequence(
-        gates=[("X", 0), ("RY", 0.5, 2), ("PROT", -1.25, "XZYI")],
-        n_qubits=4, global_phase=0.75,
-    )
-    back = qs.sequence_from_text(qs.sequence_to_text(gs))
-    assert back.gates == gs.gates
-    assert back.n_qubits == gs.n_qubits
-    assert back.global_phase == gs.global_phase
 
 
 def test_rdm1_properties(h2_pauli):
@@ -222,20 +215,6 @@ def test_expval_O_rejects_imaginary_residue():
     # Hermitian O against a non-Hermitian density leaves <O> = 1j
     with pytest.raises(ValueError, match="imaginary residue"):
         qs.expval_O([[0, 1], [1, 0]], [[0, 1j], [0, 0]])
-
-
-def test_sample_histogram_basis_state():
-    hist = qs.sample_histogram(qs.basis_state(0b0101, 4), shots=100, seed=7)
-    assert hist == {"0101": 100}
-
-
-def test_sample_histogram_deterministic_and_normalized():
-    psi = np.sqrt(np.array([0.5, 0.25, 0.25, 0.0])) + 0j
-    h1 = qs.sample_histogram(psi, 1000, seed=3)
-    h2 = qs.sample_histogram(psi, 1000, seed=3)
-    assert h1 == h2
-    assert sum(h1.values()) == 1000
-    assert "11" not in h1
 
 
 def test_noise_spec_validation():
