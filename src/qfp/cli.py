@@ -47,6 +47,14 @@ def _write_json(obj, path: str) -> None:
         fh.write("\n")
 
 
+def _make_out_dir(path: str) -> None:
+    """Create the --out directory; a path that cannot be one is a data error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"--out {path}: cannot create output directory: {exc}") from exc
+
+
 def _provenance(out_dir: str, command: str, args: dict, config: dict | None):
     _write_json(
         {"command": command, "args": args, "config": config, "version": VERSION},
@@ -102,7 +110,7 @@ def _align_targets(ids, targets: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_h2(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     ids = pipeline.generate_h2_dataset(args.rmin, args.rmax, args.count, args.out)
     _provenance(args.out, "gen-h2",
                 {"rmin": args.rmin, "rmax": args.rmax, "count": args.count}, None)
@@ -116,7 +124,7 @@ def cmd_fingerprint(args) -> int:
         raise ConfigError(
             "fingerprint command needs a scalar observable (F or O); "
             "rdm trajectories are a library-level feature")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     base = os.path.dirname(os.path.abspath(args.config))
     ids, _, grid, values = pipeline.run_fingerprints(cfg, base, args.workers)
     chem_io.save_features(ids, grid, values,
@@ -136,7 +144,7 @@ def cmd_train(args) -> int:
     ids, grid, X = _load_features(args.features)
     y = _align_targets(ids, _read_targets(args.targets))
     spec = _model_spec_from_args(args)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     try:
         report = fingerprint_ml.kfold_cv(X, y, spec, k=args.folds,
                                          seed=args.seed, ids=ids)
@@ -184,7 +192,7 @@ def _sweep_config(cfg: PipelineConfig, axis: str, value: str) -> PipelineConfig:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     base = os.path.dirname(os.path.abspath(args.config))
     rows, errors = [], {}
     for value in args.values:
@@ -219,7 +227,7 @@ def cmd_cluster(args) -> int:
     ids, grid, X = _load_features(args.features)
     if len(ids) == 0:
         raise DataError(f"{args.features}: empty feature table")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     try:
         feats = fingerprint_ml.ts_feature_matrix(X, grid)
         scores = fingerprint_ml.pca_project(feats, args.pca_dims)
@@ -245,7 +253,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_optimize_measurement(args) -> int:
     cfg = _load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     base = os.path.dirname(os.path.abspath(args.config))
     if cfg.model["kind"] != "krr":
         raise ConfigError("optimize-measurement requires a krr model spec")

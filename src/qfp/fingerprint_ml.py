@@ -61,19 +61,19 @@ def _evolved_states(eh: EmbeddedHamiltonian, initial_kind: str, time_grid, evolv
     """Yield the state at each grid time for the requested evolver spec.
 
     evolver: {"kind": "exact"} or {"kind": "trotter", "order": o, "r": r}.
-    A trotter evolver applies trotter_sequence(H, t, o, r) at each grid time,
-    so its r steps span the whole of [0, t]: the step size grows with t.  The
-    sequence is built once on the whole grid, and run_sequence evolves all
-    grid times together as one (T, 2^n) batch (memory: see run_sequence).
+    Either kind evolves all grid times together as one (T, 2^n) batch.  The
+    exact evolver propagates the sector blocks psi0 touches (see
+    ExactEvolver).  A trotter evolver applies trotter_sequence(H, t, o, r) at
+    each grid time, so its r steps span the whole of [0, t]: the step size
+    grows with t.  The sequence is built once on the whole grid and run by
+    run_sequence (memory: see run_sequence).
     """
     ph = quantum_sim.jordan_wigner(eh)
     n_qubits = 2 * eh.n_active_orbitals
     _, psi0 = quantum_sim.prepare_initial(initial_kind, n_qubits, eh.n_active_electrons)
     kind = evolver.get("kind", "exact")
     if kind == "exact":
-        ex = quantum_sim.ExactEvolver(ph)
-        for t in time_grid:
-            yield ex.evolve(psi0, t)
+        yield from quantum_sim.ExactEvolver(ph).evolve(psi0, time_grid)
     elif kind == "trotter":
         order = int(evolver.get("order", 2))
         r = int(evolver.get("r", 1))

@@ -377,3 +377,21 @@ def test_optimize_measurement_names_failing_molecule_exit_4(tmp_path, capsys):
     assert run("optimize-measurement", "--config", cfg, "--budget", "5",
                "--out", str(tmp_path / "opt")) == 4
     assert "molecule 'h2_000'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-h2", "--rmin", "1.0", "--rmax", "2.0", "--count", "2"],
+    FINGERPRINT,
+    TRAIN,
+    ["sweep", "--config", "config.json", "--axis", "time_max", "--values", "1"],
+    ["cluster", "--features", "f.csv", "--k", "2"],
+    ["optimize-measurement", "--config", "config.json", "--budget", "5"],
+], ids=lambda argv: argv[0])
+def test_out_path_is_a_file_exit_3(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    (tmp_path / "f.csv").write_text(FEATURES_CSV)
+    (tmp_path / "t.csv").write_text(TARGETS_CSV)
+    (tmp_path / "afile").write_text("not a directory\n")
+    assert run(*argv, "--out", "afile") == 3
+    assert "--out afile" in capsys.readouterr().err

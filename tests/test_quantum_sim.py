@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfp import embedding, fci, mean_field, quantum_sim as qs
+from qfp import chem_io, embedding, fci, mean_field, quantum_sim as qs
 from qfp.quantum_sim import GateSequence, NoiseSpec, PauliHamiltonian
 
 from conftest import dmet_h2, h4_molecule
@@ -433,3 +433,54 @@ def test_dmet_cluster_evolution_consistency():
     w, V = np.linalg.eigh(H_f)
     ref = V @ (np.exp(-1j * w * 2.5) * (V.conj().T @ psi0))
     assert np.linalg.norm(qs.ExactEvolver(H).evolve(psi0, 2.5) - ref) < 1e-10
+
+
+def _h4_dmet_cluster():
+    m = h4_molecule(1.4)
+    m_loc, D_loc = embedding.dmet_setup(m, mean_field.scf_solve(m))
+    cb = embedding.dmet_cluster_basis(D_loc, embedding.FragmentSpec([0, 1]))
+    return embedding.dmet_hamiltonian(m_loc, cb)
+
+
+def _h6_active_44():
+    m = chem_io.s_orbital_integrals(chem_io.hydrogen_chain(np.arange(6) * 1.8))
+    return embedding.homo_lumo_active_space(m, mean_field.scf_solve(m), 4, 4)
+
+
+EVOLVE_TIMES = (0.0, 0.5, 3.7, 14.0)
+
+
+@pytest.fixture(scope="module", params=["h2", "h4_dmet_cluster", "h6_44"])
+def sector_system(request, h2_active):
+    eh = {"h2": lambda: h2_active, "h4_dmet_cluster": _h4_dmet_cluster,
+          "h6_44": _h6_active_44}[request.param]()
+    ph = qs.jordan_wigner(eh)
+    H = ph.to_matrix()
+    return eh, ph, {t: scipy.linalg.expm(-1j * t * H) for t in EVOLVE_TIMES}
+
+
+@pytest.mark.parametrize("kind", ["hf_ground", "homo_lumo_excited", "half_occupied"])
+def test_sector_evolver_matches_expm(sector_system, kind):
+    eh, ph, expm = sector_system
+    _, psi0 = qs.prepare_initial(kind, ph.n_qubits, eh.n_active_electrons)
+    ev = qs.ExactEvolver(ph)
+    batch = ev.evolve(psi0, np.array(EVOLVE_TIMES))
+    assert batch.shape == (len(EVOLVE_TIMES), 1 << ph.n_qubits)
+    for t, row in zip(EVOLVE_TIMES, batch):
+        single = ev.evolve(psi0, t)
+        assert np.max(np.abs(single - expm[t] @ psi0)) < 1e-10
+        # Grid rows and single-time calls differ only in BLAS summation order.
+        assert np.max(np.abs(row - single)) < 1e-13
+    # A determinant lies in one (N_alpha, N_beta) sector; half filling in all.
+    n_sectors = ((ph.n_qubits + 2) // 2) ** 2 if kind == "half_occupied" else 1
+    assert len(ev._blocks) == n_sectors
+
+
+def test_sector_evolver_rejects_sector_coupling_and_non_hermitian():
+    _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
+    with pytest.raises(ValueError, match="couples"):
+        qs.ExactEvolver(PauliHamiltonian([(0.3, "XXII")], 4)).evolve(psi0, 1.0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        qs.ExactEvolver(PauliHamiltonian([(0.3j, "ZIII")], 4)).evolve(psi0, 1.0)
+    with pytest.raises(ValueError, match="state dimension"):
+        qs.ExactEvolver(PauliHamiltonian([(0.3, "ZIII")], 4)).evolve(psi0[:8], 1.0)
