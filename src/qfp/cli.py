@@ -377,7 +377,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:  # an input or output file the OS refuses
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

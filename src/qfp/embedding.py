@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qfp import fci
+from qfp import quantum_sim
 from qfp.chem_io import MolecularIntegrals
 from qfp.mean_field import MeanFieldSolution, lowdin_orthonormalize
 
@@ -293,16 +293,18 @@ def fragment_count_builder(m_loc: MolecularIntegrals, cb: ClusterBasis,
                            exchange_factor: float = 0.5):
     """builder(mu) -> fragment electron count in the cluster ground state.
 
-    The cluster Hamiltonian is built once, at mu = 0.  The -mu shift on the
-    fragment diagonal of h_eff adds -mu * N_frag, and N_frag is diagonal in
-    the determinant basis: with fragment orbitals first and spins
-    interleaved, a determinant's fragment occupation is the popcount of its
-    low 2 * n_frag bits.  So each call is one eigh of H0 - mu diag(n_f) on
-    the N-electron sector, and the count is sum_i v0_i^2 n_f_i.
+    H0 is built once, at mu = 0, as the (N/2, N/2) block of the cluster's
+    Jordan-Wigner form (ExactEvolver.sector_matrix at index (1 << N) - 1).
+    H0 is spin-free and N is even, so every spin multiplet has an Ms = 0
+    member, and N_frag commutes with total spin: this block's lowest state
+    has the fragment count of the whole N-electron sector's (36 x 36, not
+    70 x 70, for 4 orbitals).  The -mu shift adds -mu * N_frag, diagonal
+    here: with fragment orbitals first, n_f is a state's low 2 * n_frag bit
+    count.  Each call is one eigh of H0 - mu diag(n_f); the count is v0^2 @ n_f.
     """
     eh = dmet_hamiltonian(m_loc, cb, mu=0.0, exchange_factor=exchange_factor)
-    idx = fci.sector_indices(2 * eh.n_active_orbitals, eh.n_active_electrons)
-    H0 = fci.fock_space_hamiltonian(eh.h_eff, eh.eri_active, 0.0)[np.ix_(idx, idx)]
+    evolver = quantum_sim.ExactEvolver(quantum_sim.jordan_wigner(eh))
+    idx, H0 = evolver.sector_matrix((1 << eh.n_active_electrons) - 1)
     n_f = np.bitwise_count(idx & ((1 << 2 * cb.fragment.shape[1]) - 1)).astype(float)
 
     def count(mu: float) -> float:

@@ -2,6 +2,7 @@
 
 Builds many-body Hamiltonian matrices directly from fermionic ladder-operator
 action on bitstrings, independent of the Pauli-string route in quantum_sim.
+It is the oracle of the tests, demos and perfbench; no production module imports it.
 Spin-orbital convention: mode 2p is spatial orbital p spin-alpha, mode 2p+1
 spin-beta; mode 0 is the least significant bit of the determinant index.
 

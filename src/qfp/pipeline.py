@@ -443,12 +443,12 @@ def _noisy_fingerprint(eh, cfg: PipelineConfig, grid, molecule_id):
 
 @contextmanager
 def molecule_errors(molecule_id: str):
-    """Name the molecule in its ConfigError (exit 2) or ValueError/LinAlgError (exit 4)."""
+    """Name the molecule in its ConfigError (exit 2) or numerical failure (exit 4)."""
     try:
         yield
     except ConfigError as exc:
         raise ConfigError(f"molecule {molecule_id!r}: {exc}") from exc
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, ValueError, np.linalg.LinAlgError) as exc:
         raise NumericalError(f"molecule {molecule_id!r}: {exc}") from exc
 
 

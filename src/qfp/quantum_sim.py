@@ -19,9 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qfp.embedding import EmbeddedHamiltonian
-from qfp.fci import spin_orbital_integrals
-
 __all__ = [
     "PauliHamiltonian",
     "GateSequence",
@@ -138,10 +135,9 @@ class PauliHamiltonian:
         return pauli_matrix(self.terms, self.n_qubits)
 
 
-def jordan_wigner(eh: EmbeddedHamiltonian) -> PauliHamiltonian:
-    """Map an embedded Hamiltonian to qubits via the Jordan-Wigner transform."""
-    h_so, eri_so = spin_orbital_integrals(eh.h_eff, eh.eri_active)
-    m = h_so.shape[0]
+def jordan_wigner(eh) -> PauliHamiltonian:
+    """Jordan-Wigner map of an EmbeddedHamiltonian; spin orbital P is spatial P >> 1."""
+    h, eri, m = eh.h_eff, eh.eri_active, 2 * len(eh.h_eff)
 
     def ladder(p: int, dagger: bool):
         e = 1 << p
@@ -166,14 +162,14 @@ def jordan_wigner(eh: EmbeddedHamiltonian) -> PauliHamiltonian:
             acc[(x, z)] = acc.get((x, z), 0.0) + c
 
     for P in range(m):
-        for Q in range(m):
-            if h_so[P, Q] != 0.0:
-                accumulate([ladder(P, True), ladder(Q, False)], h_so[P, Q])
+        for Q in range(P % 2, m, 2):
+            if h[P >> 1, Q >> 1] != 0.0:
+                accumulate([ladder(P, True), ladder(Q, False)], h[P >> 1, Q >> 1])
     for P in range(m):
         for Q in range(P % 2, m, 2):
             for R in range(m):
                 for S in range(R % 2, m, 2):
-                    w = 0.5 * eri_so[P, Q, R, S]
+                    w = 0.5 * eri[P >> 1, Q >> 1, R >> 1, S >> 1]
                     if w != 0.0:
                         accumulate(
                             [ladder(P, True), ladder(R, True),
@@ -341,17 +337,16 @@ def run_sequence(gs: GateSequence, psi0: np.ndarray) -> np.ndarray:
 class ExactEvolver:
     """Exact evolution exp(-iHt) psi0 on the (N_alpha, N_beta) sector blocks of H.
 
-    N_alpha counts the set bits on even qubits and N_beta those on odd ones.
-    A Jordan-Wigner molecular Hamiltonian conserves both, so each sector
-    block is diagonalized on its own.  The Pauli strings are grouped by x
-    mask: a group acts as A_x|b> = f_x(b)|b ^ x>, and a block is built from
-    f_x evaluated on that sector's indices only.  Blocks are built the first
-    time a state with amplitude in their sector is evolved, and kept.
+    N_alpha counts the set bits on even qubits and N_beta those on odd ones;
+    a Jordan-Wigner molecular Hamiltonian conserves both.  The Pauli strings
+    are grouped by x mask, a group acting as A_x|b> = f_x(b)|b ^ x>, and
+    sector_matrix builds a block from f_x on that sector's indices only.  It
+    raises ValueError if the block is not Hermitian or if a group maps an
+    index out of the sector (H couples sectors).  evolve diagonalizes a block
+    the first time a state has amplitude in its sector, and keeps it.
     Memory: the sum of d^2 over the sectors touched, 8 B per element for a
-    real Hamiltonian (16 B complex), e.g. d = 100 for (4e,5o) at 10 qubits;
-    no 2^n x 2^n matrix is formed.  Building a block raises ValueError if
-    it is not Hermitian or if a group maps one of its indices out of the
-    sector, i.e. if H couples sectors.
+    real H (16 B complex), e.g. d = 100 for (4e,5o) at 10 qubits; no
+    2^n x 2^n matrix is formed.
     """
 
     def __init__(self, ph: PauliHamiltonian):
@@ -378,11 +373,10 @@ class ExactEvolver:
                         + np.bitwise_count(b & ~even))
         self._blocks: dict = {}
 
-    def _block(self, key):
-        """(indices, eigenvalues, eigenvectors) of one sector block, built once."""
-        block = self._blocks.get(key)
-        if block is not None:
-            return block
+    def sector_matrix(self, index: int):
+        """(indices, H): the sorted basis indices of the sector holding `index`, and
+        the block H[i, j] = <indices[i]|H|indices[j]> (real without odd-Y strings)."""
+        key = self._sector[index]
         idx = np.flatnonzero(self._sector == key)
         H = np.zeros((idx.size, idx.size), dtype=self._dtype)
         for x, zs, cs in self._groups:
@@ -396,8 +390,7 @@ class ExactEvolver:
             H[np.searchsorted(idx, dst[inside]), np.flatnonzero(inside)] += f[inside]
         if np.max(np.abs(H - H.conj().T)) > 1e-10:
             raise ValueError("Hamiltonian matrix is not Hermitian")
-        block = self._blocks[key] = (idx, *np.linalg.eigh(H))
-        return block
+        return idx, H
 
     def evolve(self, psi0: np.ndarray, t) -> np.ndarray:
         """exp(-iHt) psi0 for a time t, or a (T, 2^n) batch for a 1-D grid of T times.
@@ -412,7 +405,10 @@ class ExactEvolver:
         times = np.asarray(t, dtype=float)
         out = np.zeros((times.size, psi0.size), dtype=complex)
         for key in np.unique(self._sector[psi0 != 0]):
-            idx, w, V = self._block(key)
+            if key not in self._blocks:
+                idx, H = self.sector_matrix(np.argmax(self._sector == key))
+                self._blocks[key] = (idx, *np.linalg.eigh(H))
+            idx, w, V = self._blocks[key]
             c = V.conj().T @ psi0[idx]
             out[:, idx] = (np.exp(-1j * np.outer(times, w)) * c) @ V.T
         return out.reshape(times.shape + psi0.shape)

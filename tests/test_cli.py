@@ -395,3 +395,33 @@ def test_out_path_is_a_file_exit_3(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "afile").write_text("not a directory\n")
     assert run(*argv, "--out", "afile") == 3
     assert "--out afile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output,argv", [
+    ("labels.csv", ["cluster", "--features", "f.csv", "--k", "2"]),
+    ("cv_report.json", ["train", "--features", "f.csv", "--targets", "t.csv",
+                        "--model", "krr", "--folds", "3"]),
+    ("features.csv", ["fingerprint", "--config", "config.json"]),
+], ids=["cluster", "train", "fingerprint"])
+def test_output_file_is_a_directory_exit_3(tmp_path, monkeypatch, capsys, output, argv):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, dataset=H2_SCAN)
+    ids = [f"m{i}" for i in range(6)]
+    grid = 0.5 * np.arange(12)
+    chem_io.save_features(ids, grid, np.sin(np.outer(np.arange(1, 7), grid)), "f.csv")
+    (tmp_path / "t.csv").write_text(
+        "molecule_id,target\n" + "".join(f"{i},{k}\n" for k, i in enumerate(ids)))
+    (tmp_path / "o" / output).mkdir(parents=True)
+    assert run(*argv, "--out", "o") == 3
+    assert output in capsys.readouterr().err
+
+
+def test_scf_failure_names_the_molecule_exit_4(tmp_path, capsys):
+    # stretched H8 at 3.6 bohr spacing: the damped RHF iterations do not converge
+    (tmp_path / "data").mkdir()
+    entry = {"id": "h8_far", "target": 3.6,
+             "generator": {"kind": "chain", "z_positions": [3.6 * i for i in range(8)]}}
+    (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": [entry]}))
+    cfg = write_config(tmp_path)
+    assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 4
+    assert "molecule 'h8_far'" in capsys.readouterr().err

@@ -119,16 +119,19 @@ def _per_step_count_builder(m_loc, cb):
     return count
 
 
-@pytest.mark.parametrize("n_atoms", [4, 6])
-def test_fragment_count_builder_matches_per_step_fci(n_atoms):
+@pytest.mark.parametrize("n_atoms,fragment", [(4, [0, 1]), (6, [0, 1]), (6, [2, 3])],
+                         ids=["4", "6", "6-middle"])
+def test_fragment_count_builder_matches_per_step_fci(n_atoms, fragment):
+    # builder works on the Jordan-Wigner (N/2, N/2) sector block; the
+    # reference is the determinant-basis fci oracle on the whole N sector
     m = chem_io.s_orbital_integrals(chem_io.hydrogen_chain(np.arange(n_atoms) * 1.4))
     _, m_loc, D_loc = _localized(m)
-    cb = embedding.dmet_cluster_basis(D_loc, FragmentSpec([0, 1]))
+    cb = embedding.dmet_cluster_basis(D_loc, FragmentSpec(fragment))
     builder = embedding.fragment_count_builder(m_loc, cb)
     reference = _per_step_count_builder(m_loc, cb)
     for mu in (-1.0, -0.3, 0.0, 0.4, 1.0):
         assert abs(builder(mu) - reference(mu)) < 1e-10
-    target = float(np.trace(D_loc[:2, :2]))
+    target = float(np.trace(D_loc[np.ix_(fragment, fragment)]))
     assert (embedding.fit_chemical_potential(builder, target)
             == embedding.fit_chemical_potential(reference, target))
     for mu in (np.nan, np.inf, -np.inf):
