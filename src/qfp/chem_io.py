@@ -41,6 +41,7 @@ STO3G_HYDROGEN = (
     (0.62391373, 0.53532814),
     (0.16885540, 0.44463454),
 )
+_ERI_BLOCK = 32  # bra primitive pairs per block of the ERI pair-pair table
 
 
 class FcidumpError(ValueError):
@@ -193,27 +194,33 @@ def s_orbital_integrals(g: GaussianGeometry, n_electrons: int | None = None) -> 
     S = contract2(s_prim)
     h = contract2(t_prim + v_prim)
 
-    # Two-electron integrals (ab|cd) over primitives, then contracted.
-    q = p  # alias for the ket pair in the formulas below
-    eri = np.zeros((n, n, n, n))
+    # Two-electron integrals (ab|cd) over primitives, then contracted.  p, K,
+    # P and cc are bitwise symmetric in their two primitives, so the value
+    # of each unordered pair-pair {a,b},{c,d} is computed once, in row blocks
+    # of _ERI_BLOCK bra pairs.  Not under (ab) <-> (cd): Kab * Kcd rounds in
+    # order.  The values are then gathered back and added with np.add.at in
+    # (a, b, c, d) order, skipping bra pairs below 1e-18, which gives the
+    # sums of a loop over a, b with one (c, d) table each.
+    ua, ub = np.triu_indices(m)
+    pair = np.empty((m, m), dtype=np.int64)
+    pair[ua, ub] = pair[ub, ua] = np.arange(ua.size)
+    q, Kq, Pq, ccq = p[ua, ub], K[ua, ub], P[ua, ub], cc[ua, ub]
+    V = np.empty((ua.size, ua.size))
     pref = 2.0 * np.pi ** 2.5
+    for start in range(0, ua.size, _ERI_BLOCK):
+        rows = slice(start, start + _ERI_BLOCK)
+        pab = q[rows, None]
+        pq2 = np.sum((Pq[rows, None, :] - Pq) ** 2, axis=-1)
+        val = (pref / (pab * q * np.sqrt(pab + q)) * Kq[rows, None] * Kq
+               * _boys_f0(pab * q / (pab + q) * pq2))
+        V[rows] = ccq[rows, None] * ccq * val
+    eri = np.zeros((n, n, n, n))
+    ket = (fn[:, None] * n + fn).ravel()
     for a in range(m):
-        for b in range(m):
-            pab = p[a, b]
-            Kab = K[a, b]
-            if Kab * abs(cc[a, b]) < 1e-18:
-                continue
-            Pab = P[a, b]
-            pq2 = np.sum((Pab[None, None, :] - P) ** 2, axis=-1)
-            val = (
-                pref
-                / (pab * q * np.sqrt(pab + q))
-                * Kab
-                * K
-                * _boys_f0(pab * q / (pab + q) * pq2)
-            )
-            val = cc[a, b] * cc * val
-            np.add.at(eri, (fn[a], fn[b], fn[:, None], fn[None, :]), val)
+        b = np.flatnonzero(~(K[a] * np.abs(cc[a]) < 1e-18))
+        bra = (fn[a] * n + fn[b]) * n * n
+        np.add.at(eri.reshape(-1), (bra[:, None] + ket).ravel(),
+                  V[pair[a, b]][:, pair.ravel()].ravel())
 
     # Enforce the 8-fold permutation symmetry exactly (summation-order noise
     # between equivalent primitive loops is ~1e-17 otherwise).

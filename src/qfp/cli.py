@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -53,6 +54,12 @@ def _make_out_dir(path: str) -> None:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise DataError(f"--out {path}: cannot create output directory: {exc}") from exc
+
+
+def _check_flag(name: str, value, lo, hi=math.inf) -> None:
+    """A numeric flag that is NaN, infinite or outside [lo, hi] is a config error."""
+    if not lo <= value <= hi or value == math.inf:
+        raise ConfigError(f"--{name}: expected a finite value in [{lo}, {hi}], got {value}")
 
 
 def _provenance(out_dir: str, command: str, args: dict, config: dict | None):
@@ -134,22 +141,28 @@ def cmd_fingerprint(args) -> int:
     return 0
 
 
-def _model_spec_from_args(args) -> dict:
-    if args.model == "pls":
-        return {"kind": "pls", "n_components": args.components}
-    return {"kind": "krr", "length_scale": args.length_scale, "ridge": args.ridge}
-
-
 def cmd_train(args) -> int:
+    _check_flag("folds", args.folds, 2)
+    _check_flag("seed", args.seed, 0)
+    if args.model == "pls":
+        _check_flag("components", args.components, 1)
+        spec = {"kind": "pls", "n_components": args.components}
+    else:
+        _check_flag("length-scale", args.length_scale, *fingerprint_ml.LENGTH_SCALE_RANGE)
+        _check_flag("ridge", args.ridge, 0.0)
+        spec = {"kind": "krr", "length_scale": args.length_scale, "ridge": args.ridge}
     ids, grid, X = _load_features(args.features)
     y = _align_targets(ids, _read_targets(args.targets))
-    spec = _model_spec_from_args(args)
     _make_out_dir(args.out)
     try:
         report = fingerprint_ml.kfold_cv(X, y, spec, k=args.folds,
                                          seed=args.seed, ids=ids)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(str(exc)) from exc
+    except ValueError as exc:  # more folds than molecules, or PLS components than a fold has
+        raise ConfigError(f"{exc} (--folds {args.folds}, {len(ids)} molecules)") from exc
+    if not (math.isfinite(report.r2) and math.isfinite(report.rmse)):
+        raise NumericalError("cross-validation gave a non-finite R2 or RMSE")
     _write_json(report.to_json_dict(), os.path.join(args.out, "cv_report.json"))
     pred = {i: p for _, va, preds in report.folds for i, p in zip(va, preds)}
     with open(os.path.join(args.out, "predictions.csv"), "w") as fh:
@@ -224,9 +237,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    _check_flag("seed", args.seed, 0)
+    _check_flag("pca-dims", args.pca_dims, 1)
     ids, grid, X = _load_features(args.features)
     if len(ids) == 0:
         raise DataError(f"{args.features}: empty feature table")
+    _check_flag("k", args.k, 1, len(ids))
     _make_out_dir(args.out)
     try:
         feats = fingerprint_ml.ts_feature_matrix(X, grid)
@@ -252,6 +268,9 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_optimize_measurement(args) -> int:
+    # Before the RDM trajectories: the GP needs its 5-point initial design.
+    _check_flag("budget", args.budget, 5)
+    _check_flag("seed", args.seed, 0)
     cfg = _load_config(args.config)
     _make_out_dir(args.out)
     base = os.path.dirname(os.path.abspath(args.config))

@@ -241,6 +241,10 @@ class KRRModel:
     ridge: float
 
 
+# RBF length scales a model accepts; above the maximum, length_scale ** 2 overflows.
+LENGTH_SCALE_RANGE = (1e-12, 1e150)
+
+
 def _rbf(A, B, length_scale):
     d2 = np.sum(A ** 2, axis=1)[:, None] + np.sum(B ** 2, axis=1)[None, :] - 2 * A @ B.T
     return np.exp(-0.5 * np.maximum(d2, 0.0) / length_scale ** 2)

@@ -201,7 +201,7 @@ def _validate_model(d):
     elif d["kind"] == "krr":
         _check_keys(d, "model", ("kind",), ("length_scale", "ridge"))
         if "length_scale" in d:
-            _number(d, "length_scale", "model", lo=1e-12)
+            _number(d, "length_scale", "model", *fingerprint_ml.LENGTH_SCALE_RANGE)
         if "ridge" in d:
             _number(d, "ridge", "model", lo=0.0)
     else:
@@ -492,19 +492,21 @@ def run_fingerprints(cfg: PipelineConfig, base_dir: str = ".",
 
 def generate_h2_dataset(rmin: float, rmax: float, count: int, out_dir: str):
     """FCIDUMP files + manifest + targets for a uniform H2 separation scan."""
-    if rmin < 0.2:
-        raise ConfigError("--rmin: separations below 0.2 bohr are unsupported")
+    # Written so that NaN fails every check.
+    if not 0.2 <= rmin < math.inf:
+        raise ConfigError(f"--rmin: expected a finite separation >= 0.2 bohr, got {rmin}")
     if count < 2:
         raise ConfigError("--count: need at least 2 molecules")
-    if rmax <= rmin:
-        raise ConfigError("--rmax must exceed --rmin")
+    if not rmin < rmax < math.inf:
+        raise ConfigError(f"--rmax: expected a finite separation above --rmin, got {rmax}")
     os.makedirs(out_dir, exist_ok=True)
     manifest = _h2_scan(rmin, rmax, count)
     for i, e in enumerate(manifest.entries):
-        m = build_molecule(e)
-        mf = mean_field.scf_solve(m)
-        if not mf.converged:
-            raise NumericalError(f"SCF did not converge for z={e.target:.6f}")
+        with molecule_errors(e.molecule_id):
+            m = build_molecule(e)
+            mf = mean_field.scf_solve(m)
+            if not mf.converged:
+                raise NumericalError(f"SCF did not converge for z={e.target:.6f}")
         h_mo, eri_mo = embedding.transform_integrals(m.h_core, m.eri, mf.C)
         m_mo = MolecularIntegrals(
             n_orbitals=m.n_orbitals, n_electrons=m.n_electrons,

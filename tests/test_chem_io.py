@@ -143,3 +143,90 @@ def test_validate_raises_value_error():
     bad = MolecularIntegrals(m.n_orbitals, m.n_electrons, m.S, h, m.eri, m.e_nuclear)
     with pytest.raises(ValueError, match="h_core not symmetric"):
         bad.validate()
+
+
+def _s_orbital_integrals_loop(g):
+    """The per-bra-pair ERI loop that s_orbital_integrals replaced, kept as its
+    reference: (S, h_core, eri, e_nuclear, bra pairs skipped below 1e-18)."""
+    from scipy.special import erf
+
+    def boys_f0(x):
+        out = np.empty_like(x)
+        small = x < 1e-6
+        xs, xl = x[small], x[~small]
+        out[small] = 1.0 - xs / 3.0 + xs * xs / 10.0
+        out[~small] = 0.5 * np.sqrt(np.pi / xl) * erf(np.sqrt(xl))
+        return out
+
+    centers = np.array([pos for _, pos in g.atoms], dtype=float)
+    charges = np.array([z for z, _ in g.atoms], dtype=float)
+    n = len(g.atoms)
+    prims = [(i, a, c * (2.0 * a / np.pi) ** 0.75)
+             for i, shell in enumerate(g.shells) for a, c in shell]
+    fn = np.array([i for i, _, _ in prims])
+    alpha = np.array([a for _, a, _ in prims])
+    coef = np.array([c for _, _, c in prims])
+    A = centers[fn]
+    m = len(alpha)
+    p = alpha[:, None] + alpha[None, :]
+    mu = alpha[:, None] * alpha[None, :] / p
+    ab2 = np.sum((A[:, None, :] - A[None, :, :]) ** 2, axis=-1)
+    K = np.exp(-mu * ab2)
+    P = (alpha[:, None, None] * A[:, None, :] + alpha[None, :, None] * A[None, :, :]) / p[:, :, None]
+    s_prim = (np.pi / p) ** 1.5 * K
+    t_prim = mu * (3.0 - 2.0 * mu * ab2) * s_prim
+    pc2 = np.sum((P[:, :, None, :] - centers[None, None, :, :]) ** 2, axis=-1)
+    v_prim = -(2.0 * np.pi / p)[:, :, None] * K[:, :, None] * boys_f0(p[:, :, None] * pc2)
+    v_prim = np.einsum("abc,c->ab", v_prim, charges)
+
+    def contract2(prim, cc):
+        out = np.zeros((n, n))
+        np.add.at(out, (fn[:, None], fn[None, :]), cc * prim)
+        return out
+
+    S = contract2(s_prim, coef[:, None] * coef[None, :])
+    coef = coef * (1.0 / np.sqrt(np.diag(S)))[fn]
+    cc = coef[:, None] * coef[None, :]
+    S, h = contract2(s_prim, cc), contract2(t_prim + v_prim, cc)
+
+    eri = np.zeros((n, n, n, n))
+    pref = 2.0 * np.pi ** 2.5
+    skipped = 0
+    for a in range(m):
+        for b in range(m):
+            pab, Kab = p[a, b], K[a, b]
+            if Kab * abs(cc[a, b]) < 1e-18:
+                skipped += 1
+                continue
+            pq2 = np.sum((P[a, b][None, None, :] - P) ** 2, axis=-1)
+            val = pref / (pab * p * np.sqrt(pab + p)) * Kab * K * boys_f0(pab * p / (pab + p) * pq2)
+            np.add.at(eri, (fn[a], fn[b], fn[:, None], fn[None, :]), cc[a, b] * cc * val)
+    eri = (eri + eri.transpose(1, 0, 2, 3)) / 2.0
+    eri = (eri + eri.transpose(0, 1, 3, 2)) / 2.0
+    eri = (eri + eri.transpose(2, 3, 0, 1)) / 2.0
+    e_nuc = sum(charges[a] * charges[b] / np.linalg.norm(centers[a] - centers[b])
+                for a in range(n) for b in range(a + 1, n))
+    return S, h, eri, e_nuc, skipped
+
+
+def _scattered_h6():
+    pos = np.random.default_rng(5).normal(scale=1.5, size=(6, 3))
+    return chem_io.GaussianGeometry(atoms=tuple((1, x) for x in pos),
+                                    shells=(chem_io.STO3G_HYDROGEN,) * 6)
+
+
+@pytest.mark.parametrize("n_atoms", range(2, 13))
+def test_s_orbital_integrals_match_loop_bitwise(n_atoms):
+    geometries = [chem_io.hydrogen_chain(np.arange(n_atoms) * d) for d in (0.8, 1.4, 2.2, 3.0)]
+    if n_atoms == 6:
+        geometries.append(_scattered_h6())  # off-axis: every coordinate enters pq2
+    for g in geometries:
+        got = chem_io.s_orbital_integrals(g, n_electrons=n_atoms + n_atoms % 2)
+        S, h, eri, e_nuc, skipped = _s_orbital_integrals_loop(g)
+        assert got.S.tobytes() == S.tobytes()
+        assert got.h_core.tobytes() == h.tobytes()
+        assert got.eri.tobytes() == eri.tobytes()
+        assert got.e_nuclear == e_nuc
+    if n_atoms == 12:
+        # At 3.0 bohr the 1e-18 bra-pair skip fires (560 of 1296 pairs here).
+        assert skipped > 400

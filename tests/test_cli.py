@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from qfp import chem_io
 from qfp.cli import main
@@ -425,3 +430,104 @@ def test_scf_failure_names_the_molecule_exit_4(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 4
     assert "molecule 'h8_far'" in capsys.readouterr().err
+
+
+def _ten_molecule_table(directory):
+    """f.csv and t.csv: 10 molecules x 12 times, the shape of a small fingerprint run."""
+    ids = [f"m{i}" for i in range(10)]
+    grid = 0.5 * np.arange(1, 13)
+    X = np.sin(np.outer(np.linspace(1.0, 2.0, 10), grid))
+    chem_io.save_features(ids, grid, X, str(directory / "f.csv"))
+    (directory / "t.csv").write_text(
+        "molecule_id,target\n" + "".join(f"{i},{x:.17g}\n" for i, x in zip(ids, X[:, 3])))
+
+
+TRAIN_10 = ["train", "--features", "f.csv", "--targets", "t.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*TRAIN_10, "--model", "krr", "--folds", "1"],
+    [*TRAIN_10, "--model", "krr", "--folds", "0"],
+    [*TRAIN_10, "--model", "krr", "--folds", "50"],
+    [*TRAIN_10, "--model", "pls", "--components", "99"],
+    [*TRAIN_10, "--model", "krr", "--length-scale", "0"],
+    [*TRAIN_10, "--model", "krr", "--length-scale", "nan"],
+    [*TRAIN_10, "--model", "krr", "--ridge=-1"],
+    ["cluster", "--features", "f.csv", "--k", "3", "--pca-dims", "0"],
+    ["gen-h2", "--rmin", "nan", "--rmax", "3", "--count", "2"],
+    ["gen-h2", "--rmin", "1", "--rmax", "inf", "--count", "2"],
+    *[["optimize-measurement", "--config", "config.json", f"--budget={b}"]
+      for b in (0, 1, 3, -1)],
+], ids=lambda argv: "_".join(a.lstrip("-") for a in argv if a not in TRAIN_10[1:]))
+def test_bad_numeric_flag_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    _ten_molecule_table(tmp_path)
+    write_config(tmp_path, dataset={**H2_SCAN, "count": 6})
+    assert run(*argv, "--out", "o") == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o" / "cv_report.json").exists()
+
+
+# Each flag is often in range, so that valid runs are drawn too.
+def test_train_non_finite_cv_exit_4(tmp_path, monkeypatch, capsys):
+    # A NaN feature gives NaN out-of-fold predictions; cv_report.json would not be JSON.
+    monkeypatch.chdir(tmp_path)
+    _ten_molecule_table(tmp_path)
+    ids, grid, X = chem_io.load_features("f.csv")
+    X[4, 7] = np.nan
+    chem_io.save_features(ids, grid, X, "f.csv")
+    assert run(*TRAIN_10, "--model", "krr", "--out", "o") == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "cv_report.json").exists()
+
+
+INT_FLAG = st.one_of(st.integers(1, 5), st.integers(-3, 12), st.integers())
+FLOAT_FLAG = st.one_of(st.floats(0.2, 5.0), st.floats(0.0, 10.0), st.floats())
+FLAG_ARGVS = st.one_of(
+    st.builds(lambda k, c, s: [*TRAIN_10, "--model", "pls", f"--folds={k}",
+                               f"--components={c}", f"--seed={s}"],
+              INT_FLAG, INT_FLAG, INT_FLAG),
+    st.builds(lambda k, ls, r: [*TRAIN_10, "--model", "krr", f"--folds={k}",
+                                f"--length-scale={ls!r}", f"--ridge={r!r}"],
+              INT_FLAG, FLOAT_FLAG, FLOAT_FLAG),
+    st.builds(lambda k, d, s: ["cluster", "--features", "f.csv", f"--k={k}",
+                               f"--pca-dims={d}", f"--seed={s}"],
+              INT_FLAG, INT_FLAG, INT_FLAG),
+    # A few molecules at most: each one is an SCF and an FCIDUMP.
+    st.builds(lambda lo, hi, n: ["gen-h2", f"--rmin={lo!r}", f"--rmax={hi!r}", f"--count={n}"],
+              FLOAT_FLAG, FLOAT_FLAG, st.one_of(st.integers(2, 3), st.integers(-2, 3))),
+)
+
+
+@pytest.fixture(scope="module")
+def ten_molecule_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("flags")
+    _ten_molecule_table(directory)
+    return directory
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=FLAG_ARGVS)
+# A length scale whose square overflows, and a separation whose square does.
+@example(argv=[*TRAIN_10, "--model", "krr", "--length-scale=1.3407807929942597e+154"])
+@example(argv=["gen-h2", "--rmin=1.0", "--rmax=1e+200", "--count=2"])
+def test_numeric_flags_fuzz_exit_codes(ten_molecule_dir, argv):
+    out = tempfile.mkdtemp(dir=ten_molecule_dir)
+    stderr = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ten_molecule_dir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = main([*argv, "--out", out])
+            except SystemExit as exc:  # argparse rejects the value itself
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    report = os.path.join(out, "cv_report.json")
+    if os.path.exists(report):
+        with open(report) as fh:  # strict JSON: no NaN or Infinity
+            json.load(fh, parse_constant=lambda c: pytest.fail(f"{c} in cv_report.json"))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfp import chem_io, embedding, fci, mean_field, quantum_sim as qs
+from qfp import chem_io, embedding, fci, mean_field, pipeline, quantum_sim as qs
 from qfp.quantum_sim import GateSequence, NoiseSpec, PauliHamiltonian
 
 from conftest import dmet_h2, h4_molecule
@@ -484,3 +485,76 @@ def test_sector_evolver_rejects_sector_coupling_and_non_hermitian():
         qs.ExactEvolver(PauliHamiltonian([(0.3j, "ZIII")], 4)).evolve(psi0, 1.0)
     with pytest.raises(ValueError, match="state dimension"):
         qs.ExactEvolver(PauliHamiltonian([(0.3, "ZIII")], 4)).evolve(psi0[:8], 1.0)
+
+
+def _jordan_wigner_loop(eh):
+    """The scalar dict loop that jordan_wigner replaced, kept as its reference."""
+    h, eri, m = eh.h_eff, eh.eri_active, 2 * len(eh.h_eff)
+
+    def ladder(p, dagger):
+        e = 1 << p
+        return ((0.5, e, e - 1), (0.5 if dagger else -0.5, e, (e - 1) | e))
+
+    acc = {}
+
+    def accumulate(factors, weight):
+        prods = [(weight, 0, 0)]
+        for terms in factors:
+            new = []
+            for c1, x1, z1 in prods:
+                for c2, x2, z2 in terms:
+                    sign = -1.0 if (z1 & x2).bit_count() & 1 else 1.0
+                    new.append((c1 * c2 * sign, x1 ^ x2, z1 ^ z2))
+            prods = new
+        for c, x, z in prods:
+            acc[(x, z)] = acc.get((x, z), 0.0) + c
+
+    for P in range(m):
+        for Q in range(P % 2, m, 2):
+            if h[P >> 1, Q >> 1] != 0.0:
+                accumulate([ladder(P, True), ladder(Q, False)], h[P >> 1, Q >> 1])
+    for P in range(m):
+        for Q in range(P % 2, m, 2):
+            for R in range(m):
+                for S in range(R % 2, m, 2):
+                    w = 0.5 * eri[P >> 1, Q >> 1, R >> 1, S >> 1]
+                    if w != 0.0:
+                        accumulate([ladder(P, True), ladder(R, True),
+                                    ladder(S, False), ladder(Q, False)], w)
+    acc[(0, 0)] = acc.get((0, 0), 0.0) + eh.e_core
+
+    table = {}
+    for (x, z), c in acc.items():
+        s = "".join("IXZY"[((x >> q) & 1) + 2 * ((z >> q) & 1)] for q in range(m))
+        table[s] = table.get(s, 0.0) + c * (-1j) ** (x & z).bit_count()
+    return PauliHamiltonian.from_dict(table, n_qubits=m)
+
+
+def _chain_active(n_atoms, n_elec, n_orb):
+    m = chem_io.s_orbital_integrals(chem_io.hydrogen_chain(np.arange(n_atoms) * 1.8))
+    return embedding.homo_lumo_active_space(m, mean_field.scf_solve(m), n_elec, n_orb)
+
+
+def _h4_dmet_fit_mu():
+    # A target filling off the mean-field one gives a nonzero fitted mu (0.517).
+    return pipeline.embed_molecule(h4_molecule(1.4), {
+        "mode": "dmet", "fragment": [0, 1], "fit_mu": True, "target_filling": 2.2})
+
+
+JW_SYSTEMS = {
+    "h4_dmet_fit_mu": _h4_dmet_fit_mu,
+    "h6_44": _h6_active_44,
+    "h8_45": lambda: _chain_active(8, 4, 5),
+    "h8_66_12_qubits": lambda: _chain_active(8, 6, 6),
+    "e_core_zero": lambda: dataclasses.replace(_h4_dmet_cluster(), e_core=0.0),
+}
+
+
+@pytest.mark.parametrize("system", ["h2", *JW_SYSTEMS])
+def test_jordan_wigner_matches_loop_bitwise(h2_active, system):
+    eh = h2_active if system == "h2" else JW_SYSTEMS[system]()
+    got, ref = qs.jordan_wigner(eh), _jordan_wigner_loop(eh)
+    assert got.n_qubits == ref.n_qubits == 2 * eh.n_active_orbitals
+    # Strings, their order and every coefficient's bits.
+    assert [(s, c.hex()) for c, s in got.terms] == [(s, c.hex()) for c, s in ref.terms]
+    assert all(type(c) is float for c, _ in got.terms)
