@@ -102,7 +102,7 @@ class MolecularIntegrals:
     eri: np.ndarray
     e_nuclear: float
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         """Raise ValueError on a shape, finiteness, symmetry or electron-count fault."""
         def require(ok, what):
             if not ok:
@@ -115,10 +115,10 @@ class MolecularIntegrals:
         require(np.all(np.isfinite(self.S)) and np.all(np.isfinite(self.h_core)),
                 "non-finite S or h_core")
         require(np.all(np.isfinite(self.eri)), "non-finite eri")
-        require(np.allclose(self.S, self.S.T, atol=tol), "S not symmetric")
-        require(np.allclose(self.h_core, self.h_core.T, atol=tol), "h_core not symmetric")
+        require(np.allclose(self.S, self.S.T, atol=1e-8), "S not symmetric")
+        require(np.allclose(self.h_core, self.h_core.T, atol=1e-8), "h_core not symmetric")
         for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
-            require(np.allclose(self.eri, self.eri.transpose(perm), atol=tol),
+            require(np.allclose(self.eri, self.eri.transpose(perm), atol=1e-8),
                     f"eri not symmetric under {perm}")
         require(self.n_electrons % 2 == 0 and self.n_electrons > 0,
                 "electron count must be even and positive")

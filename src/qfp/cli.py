@@ -127,10 +127,6 @@ def cmd_gen_h2(args) -> int:
 
 def cmd_fingerprint(args) -> int:
     cfg = _load_config(args.config)
-    if cfg.observable["kind"] == "rdm":
-        raise ConfigError(
-            "fingerprint command needs a scalar observable (F or O); "
-            "rdm trajectories are a library-level feature")
     _make_out_dir(args.out)
     base = os.path.dirname(os.path.abspath(args.config))
     ids, _, grid, values = pipeline.run_fingerprints(cfg, base, args.workers)
@@ -177,14 +173,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _sweep_value(convert, axis: str, value: str):
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ConfigError(f"--axis {axis}: bad value {value!r}") from exc
+
+
 def _sweep_config(cfg: PipelineConfig, axis: str, value: str) -> PipelineConfig:
     raw = cfg.to_dict()
     if axis == "time_max":
-        raw["time_grid"] = dict(raw["time_grid"], stop=float(value))
+        raw["time_grid"] = dict(raw["time_grid"], stop=_sweep_value(float, axis, value))
     elif axis == "trotter_r":
         if raw["evolver"]["kind"] != "trotter":
             raise ConfigError("--axis trotter_r requires a trotter evolver")
-        raw["evolver"] = dict(raw["evolver"], r=int(value))
+        raw["evolver"] = dict(raw["evolver"], r=_sweep_value(int, axis, value))
     elif axis == "initial_state":
         raw["initial_state"] = value
     elif axis == "active_space":
@@ -207,10 +210,11 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     _make_out_dir(args.out)
     base = os.path.dirname(os.path.abspath(args.config))
+    # Every value is checked before any is run: a malformed one is a config error.
+    subs = [_sweep_config(cfg, args.axis, value) for value in args.values]
     rows, errors = [], {}
-    for value in args.values:
+    for value, sub in zip(args.values, subs):
         try:
-            sub = _sweep_config(cfg, args.axis, value)
             ids, y, grid, X = pipeline.run_fingerprints(sub, base, args.workers)
             if not np.all(np.isfinite(y)):
                 raise DataError("dataset is missing finite targets")

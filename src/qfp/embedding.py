@@ -42,7 +42,6 @@ class FragmentSpec:
     """Fragment orbital indices into the localized orbital basis."""
 
     indices: tuple
-    label: str = ""
 
     def __post_init__(self):
         if len(set(self.indices)) != len(self.indices):
@@ -133,14 +132,14 @@ def dmet_setup(m: MolecularIntegrals, mf: MeanFieldSolution):
     return localize_integrals(m, X), S_half @ mf.D @ S_half
 
 
-def _coulomb_exchange(eri, D, exchange_factor=0.5):
+def _coulomb_exchange(eri, D):
+    """Closed-shell mean-field potential J - K/2 of a spin-summed density D."""
     J = np.einsum("pqrs,rs->pq", eri, D, optimize=True)
     K = np.einsum("prqs,rs->pq", eri, D, optimize=True)
-    return J - exchange_factor * K
+    return J - 0.5 * K
 
 
-def _freeze_window(h, eri, e_const, n_electrons, n_elec_act, n_orb_act,
-                   eps, exchange_factor):
+def _freeze_window(h, eri, e_const, n_electrons, n_elec_act, n_orb_act, eps):
     """Freeze orbitals outside a window centered on the Fermi level.
 
     Orbitals are ordered by their energies eps.  Returns (h_eff, eri_act,
@@ -166,26 +165,19 @@ def _freeze_window(h, eri, e_const, n_electrons, n_elec_act, n_orb_act,
 
     D_in = np.zeros((n, n))
     D_in[inact, inact] = 2.0
-    V = _coulomb_exchange(eri, D_in, exchange_factor)
+    V = _coulomb_exchange(eri, D_in)
     h_eff = (h + V)[np.ix_(act, act)]
     e_core = e_const + np.sum(D_in * h) + 0.5 * np.sum(D_in * V)
     eri_act = eri[np.ix_(act, act, act, act)]
     return h_eff, eri_act, e_core
 
 
-def homo_lumo_active_space(
-    m: MolecularIntegrals,
-    mf: MeanFieldSolution,
-    n_elec_act: int,
-    n_orb_act: int,
-    exchange_factor: float = 0.5,
-) -> EmbeddedHamiltonian:
+def homo_lumo_active_space(m: MolecularIntegrals, mf: MeanFieldSolution,
+                           n_elec_act: int, n_orb_act: int) -> EmbeddedHamiltonian:
     """Freeze MOs outside a HOMO/LUMO-centered window at the SCF level."""
     h_mo, eri_mo = transform_integrals(m.h_core, m.eri, mf.C)
     h_eff, eri_act, e_core = _freeze_window(
-        h_mo, eri_mo, m.e_nuclear, m.n_electrons, n_elec_act, n_orb_act,
-        eps=mf.eps, exchange_factor=exchange_factor,
-    )
+        h_mo, eri_mo, m.e_nuclear, m.n_electrons, n_elec_act, n_orb_act, eps=mf.eps)
     return EmbeddedHamiltonian(
         n_active_orbitals=n_orb_act,
         n_active_electrons=n_elec_act,
@@ -196,8 +188,9 @@ def homo_lumo_active_space(
     )
 
 
-def dmet_cluster_basis(D_loc: np.ndarray, frag: FragmentSpec, tol: float = 1e-6) -> ClusterBasis:
+def dmet_cluster_basis(D_loc: np.ndarray, frag: FragmentSpec) -> ClusterBasis:
     """Schmidt fragment+bath split of the localized mean-field 1-RDM."""
+    tol = 1e-6  # occupation slack, and the smallest bath singular value kept
     n = D_loc.shape[0]
     frag_idx = np.asarray(frag.indices, dtype=int)
     if frag_idx.size and (frag_idx.min() < 0 or frag_idx.max() >= n):
@@ -246,12 +239,8 @@ def dmet_cluster_basis(D_loc: np.ndarray, frag: FragmentSpec, tol: float = 1e-6)
     )
 
 
-def dmet_hamiltonian(
-    m_loc: MolecularIntegrals,
-    cb: ClusterBasis,
-    mu: float = 0.0,
-    exchange_factor: float = 0.5,
-) -> EmbeddedHamiltonian:
+def dmet_hamiltonian(m_loc: MolecularIntegrals, cb: ClusterBasis,
+                     mu: float = 0.0) -> EmbeddedHamiltonian:
     """Cluster Hamiltonian with the environment entering as a mean field."""
     if not np.isfinite(mu):
         raise EmbeddingError("chemical potential must be finite")
@@ -259,7 +248,7 @@ def dmet_hamiltonian(
     n_frag = cb.fragment.shape[1]
     D_env = 2.0 * cb.env_occupied @ cb.env_occupied.T
 
-    V = _coulomb_exchange(m_loc.eri, D_env, exchange_factor)
+    V = _coulomb_exchange(m_loc.eri, D_env)
     h_emb = m_loc.h_core + V
     h_eff = C.T @ h_emb @ C
     mask = np.zeros(C.shape[1], dtype=bool)
@@ -289,8 +278,7 @@ def dmet_hamiltonian(
     )
 
 
-def fragment_count_builder(m_loc: MolecularIntegrals, cb: ClusterBasis,
-                           exchange_factor: float = 0.5):
+def fragment_count_builder(m_loc: MolecularIntegrals, cb: ClusterBasis):
     """builder(mu) -> fragment electron count in the cluster ground state.
 
     H0 is built once, at mu = 0, as the (N/2, N/2) block of the cluster's
@@ -302,7 +290,7 @@ def fragment_count_builder(m_loc: MolecularIntegrals, cb: ClusterBasis,
     here: with fragment orbitals first, n_f is a state's low 2 * n_frag bit
     count.  Each call is one eigh of H0 - mu diag(n_f); the count is v0^2 @ n_f.
     """
-    eh = dmet_hamiltonian(m_loc, cb, mu=0.0, exchange_factor=exchange_factor)
+    eh = dmet_hamiltonian(m_loc, cb, mu=0.0)
     evolver = quantum_sim.ExactEvolver(quantum_sim.jordan_wigner(eh))
     idx, H0 = evolver.sector_matrix((1 << eh.n_active_electrons) - 1)
     n_f = np.bitwise_count(idx & ((1 << 2 * cb.fragment.shape[1]) - 1)).astype(float)
@@ -316,14 +304,14 @@ def fragment_count_builder(m_loc: MolecularIntegrals, cb: ClusterBasis,
     return count
 
 
-def fit_chemical_potential(builder, n_target: float, tol: float = 1e-6,
-                           bracket=(-1.0, 1.0), max_iter: int = 100) -> float:
-    """Bisection on the (monotone) fragment filling as a function of mu.
+def fit_chemical_potential(builder, n_target: float) -> float:
+    """Bisection on the (monotone) fragment filling as a function of mu in [-1, 1].
 
-    Raises EmbeddingError when max_iter bisections leave the filling
-    further than tol from n_target.
+    Raises EmbeddingError when 100 bisections leave the filling further
+    than 1e-6 from n_target.
     """
-    lo, hi = bracket
+    tol, max_iter = 1e-6, 100
+    lo, hi = -1.0, 1.0
     f_lo = builder(lo) - n_target
     f_hi = builder(hi) - n_target
     if abs(f_lo) < tol:

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from qfp import quantum_sim
 from qfp.embedding import EmbeddedHamiltonian
@@ -93,9 +93,9 @@ def compute_fingerprint(
 ) -> Fingerprint:
     """Evolve and measure: one observable value per grid point.
 
-    observable: {"kind": "F"} (energy-weighted density, the default),
-    {"kind": "O", "matrix": O} for a general one-body operator, or
-    {"kind": "rdm"} for all independent one-body density elements.
+    observable: {"kind": "F"} (energy-weighted density, the default) or
+    {"kind": "O", "matrix": O} for a general one-body operator.  For the
+    whole one-body density matrix along the evolution, use rdm_trajectory.
     """
     time_grid = np.asarray(time_grid, dtype=float)
     if time_grid.size == 0:
@@ -116,18 +116,10 @@ def compute_fingerprint(
 def _observable_fn(eh: EmbeddedHamiltonian, observable: dict):
     """psi -> value of an observable spec (see compute_fingerprint)."""
     kind = observable["kind"]
-    if kind in ("F", "O"):
-        O = eh.h_eff if kind == "F" else np.asarray(observable["matrix"], dtype=float)
-        return lambda psi: quantum_sim.expval_O(O, quantum_sim.rdm1(psi))
-    if kind == "rdm":
-        iu = np.triu_indices(eh.n_active_orbitals, k=1)
-
-        def elements(psi):
-            rho = quantum_sim.rdm1(psi)
-            return np.concatenate([np.real(np.diag(rho)), np.real(rho[iu]), np.imag(rho[iu])])
-
-        return elements
-    raise ValueError(f"unknown observable kind {kind!r}")
+    if kind not in ("F", "O"):
+        raise ValueError(f"unknown observable kind {kind!r}")
+    O = eh.h_eff if kind == "F" else np.asarray(observable["matrix"], dtype=float)
+    return lambda psi: quantum_sim.expval_O(O, quantum_sim.rdm1(psi))
 
 
 def rdm_trajectory(eh: EmbeddedHamiltonian, initial_kind: str, time_grid,
@@ -342,11 +334,11 @@ def kfold_cv(X, y, model_spec: dict, k: int = 5, seed: int = 0, ids=None) -> CVR
                     rmse=rmse, folds=folds)
 
 
-def train_val_test_split(n: int, seed: int, fractions=(0.7, 0.2, 0.1)):
-    """Seeded random index split; sizes round to the stated fractions."""
+def train_val_test_split(n: int, seed: int):
+    """Seeded random 70/20/10 index split; sizes round to those fractions."""
     order = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
+    n_train = int(round(0.7 * n))
+    n_val = int(round(0.2 * n))
     return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
 
 
@@ -414,12 +406,12 @@ def _gp_posterior(X, y, Xs, ls, sv, nv):
     return mean, var
 
 
-def gp_optimize(objective, bounds, budget: int = 25, seed: int = 0,
-                n_candidates: int = 1024) -> GPState:
+def gp_optimize(objective, bounds, budget: int = 25, seed: int = 0) -> GPState:
     """Minimize a deterministic objective with a GP surrogate + EI acquisition.
 
     5 Latin-hypercube points start the design; hyperparameters are refit on
-    a fixed log-grid by marginal likelihood before each acquisition step.
+    a fixed log-grid by marginal likelihood before each acquisition step,
+    which picks the best of 1024 uniform random candidates.
     """
     if budget < 5:
         raise ValueError("budget must allow the 5-point initial design")
@@ -432,13 +424,15 @@ def gp_optimize(objective, bounds, budget: int = 25, seed: int = 0,
 
     while len(y) < budget:
         yn, ls, sv, nv = _gp_hyperparameters(X, y, bounds)
-        cand = bounds[:, 0] + rng.random((n_candidates, d)) * (bounds[:, 1] - bounds[:, 0])
+        cand = bounds[:, 0] + rng.random((1024, d)) * (bounds[:, 1] - bounds[:, 0])
         mean, var = _gp_posterior(X, yn, cand, ls, sv, nv)
         sd = np.sqrt(var)
         fbest = yn.min()
         z = (fbest - mean) / sd
-        # Expected improvement for minimization.
-        ei = (fbest - mean) * norm.cdf(z) + sd * norm.pdf(z)
+        # Expected improvement for minimization.  ndtr and this pdf are bit for bit
+        # scipy.stats.norm's cdf and pdf, without its 0.3 s import.
+        pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
+        ei = (fbest - mean) * ndtr(z) + sd * pdf
         x_next = cand[int(np.argmax(ei))]
         try:
             y_next = float(objective(x_next))
@@ -507,18 +501,20 @@ def pca_project(X: np.ndarray, n: int):
     return Xs @ V[:, order]
 
 
-def kmeans_cluster(X: np.ndarray, k: int, seed: int = 0, n_restarts: int = 50,
-                   max_iter: int = 300):
-    """Seeded k-means++ with restarts; returns (labels, inertia)."""
+def kmeans_cluster(X: np.ndarray, k: int, seed: int = 0):
+    """Seeded k-means++, best of 50 restarts of at most 300 Lloyd steps each.
+
+    Returns (labels, inertia).
+    """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if k < 1 or k > n:
         raise ValueError("k must be in 1..n_samples")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
-    for _ in range(n_restarts):
+    for _ in range(50):
         centers = _kmeanspp(X, k, rng)
-        for _ in range(max_iter):
+        for _ in range(300):
             d2 = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
             labels = np.argmin(d2, axis=1)
             new_centers = centers.copy()

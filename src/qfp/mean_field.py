@@ -46,14 +46,12 @@ class MeanFieldSolution:
     n_iterations: int
 
 
-def lowdin_orthonormalize(S: np.ndarray, min_eig: float = 1e-10) -> np.ndarray:
+def lowdin_orthonormalize(S: np.ndarray) -> np.ndarray:
     """Symmetric orthonormalization X = S^{-1/2}, so X.T @ S @ X = I."""
     S = np.asarray(S, dtype=float)
     w, U = np.linalg.eigh(S)
-    if w.min() < min_eig:
-        raise LinearDependenceError(
-            f"overlap eigenvalue {w.min():.3e} below {min_eig:.0e}"
-        )
+    if w.min() < 1e-10:
+        raise LinearDependenceError(f"overlap eigenvalue {w.min():.3e} below 1e-10")
     return (U / np.sqrt(w)) @ U.T
 
 
@@ -71,15 +69,11 @@ def _density(C: np.ndarray, n_occ: int) -> np.ndarray:
     return 2.0 * Cocc @ Cocc.T
 
 
-def scf_solve(
-    m: MolecularIntegrals,
-    max_iter: int = 200,
-    tol: float = 1e-8,
-    damping: float = 0.3,
-) -> MeanFieldSolution:
+def scf_solve(m: MolecularIntegrals, max_iter: int = 200) -> MeanFieldSolution:
     """Iterate the Roothaan equations to self-consistency.
 
-    damping mixes `damping` of the previous density into each update.
+    Each update mixes 0.3 of the previous density into the new one, and the
+    iteration stops once no density element moves by 1e-8 or more.
     Non-convergence is reported via the `converged` flag, never hidden.
     """
     if m.n_electrons % 2 != 0:
@@ -102,9 +96,9 @@ def scf_solve(
             )
         D_new = _density(C, n_occ)
         delta = np.max(np.abs(D_new - D))
-        D = damping * D + (1.0 - damping) * D_new
+        D = 0.3 * D + 0.7 * D_new
         F = fock_build(D, m)
-        if delta < tol:
+        if delta < 1e-8:
             converged = True
             break
 

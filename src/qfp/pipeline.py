@@ -112,14 +112,10 @@ def _validate_dataset(d):
 def _validate_embedding(d):
     _check_keys(d, "embedding", ("mode",),
                 ("n_active_electrons", "n_active_orbitals", "fragment",
-                 "fit_mu", "target_filling", "exchange_factor"))
+                 "fit_mu", "target_filling"))
     mode = d["mode"]
-    xf = d.get("exchange_factor", 0.5)
-    if xf not in (0.5, 1, 1.0):
-        raise ConfigError("embedding.exchange_factor: must be 0.5 or 1.0")
     if mode == "active_space":
-        _check_keys(d, "embedding", ("mode", "n_active_electrons", "n_active_orbitals"),
-                    ("exchange_factor",))
+        _check_keys(d, "embedding", ("mode", "n_active_electrons", "n_active_orbitals"))
         ne = _integer(d, "n_active_electrons", "embedding", lo=2)
         no = _integer(d, "n_active_orbitals", "embedding", lo=1)
         if ne % 2:
@@ -127,19 +123,18 @@ def _validate_embedding(d):
         if ne > 2 * no:
             raise ConfigError("embedding: more electrons than spin orbitals")
     elif mode == "dmet":
-        _check_keys(d, "embedding", ("mode", "fragment"),
-                    ("fit_mu", "target_filling", "exchange_factor"))
+        _check_keys(d, "embedding", ("mode", "fragment"), ("fit_mu", "target_filling"))
         frag = d["fragment"]
         if (not isinstance(frag, list) or not frag
-                or not all(isinstance(i, int) and i >= 0 for i in frag)):
+                or not all(isinstance(i, int) and not isinstance(i, bool) and i >= 0
+                            for i in frag)):
             raise ConfigError("embedding.fragment: expected a list of orbital indices")
         if len(set(frag)) != len(frag):
             raise ConfigError("embedding.fragment: duplicate indices")
         if not isinstance(d.get("fit_mu", False), bool):
             raise ConfigError("embedding.fit_mu: expected a boolean")
-        tf = d.get("target_filling")
-        if tf is not None and (not isinstance(tf, (int, float)) or isinstance(tf, bool)):
-            raise ConfigError("embedding.target_filling: expected a number or null")
+        if d.get("target_filling") is not None:
+            _number(d, "target_filling", "embedding", lo=0.0, hi=2 * len(frag))
     else:
         raise ConfigError(f"embedding.mode: unknown mode {mode!r}")
     return dict(d)
@@ -176,7 +171,7 @@ def _validate_evolver(d):
 def _validate_observable(d):
     _check_keys(d, "observable", ("kind",), ("matrix",))
     kind = d["kind"]
-    if kind in ("F", "rdm"):
+    if kind == "F":
         _check_keys(d, "observable", ("kind",))
     elif kind == "O":
         _check_keys(d, "observable", ("kind", "matrix"))
@@ -272,8 +267,6 @@ class PipelineConfig:
             cfg.cv = _validate_cv(raw["cv"])
         if "noise" in raw:
             cfg.noise = _validate_noise(raw["noise"])
-        if cfg.noise is not None and cfg.observable["kind"] == "rdm":
-            raise ConfigError("noise: rdm features require noiseless evolution")
         if cfg.noise is not None and cfg.evolver["kind"] != "trotter":
             raise ConfigError("noise: requires a trotter evolver (gate-level noise)")
         return cfg
@@ -332,9 +325,8 @@ def build_molecule(entry: ManifestEntry) -> MolecularIntegrals:
             raise DataError(
                 f"molecule {entry.molecule_id!r}: h2 generator takes `separation`"
             )
-        z = _generator_number(gen["separation"], entry, "separation")
-        return chem_io.s_orbital_integrals(chem_io.h2_geometry(z))
-    if kind == "chain":
+        zs = [0.0, _generator_number(gen["separation"], entry, "separation")]
+    elif kind == "chain":
         if set(gen) != {"z_positions"}:
             raise DataError(
                 f"molecule {entry.molecule_id!r}: chain generator takes `z_positions`"
@@ -342,22 +334,27 @@ def build_molecule(entry: ManifestEntry) -> MolecularIntegrals:
         zs = gen["z_positions"]
         if not isinstance(zs, (list, tuple)):
             raise DataError(f"molecule {entry.molecule_id!r}: `z_positions` must be a list")
-        return chem_io.s_orbital_integrals(
-            chem_io.hydrogen_chain([_generator_number(z, entry, "z_positions") for z in zs])
-        )
-    raise DataError(f"molecule {entry.molecule_id!r}: unknown generator kind {kind!r}")
+        zs = [_generator_number(z, entry, "z_positions") for z in zs]
+    else:
+        raise DataError(f"molecule {entry.molecule_id!r}: unknown generator kind {kind!r}")
+    try:
+        return chem_io.s_orbital_integrals(chem_io.hydrogen_chain(zs))
+    except ValueError as exc:  # coincident nuclei, or integrals that overflow
+        raise DataError(f"molecule {entry.molecule_id!r}: {exc}") from exc
 
 
 def _generator_number(v, entry: ManifestEntry, key: str) -> float:
     try:
-        return float(v)
-    except (TypeError, ValueError) as exc:
+        z = float(v)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"molecule {entry.molecule_id!r}: bad `{key}` value {v!r}") from exc
+    if not math.isfinite(z):
+        raise DataError(f"molecule {entry.molecule_id!r}: non-finite `{key}` value {v!r}")
+    return z
 
 
 def embed_molecule(m: MolecularIntegrals, emb: dict) -> embedding.EmbeddedHamiltonian:
     """Mean field + the configured embedding for one molecule."""
-    xf = float(emb.get("exchange_factor", 0.5))
     if emb["mode"] == "dmet" and max(emb["fragment"]) >= m.n_orbitals:
         raise ConfigError(f"embedding.fragment: index {max(emb['fragment'])} out of "
                           f"range for a molecule with {m.n_orbitals} orbitals")
@@ -367,9 +364,7 @@ def embed_molecule(m: MolecularIntegrals, emb: dict) -> embedding.EmbeddedHamilt
             raise NumericalError("SCF did not converge")
         if emb["mode"] == "active_space":
             return embedding.homo_lumo_active_space(
-                m, mf, emb["n_active_electrons"], emb["n_active_orbitals"],
-                exchange_factor=xf,
-            )
+                m, mf, emb["n_active_electrons"], emb["n_active_orbitals"])
         m_loc, D_loc = embedding.dmet_setup(m, mf)
         cb = embedding.dmet_cluster_basis(D_loc, embedding.FragmentSpec(emb["fragment"]))
         mu = 0.0
@@ -378,9 +373,9 @@ def embed_molecule(m: MolecularIntegrals, emb: dict) -> embedding.EmbeddedHamilt
             if target is None:
                 frag = list(emb["fragment"])
                 target = float(np.trace(D_loc[np.ix_(frag, frag)]))
-            builder = embedding.fragment_count_builder(m_loc, cb, exchange_factor=xf)
+            builder = embedding.fragment_count_builder(m_loc, cb)
             mu = embedding.fit_chemical_potential(builder, target)
-        return embedding.dmet_hamiltonian(m_loc, cb, mu=mu, exchange_factor=xf)
+        return embedding.dmet_hamiltonian(m_loc, cb, mu=mu)
     except (mean_field.LinearDependenceError, mean_field.DegeneracyError,
             embedding.EmbeddingError, np.linalg.LinAlgError) as exc:
         raise NumericalError(str(exc)) from exc
@@ -422,9 +417,7 @@ def _noisy_fingerprint(eh, cfg: PipelineConfig, grid, molecule_id):
         cfg.initial_state, H.n_qubits, eh.n_active_electrons
     )
     obs = fingerprint_ml._observable_fn(eh, cfg.observable)
-    ns = quantum_sim.NoiseSpec(
-        p=spec["p"], scale=spec.get("scale", 1), seed=spec.get("seed", 0)
-    )
+    ns = quantum_sim.NoiseSpec(p=spec["p"], scale=spec.get("scale", 1))
     vals = []
     for i, t in enumerate(grid):
         circ = prep + quantum_sim.trotter_sequence(
@@ -466,7 +459,7 @@ def _one_fingerprint(entry, cfg, grid):
                 eh, cfg.initial_state, grid, observable=cfg.observable,
                 evolver=cfg.evolver, molecule_id=entry.molecule_id,
             )
-    return fp.values.reshape(len(grid), -1)
+    return fp.values
 
 
 def run_fingerprints(cfg: PipelineConfig, base_dir: str = ".",
@@ -474,7 +467,7 @@ def run_fingerprints(cfg: PipelineConfig, base_dir: str = ".",
     """Fingerprints for every molecule in the dataset.
 
     Returns (ids, targets, grid, values) with values of shape
-    (n_molecules, n_times * n_observable_components), rows in manifest order.
+    (n_molecules, n_times), rows in manifest order.
     """
     manifest = load_dataset(cfg, base_dir)
     grid = cfg.grid()
@@ -486,8 +479,7 @@ def run_fingerprints(cfg: PipelineConfig, base_dir: str = ".",
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         rows = list(pool.map(lambda e: _one_fingerprint(e, cfg, grid),
                              manifest.entries))
-    values = np.stack([r.reshape(-1) for r in rows])
-    return ids, targets, grid, values
+    return ids, targets, grid, np.stack(rows)
 
 
 def generate_h2_dataset(rmin: float, rmax: float, count: int, out_dir: str):

@@ -107,12 +107,12 @@ class PauliHamiltonian:
     n_qubits: int
 
     @staticmethod
-    def from_dict(table: dict, n_qubits: int, drop_tol: float = _DROP_TOL) -> "PauliHamiltonian":
+    def from_dict(table: dict, n_qubits: int) -> "PauliHamiltonian":
         terms = []
         for s, c in table.items():
             if abs(c.imag) > 1e-10:
                 raise ValueError(f"non-Hermitian coefficient {c} for {s}")
-            if abs(c.real) > drop_tol:
+            if abs(c.real) > _DROP_TOL:
                 terms.append((float(c.real), s))
         terms.sort(key=lambda t: t[1])
         return PauliHamiltonian(terms=terms, n_qubits=n_qubits)
@@ -520,7 +520,6 @@ class NoiseSpec:
 
     p: float
     scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.p < 1.0:
@@ -567,7 +566,7 @@ def noisy_expectation(
     observable,
     ns: NoiseSpec,
     n_trajectories: int = 100,
-    seed: int | None = None,
+    seed: int = 0,
 ):
     """Stochastic Pauli-trajectory estimate of an observable after a circuit.
 
@@ -590,7 +589,7 @@ def noisy_expectation(
     500 at 10 qubits.
     """
     folded = fold_sequence(gs, ns.scale)
-    rng = np.random.default_rng(ns.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     n = gs.n_qubits
     # drawn[g] maps each Pauli string drawn after folded gate g to its rows.
     drawn = [{} for _ in folded.gates]

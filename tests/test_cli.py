@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -531,3 +532,190 @@ def test_numeric_flags_fuzz_exit_codes(ten_molecule_dir, argv):
     if os.path.exists(report):
         with open(report) as fh:  # strict JSON: no NaN or Infinity
             json.load(fh, parse_constant=lambda c: pytest.fail(f"{c} in cv_report.json"))
+
+
+# "__RAW__" is replaced by raw JSON text: 1e400 parses to inf.
+@pytest.mark.parametrize("overrides,key", [
+    ({"embedding": {"mode": "active_space", "n_active_electrons": 2,
+                    "n_active_orbitals": 2, "exchange_factor": 1.0}}, "exchange_factor"),
+    ({"embedding": {"mode": "dmet", "fragment": [0], "exchange_factor": 0.5}},
+     "exchange_factor"),
+    ({"observable": {"kind": "rdm"}}, "observable.kind"),
+    *[({"embedding": {"mode": "dmet", "fragment": [0], "fit_mu": True,
+                      "target_filling": tf}}, "target_filling")
+      for tf in (float("nan"), float("inf"), "__RAW__", 2.5, -0.5)],
+    ({"embedding": {"mode": "dmet", "fragment": [True, 0]}}, "fragment"),
+], ids=["exchange_factor_active_space", "exchange_factor_dmet", "rdm_observable",
+        "target_filling_nan", "target_filling_infinity", "target_filling_1e400",
+        "target_filling_above_2n", "target_filling_negative", "fragment_bool"])
+def test_invalid_config_value_exit_2(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path, dataset=H2_SCAN, **overrides)
+    with open(cfg) as fh:
+        text = fh.read().replace('"__RAW__"', "1e400")
+    with open(cfg, "w") as fh:
+        fh.write(text)
+    assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("generator", [
+    {"kind": "h2", "separation": "nan"},
+    {"kind": "h2", "separation": 1e200},
+    {"kind": "h2", "separation": 0},
+    {"kind": "chain", "z_positions": [0, "inf"]},
+], ids=["nan_separation", "huge_separation", "zero_separation", "infinite_z"])
+@pytest.mark.parametrize("argv", [
+    ["fingerprint"], ["optimize-measurement", "--budget", "5"],
+], ids=lambda argv: argv[0])
+def test_bad_generator_geometry_exit_3(tmp_path, capsys, generator, argv):
+    # Five entries, as optimize-measurement needs; the bad one comes first.
+    entries = [{"id": "bad", "generator": generator, "target": 1.0}] + [
+        {"id": f"h2_{i}", "generator": {"kind": "h2", "separation": 1.0 + 0.3 * i},
+         "target": 1.0 + 0.3 * i} for i in range(4)]
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": entries}))
+    cfg = write_config(tmp_path)
+    assert run(*argv, "--config", cfg, "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert "molecule 'bad'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("axis,values,overrides", [
+    ("trotter_r", ["1", "2"], {"evolver": {"kind": "trotter", "order": 2, "r": 1}}),
+    ("initial_state", ["hf_ground", "homo_lumo_excited"], {}),
+    ("active_space", ["2:2", "2:1"], {}),
+])
+def test_sweep_axes(h2_dataset, axis, values, overrides):
+    cfg = write_config(h2_dataset, name="sweep.json", **overrides)
+    out = h2_dataset / "swept"
+    assert run("sweep", "--config", cfg, "--axis", axis, "--values", *values,
+               "--out", str(out)) == 0
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert lines[0] == f"{axis},r2,rmse"
+    assert [line.split(",")[0] for line in lines[1:]] == values
+    for value in values:
+        assert (out / f"cv_report_{axis}_{value}.json").exists()
+
+
+@pytest.mark.parametrize("axis,value", [
+    ("time_max", "x"), ("trotter_r", "1.5"), ("trotter_r", "two"),
+])
+def test_sweep_malformed_value_exit_2(tmp_path, capsys, axis, value):
+    cfg = write_config(tmp_path, dataset=H2_SCAN,
+                       evolver={"kind": "trotter", "order": 2, "r": 1})
+    out = tmp_path / "o"
+    assert run("sweep", "--config", cfg, "--axis", axis, "--values", "1", value,
+               "--out", str(out)) == 2
+    assert repr(value) in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return _is_int(v) or isinstance(v, float)
+
+
+# The JSON type each fuzzed config key accepts.
+CONFIG_TYPES = {
+    "mode": lambda v: isinstance(v, str), "kind": lambda v: isinstance(v, str),
+    "n_active_electrons": _is_int, "n_active_orbitals": _is_int,
+    "fragment": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "fit_mu": lambda v: isinstance(v, bool), "target_filling": _is_number,
+    "start": _is_number, "stop": _is_number, "step": _is_number,
+    "order": _is_int, "r": _is_int,
+    "p": _is_number, "scale": _is_int, "n_trajectories": _is_int, "seed": _is_int,
+}
+FUZZ_EMBEDDINGS = {
+    "active": {"mode": "active_space", "n_active_electrons": 2, "n_active_orbitals": 2},
+    "dmet": {"mode": "dmet", "fragment": [0], "fit_mu": True, "target_filling": 1.0},
+}
+# (section, embedding variant, key); a "sweep" key is the --axis.
+FUZZ_TARGETS = (
+    [("embedding", v, k) for v, emb in FUZZ_EMBEDDINGS.items() for k in emb]
+    + [("time_grid", "active", k) for k in ("start", "stop", "step")]
+    + [("evolver", "active", k) for k in ("kind", "order", "r")]
+    + [("noise", "active", k) for k in ("p", "scale", "n_trajectories", "seed")]
+    + [("sweep", "active", a) for a in ("time_max", "trotter_r", "initial_state",
+                                        "active_space")]
+)
+# Small ints and floats on a 0.1 grid: a value in range must stay cheap to run
+# (a 10^-5 step is 50,001 grid points, and r or n_trajectories scale the work).
+FUZZ_VALUES = st.one_of(
+    st.integers(-2, 5),
+    st.integers(-30, 60).map(lambda k: k / 10),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e300, 1e-300]),
+    st.booleans(),
+    st.text(max_size=6),
+    st.sampled_from(["exact", "trotter", "dmet", "active_space", "hf_ground", "2:1"]),
+    st.lists(st.one_of(st.integers(-1, 2), st.booleans()), max_size=3),
+)
+
+
+def _config_error_expected(target, value):
+    """True when no valid config can hold `value` at `target`."""
+    section, _, key = target
+    if section != "sweep":
+        non_finite = isinstance(value, float) and not math.isfinite(value)
+        return non_finite or not CONFIG_TYPES[key](value)
+    value = str(value)
+    try:
+        if key == "time_max":
+            return not math.isfinite(float(value))
+        if key == "trotter_r":
+            int(value)
+        elif key == "active_space":
+            _, _ = map(int, value.split(":"))
+    except ValueError:
+        return True
+    return key == "initial_state" and value not in ("hf_ground", "homo_lumo_excited",
+                                                    "half_occupied")
+
+
+@pytest.fixture(scope="module")
+def two_h2_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("configs")
+    entries = [{"id": f"h2_{i}", "generator": {"kind": "h2", "separation": z}, "target": z}
+               for i, z in enumerate((1.2, 1.6))]
+    (directory / "manifest.json").write_text(json.dumps({"entries": entries}))
+    return directory
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(FUZZ_TARGETS), value=FUZZ_VALUES)
+@example(target=("embedding", "dmet", "target_filling"), value=math.nan)
+@example(target=("embedding", "dmet", "target_filling"), value=math.inf)
+@example(target=("embedding", "dmet", "fragment"), value=[True, 0])
+@example(target=("sweep", "active", "time_max"), value="x")
+@example(target=("sweep", "active", "trotter_r"), value=1.5)
+def test_config_values_fuzz_exit_codes(two_h2_dir, target, value):
+    section, variant, key = target
+    cfg = {"dataset": {"kind": "manifest", "path": str(two_h2_dir / "manifest.json")},
+           "embedding": dict(FUZZ_EMBEDDINGS[variant]),
+           "initial_state": "hf_ground",
+           "time_grid": {"start": 0, "stop": 0.5, "step": 0.5},
+           "evolver": {"kind": "trotter", "order": 2, "r": 1},
+           "model": {"kind": "krr", "length_scale": 1.0, "ridge": 1e-6},
+           "cv": {"k": 2, "seed": 0}}
+    if section == "noise":
+        cfg["noise"] = {"p": 0.02, "scale": 1, "n_trajectories": 4, "seed": 0}
+    if section == "sweep":
+        argv = ["sweep", "--axis", key, f"--values={value}"]  # "=": "-inf" is no flag
+    else:
+        cfg[section][key] = value
+        argv = ["fingerprint"]
+    out = tempfile.mkdtemp(dir=two_h2_dir)
+    path = os.path.join(out, "config.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--config", path, "--workers", "1", "--out", out])
+    event(f"{section} exit {code}")
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    if _config_error_expected(target, value):
+        assert code == 2, stderr.getvalue()

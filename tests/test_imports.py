@@ -1,7 +1,11 @@
-"""Package structure: fci is the tests' oracle, not a production dependency."""
+"""Package structure: fci is the tests' oracle, not a production dependency,
+and importing the CLI loads only what it runs."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -36,3 +40,13 @@ def test_no_production_module_imports_fci(module):
 
 def test_quantum_sim_imports_no_qfp_module():
     assert qfp_imports("quantum_sim") == set()
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs about 0.3 s of start-up in every process; nothing needs it.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qfp.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
