@@ -136,6 +136,9 @@ def _boys_f0(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# Far-apart or huge coordinates overflow to inf or nan without a warning;
+# validate() then rejects the integrals with a ValueError.
+@np.errstate(over="ignore", invalid="ignore")
 def s_orbital_integrals(g: GaussianGeometry, n_electrons: int | None = None) -> MolecularIntegrals:
     """Overlap, core Hamiltonian and ERIs for contracted s-Gaussians.
 

@@ -58,29 +58,24 @@ class Fingerprint:
 
 
 def _evolved_states(eh: EmbeddedHamiltonian, initial_kind: str, time_grid, evolver):
-    """Yield the state at each grid time for the requested evolver spec.
+    """The (T, 2^n) batch of states at the grid times for an evolver spec.
 
     evolver: {"kind": "exact"} or {"kind": "trotter", "order": o, "r": r}.
-    Either kind evolves all grid times together as one (T, 2^n) batch.  The
-    exact evolver propagates the sector blocks psi0 touches (see
-    ExactEvolver).  A trotter evolver applies trotter_sequence(H, t, o, r) at
-    each grid time, so its r steps span the whole of [0, t]: the step size
-    grows with t.  The sequence is built once on the whole grid and run by
-    run_sequence (memory: see run_sequence).
+    The exact evolver propagates the sector blocks psi0 touches (see
+    ExactEvolver).  A trotter evolver steps psi from one grid time to the
+    next with r steps of order o per interval (see trotter_evolve), so its
+    step does not grow with t.
     """
     ph = quantum_sim.jordan_wigner(eh)
     n_qubits = 2 * eh.n_active_orbitals
     _, psi0 = quantum_sim.prepare_initial(initial_kind, n_qubits, eh.n_active_electrons)
     kind = evolver.get("kind", "exact")
     if kind == "exact":
-        yield from quantum_sim.ExactEvolver(ph).evolve(psi0, time_grid)
-    elif kind == "trotter":
-        order = int(evolver.get("order", 2))
-        r = int(evolver.get("r", 1))
-        yield from quantum_sim.run_sequence(
-            quantum_sim.trotter_sequence(ph, time_grid, order=order, r=r), psi0)
-    else:
-        raise ValueError(f"unknown evolver kind {kind!r}")
+        return quantum_sim.ExactEvolver(ph).evolve(psi0, time_grid)
+    if kind == "trotter":
+        return quantum_sim.trotter_evolve(ph, psi0, time_grid, order=int(evolver.get("order", 2)),
+                                          r=int(evolver.get("r", 1)))
+    raise ValueError(f"unknown evolver kind {kind!r}")
 
 
 def compute_fingerprint(
@@ -102,24 +97,23 @@ def compute_fingerprint(
         raise ValueError("empty time grid")
     observable = observable or {"kind": "F"}
     evolver = evolver or {"kind": "exact"}
-    measure = _observable_fn(eh, observable)
-    rows = [measure(psi) for psi in _evolved_states(eh, initial_kind, time_grid, evolver)]
+    O = _observable_matrix(eh, observable)
+    rdms = rdm_trajectory(eh, initial_kind, time_grid, evolver)
     label = "custom-O" if observable["kind"] == "O" else observable["kind"]
     return Fingerprint(
         molecule_id=molecule_id,
         time_grid=time_grid,
         label=f"{label}|{evolver.get('kind', 'exact')}",
-        values=np.asarray(rows),
+        values=np.asarray([quantum_sim.expval_O(O, rho) for rho in rdms]),
     )
 
 
-def _observable_fn(eh: EmbeddedHamiltonian, observable: dict):
-    """psi -> value of an observable spec (see compute_fingerprint)."""
+def _observable_matrix(eh: EmbeddedHamiltonian, observable: dict) -> np.ndarray:
+    """The one-body operator of an observable spec (see compute_fingerprint)."""
     kind = observable["kind"]
     if kind not in ("F", "O"):
         raise ValueError(f"unknown observable kind {kind!r}")
-    O = eh.h_eff if kind == "F" else np.asarray(observable["matrix"], dtype=float)
-    return lambda psi: quantum_sim.expval_O(O, quantum_sim.rdm1(psi))
+    return eh.h_eff if kind == "F" else np.asarray(observable["matrix"], dtype=float)
 
 
 def rdm_trajectory(eh: EmbeddedHamiltonian, initial_kind: str, time_grid,
@@ -129,10 +123,8 @@ def rdm_trajectory(eh: EmbeddedHamiltonian, initial_kind: str, time_grid,
     Lets linear observables O be swept cheaply after a single simulation.
     """
     evolver = evolver or {"kind": "exact"}
-    return np.stack([
-        quantum_sim.rdm1(psi)
-        for psi in _evolved_states(eh, initial_kind, np.asarray(time_grid, float), evolver)
-    ])
+    return quantum_sim.rdm1(
+        _evolved_states(eh, initial_kind, np.asarray(time_grid, float), evolver))
 
 
 def one_body_features(rdm_traj: np.ndarray, O: np.ndarray) -> np.ndarray:

@@ -221,6 +221,12 @@ def _validate_noise(d):
         v = d["scale"]
         if not isinstance(v, int) or isinstance(v, bool) or v < 1 or v % 2 == 0:
             raise ConfigError("noise.scale: must be an odd integer >= 1")
+    try:
+        product = d["p"] * d.get("scale", 1)
+    except OverflowError as exc:  # a scale too large for a float
+        raise ConfigError("noise.scale: too large for a float") from exc
+    if product >= 1.0:  # as NoiseSpec requires
+        raise ConfigError(f"noise: p * scale = {product!r} must stay below 1")
     if "n_trajectories" in d:
         _integer(d, "n_trajectories", "noise", lo=1)
     if "seed" in d:
@@ -344,9 +350,12 @@ def build_molecule(entry: ManifestEntry) -> MolecularIntegrals:
 
 
 def _generator_number(v, entry: ManifestEntry, key: str) -> float:
+    """A coordinate in bohr: a finite JSON number, not a boolean or a string."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise DataError(f"molecule {entry.molecule_id!r}: bad `{key}` value {v!r}")
     try:
         z = float(v)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:  # an integer too large for a float
         raise DataError(f"molecule {entry.molecule_id!r}: bad `{key}` value {v!r}") from exc
     if not math.isfinite(z):
         raise DataError(f"molecule {entry.molecule_id!r}: non-finite `{key}` value {v!r}")
@@ -416,7 +425,9 @@ def _noisy_fingerprint(eh, cfg: PipelineConfig, grid, molecule_id):
     prep, _ = quantum_sim.prepare_initial(
         cfg.initial_state, H.n_qubits, eh.n_active_electrons
     )
-    obs = fingerprint_ml._observable_fn(eh, cfg.observable)
+    O = fingerprint_ml._observable_matrix(eh, cfg.observable)
+    # noisy_expectation measures each trajectory's final state with it.
+    obs = lambda psi: quantum_sim.expval_O(O, quantum_sim.rdm1(psi))
     ns = quantum_sim.NoiseSpec(p=spec["p"], scale=spec.get("scale", 1))
     vals = []
     for i, t in enumerate(grid):

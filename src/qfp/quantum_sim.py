@@ -27,6 +27,7 @@ __all__ = [
     "jordan_wigner",
     "prepare_initial",
     "trotter_sequence",
+    "trotter_evolve",
     "run_sequence",
     "fold_sequence",
     "rdm1",
@@ -34,7 +35,6 @@ __all__ = [
     "number_expectation",
     "noisy_expectation",
     "zne_extrapolate",
-    "pauli_matrix",
     "apply_pauli",
 ]
 
@@ -88,17 +88,6 @@ def apply_pauli(string: str, psi: np.ndarray) -> np.ndarray:
     return _apply_action(psi, _pauli_action(string))
 
 
-def pauli_matrix(terms, n_qubits: int) -> np.ndarray:
-    """Dense matrix of a weighted Pauli-string sum."""
-    dim = 1 << n_qubits
-    H = np.zeros((dim, dim), dtype=complex)
-    b = np.arange(dim)
-    for coeff, s in terms:
-        x, z, ny = _masks_from_string(s)
-        H[b ^ x, b] += coeff * (1j ** ny) * _parity_vector(z, n_qubits)
-    return H
-
-
 @dataclass
 class PauliHamiltonian:
     """Hermitian sum of weighted Pauli strings in canonical order."""
@@ -121,9 +110,6 @@ class PauliHamiltonian:
     def identity_coefficient(self) -> float:
         ident = "I" * self.n_qubits
         return sum(c for c, s in self.terms if s == ident)
-
-    def to_matrix(self) -> np.ndarray:
-        return pauli_matrix(self.terms, self.n_qubits)
 
 
 def _ladder_branches(modes: np.ndarray, daggers, weights: np.ndarray, m: int):
@@ -189,11 +175,7 @@ def jordan_wigner(eh) -> PauliHamiltonian:
 
 @dataclass
 class GateSequence:
-    """Ordered list of gates: ("X", q), ("RY", theta, q), ("PROT", theta, string).
-
-    A PROT theta and the global phase may be 1-D arrays with one value per
-    time of a grid (see trotter_sequence).
-    """
+    """Ordered list of gates: ("X", q), ("RY", theta, q), ("PROT", theta, string)."""
 
     gates: list
     n_qubits: int
@@ -264,19 +246,9 @@ def _apply_ry(psi, theta, q):
 
 
 def _apply_prot(psi, theta, action):
-    """cos(theta/2) psi - i sin(theta/2) P psi on states of shape (..., 2^n).
-
-    theta is a scalar, or a sequence of one angle per row of a (T, 2^n) psi;
-    action is _pauli_action(P).  A per-row angle gives each row the same bits
-    as the scalar call on that row alone: the factors are the same Python
-    floats, broadcast as complex128 so that no cast enters the product.
-    """
-    if np.ndim(theta):
-        c = np.array([math.cos(a / 2) for a in theta], dtype=complex)[..., None]
-        js = np.array([1j * math.sin(a / 2) for a in theta])[..., None]
-    else:
-        c, js = math.cos(theta / 2), 1j * math.sin(theta / 2)
-    return c * psi - js * _apply_action(psi, action)
+    """cos(theta/2) psi - i sin(theta/2) P psi on states of shape (..., 2^n);
+    action is _pauli_action(P)."""
+    return math.cos(theta / 2) * psi - 1j * math.sin(theta / 2) * _apply_action(psi, action)
 
 
 def _cached_action(actions: dict, string: str):
@@ -303,24 +275,15 @@ def _apply_gate(psi, gate, actions: dict):
 
 
 def run_sequence(gs: GateSequence, psi0: np.ndarray) -> np.ndarray:
-    """Apply gates in order; includes the tracked global phase.
-
-    A sequence from trotter_sequence on a 1-D grid of T times holds one angle
-    per time in each PROT gate and one global phase per time.  It maps a
-    state psi0 to a (T, 2^n) batch whose row k equals the run of
-    trotter_sequence(ph, times[k], order, r) on psi0 bit for bit.  Memory:
-    T x 2^n complex128 values per array, 16 B each: 119 KB for 29 times at
-    8 qubits, 30 MB at 16 qubits.
-    """
+    """Apply gates in order to a state (or to each row of a batch); includes
+    the tracked global phase."""
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape[-1] != 1 << gs.n_qubits:
         raise ValueError("state dimension does not match sequence qubit count")
     actions = {}
     for gate in gs.gates:
         psi = _apply_gate(psi, gate, actions)
-    if np.ndim(gs.global_phase):
-        psi = psi * np.exp(-1j * gs.global_phase)[:, None]
-    elif gs.global_phase:
+    if gs.global_phase:
         psi = psi * np.exp(-1j * gs.global_phase)
     return psi
 
@@ -329,13 +292,60 @@ def run_sequence(gs: GateSequence, psi0: np.ndarray) -> np.ndarray:
 # Evolution
 # ---------------------------------------------------------------------------
 
+def _compile_groups(ph: PauliHamiltonian):
+    """([(x, zs, cs)], real): the Pauli strings grouped by x mask.
+
+    Groups keep the order in which their x masks first appear in ph.terms;
+    zs holds each string's z mask and cs its coefficient times i^nY, so that
+    a group acts as A_x|b> = f_x(b)|b ^ x>.  Without odd-Y strings (a real
+    Hamiltonian) every cs is real and returned as floats, and the strings of
+    a group commute.
+    """
+    groups: dict = {}
+    for coeff, s in ph.terms:
+        x, z, ny = _masks_from_string(s)
+        zs, cs = groups.setdefault(x, ([], []))
+        zs.append(z)
+        cs.append(coeff * 1j ** ny)
+    real = not any(c.imag for _, cs in groups.values() for c in cs)
+    return [(x, np.array(zs), np.array(cs).real if real else np.array(cs))
+            for x, (zs, cs) in groups.items()], real
+
+
+def _sector_labels(n_qubits: int) -> np.ndarray:
+    """N_alpha * (n + 1) + N_beta for every basis index (alpha on even qubits)."""
+    b = np.arange(1 << n_qubits)
+    even = sum(1 << q for q in range(0, n_qubits, 2))
+    return (np.bitwise_count(b & even).astype(np.int64) * (n_qubits + 1)
+            + np.bitwise_count(b & ~even))
+
+
+def _group_values(groups, sector: np.ndarray, idx: np.ndarray):
+    """Yield (x, f, dst, inside) for each group on the sorted basis indices idx.
+
+    idx holds whole sectors; f[i] = f_x(idx[i]) = sum_k c_k (-1)^popcount(idx[i] & z_k),
+    dst = idx ^ x, and inside marks the dst in the same sector as idx.
+    Raises ValueError if f is nonzero where dst leaves the sector (H couples
+    sectors).
+    """
+    labels = sector[idx]
+    for x, zs, cs in groups:
+        signs = 1.0 - 2.0 * (np.bitwise_count(zs[:, None] & idx) & 1)
+        f = cs @ signs
+        dst = idx ^ x
+        inside = sector[dst] == labels
+        if np.any(np.abs(f[~inside]) > 1e-10):
+            raise ValueError("Hamiltonian couples (N_alpha, N_beta) sectors")
+        yield x, f, dst, inside
+
+
 class ExactEvolver:
     """Exact evolution exp(-iHt) psi0 on the (N_alpha, N_beta) sector blocks of H.
 
     N_alpha counts the set bits on even qubits and N_beta those on odd ones;
     a Jordan-Wigner molecular Hamiltonian conserves both.  The Pauli strings
-    are grouped by x mask, a group acting as A_x|b> = f_x(b)|b ^ x>, and
-    sector_matrix builds a block from f_x on that sector's indices only.  It
+    are grouped by x mask (_compile_groups), and sector_matrix builds a
+    block from f_x on that sector's indices only (_group_values).  It
     raises ValueError if the block is not Hermitian or if a group maps an
     index out of the sector (H couples sectors).  evolve diagonalizes a block
     the first time a state has amplitude in its sector, and keeps it.
@@ -347,41 +357,19 @@ class ExactEvolver:
     def __init__(self, ph: PauliHamiltonian):
         if ph.n_qubits > 16:
             raise ValueError("dense evolution capped at 16 qubits")
-        n = self.n_qubits = ph.n_qubits
-        groups: dict = {}
-        for coeff, s in ph.terms:
-            x, z, ny = _masks_from_string(s)
-            zs, cs = groups.setdefault(x, ([], []))
-            zs.append(z)
-            cs.append(coeff * 1j ** ny)
+        self.n_qubits = ph.n_qubits
+        self._groups, real = _compile_groups(ph)
         # Real coefficients (no odd-Y strings) give real symmetric blocks.
-        real = not any(c.imag for _, cs in groups.values() for c in cs)
         self._dtype = float if real else complex
-        self._groups = []
-        for x, (zs, cs) in groups.items():
-            cs = np.array(cs)
-            self._groups.append((x, np.array(zs), cs.real if real else cs))
-        b = np.arange(1 << n)
-        even = sum(1 << q for q in range(0, n, 2))
-        # One label per basis index: N_alpha * (n + 1) + N_beta.
-        self._sector = (np.bitwise_count(b & even).astype(np.int64) * (n + 1)
-                        + np.bitwise_count(b & ~even))
+        self._sector = _sector_labels(ph.n_qubits)
         self._blocks: dict = {}
 
     def sector_matrix(self, index: int):
         """(indices, H): the sorted basis indices of the sector holding `index`, and
         the block H[i, j] = <indices[i]|H|indices[j]> (real without odd-Y strings)."""
-        key = self._sector[index]
-        idx = np.flatnonzero(self._sector == key)
+        idx = np.flatnonzero(self._sector == self._sector[index])
         H = np.zeros((idx.size, idx.size), dtype=self._dtype)
-        for x, zs, cs in self._groups:
-            # f_x on the sector: sum_k c_k (-1)^popcount(b & z_k).
-            signs = 1.0 - 2.0 * (np.bitwise_count(zs[:, None] & idx) & 1)
-            f = cs @ signs
-            dst = idx ^ x
-            inside = self._sector[dst] == key
-            if np.any(np.abs(f[~inside]) > 1e-10):
-                raise ValueError("Hamiltonian couples (N_alpha, N_beta) sectors")
+        for _, f, dst, inside in _group_values(self._groups, self._sector, idx):
             H[np.searchsorted(idx, dst[inside]), np.flatnonzero(inside)] += f[inside]
         if np.max(np.abs(H - H.conj().T)) > 1e-10:
             raise ValueError("Hamiltonian matrix is not Hermitian")
@@ -409,16 +397,14 @@ class ExactEvolver:
         return out.reshape(times.shape + psi0.shape)
 
 
-def trotter_sequence(ph: PauliHamiltonian, t: float | np.ndarray, order: int = 2,
+def trotter_sequence(ph: PauliHamiltonian, t: float, order: int = 2,
                      r: int = 1) -> GateSequence:
     """Product-formula approximation to exp(-iHt) as PauliRotation gates.
 
     r is the total number of repetitions over the whole of [0, t], not a
     count per unit time: order 1 takes r steps of t/r, order 2 takes r
     symmetric (Strang) steps built from half-steps of t/(2r). For a fixed
-    step size on a time grid, scale r with t.  t may also be a 1-D array of
-    times: the arithmetic is elementwise, so each angle and the global phase
-    hold one value per time, and run_sequence evolves the whole grid at once.
+    step size on a time grid, scale r with t, or use trotter_evolve.
     """
     if order not in (1, 2):
         raise ValueError("only orders 1 and 2 supported")
@@ -443,49 +429,131 @@ def trotter_sequence(ph: PauliHamiltonian, t: float | np.ndarray, order: int = 2
     return GateSequence(gates=gates, n_qubits=ph.n_qubits, global_phase=phase)
 
 
+def trotter_evolve(ph: PauliHamiltonian, psi0: np.ndarray, times, order: int = 2,
+                   r: int = 1) -> np.ndarray:
+    """Stroboscopic product-formula states: row k of the (T, 2^n) result is psi(times[k]).
+
+    psi goes from 0 to times[0], then from each grid time to the next, by r
+    steps of that interval's own length: Lie steps (order 1) or symmetric
+    Strang steps (order 2), so the step does not grow with t.  A step
+    applies exp(-i theta A_x) one x-mask group at a time, in the order the
+    groups first appear in ph.terms (then back again, for order 2).  The
+    strings of a group commute, so this is trotter_sequence with the strings
+    reordered by group and the identity folded into the Z-only group.  With
+    f = f_x(b) real, a group step is cos(theta f) psi - i sin(theta f)
+    psi[b ^ x], and the Z-only group is one phase multiply; these vectors
+    are computed once per distinct interval length.  Only the basis indices
+    of the (N_alpha, N_beta) sectors where psi0 is nonzero are stepped, all
+    of them together.  Raises ValueError for a Hamiltonian with odd-Y
+    strings or one that couples sectors.  Memory: the T x 2^n complex128
+    result, 16 B per value: 119 KB for 29 times at 8 qubits.
+    """
+    if order not in (1, 2):
+        raise ValueError("only orders 1 and 2 supported")
+    if r < 1:
+        raise ValueError("repetition count must be >= 1")
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (1 << ph.n_qubits,):
+        raise ValueError("state dimension does not match Hamiltonian qubit count")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("times must be a 1-D grid")
+    groups, real = _compile_groups(ph)
+    if not real:
+        raise ValueError("grouped Trotter steps need a real Hamiltonian (no odd-Y strings)")
+    sector = _sector_labels(ph.n_qubits)
+    idx = np.flatnonzero(np.isin(sector, sector[psi0 != 0]))
+    acts = []
+    for x, f, dst, inside in _group_values(groups, sector, idx):
+        # Where idx ^ x leaves the sectors, f is (below 1e-10) zero: step nothing there.
+        src = np.arange(idx.size)
+        src[inside] = np.searchsorted(idx, dst[inside])
+        acts.append((x, np.where(inside, f, 0.0), src))
+
+    def step(h):
+        theta = h / (order * r)
+        fwd = [(None, np.exp(-1j * theta * f), None) if x == 0 else
+               (src, np.cos(theta * f), -1j * np.sin(theta * f)) for x, f, src in acts]
+        return fwd + fwd[::-1] if order == 2 else fwd
+
+    steps = {}
+    out = np.zeros((times.size, psi0.size), dtype=complex)
+    psi = psi0[idx]
+    for k, h in enumerate(np.diff(times, prepend=0.0)):
+        if h:
+            if h not in steps:
+                steps[h] = step(h)
+            for _ in range(r):
+                for src, c, s in steps[h]:
+                    psi = c * psi if src is None else c * psi + s * psi.take(src)
+        out[k, idx] = psi
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Observables
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _lowering_tables(n_qubits: int):
-    """(dst, src, sign) per mode P, with (a_P psi)[dst] = sign * psi[src].
+def _lowering_table(n_qubits: int):
+    """(dst, src, sign) with (a_P psi)[d] = sign * psi[src] for every mode P at once.
 
-    src are the indices with mode P occupied, dst = src with it cleared, and
-    sign the Jordan-Wigner parity of the modes below P, as int64.  Built once
-    per qubit count; the arrays are read-only because every caller shares
-    them.
+    For mode P, src are the indices with mode P occupied, d = src with it
+    cleared, stored in dst as the flat position P * 2^n + d in the
+    (n_qubits, 2^n) array of the states a_P psi, and sign is the
+    Jordan-Wigner parity of the modes below P, as int64.  Built once per qubit count; the arrays are
+    read-only because every caller shares them.
     """
-    b = np.arange(1 << n_qubits)
-    tables = []
+    dim = 1 << n_qubits
+    b = np.arange(dim)
+    parts = []
     for mode in range(n_qubits):
         bit = 1 << mode
         src = b[(b & bit) != 0]
-        table = (src ^ bit, src, _parity_vector(bit - 1, n_qubits)[src])
-        for a in table:
-            a.flags.writeable = False
-        tables.append(table)
-    return tuple(tables)
+        parts.append((mode * dim + (src ^ bit), src, _parity_vector(bit - 1, n_qubits)[src]))
+    table = tuple(np.concatenate(a) for a in zip(*parts))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+# Values of a_P psi held at once, 256 KB: a fresh array much larger than this
+# costs more in first-touch page faults than it saves in calls (a (29, 2^8)
+# batch took 1.2 ms in one chunk and 0.47 ms in chunks of 8 rows).
+_RDM1_CHUNK = 1 << 14
 
 
 def rdm1(psi: np.ndarray) -> np.ndarray:
-    """Spin-summed spatial one-body density matrix rho_rs = sum <a+_s a_r>."""
-    dim = psi.shape[0]
+    """Spin-summed spatial one-body density matrix rho_rs = sum <a+_s a_r>.
+
+    psi is one state (2^n,) or a batch (..., 2^n), giving (n, n) or (..., n, n).
+    One gather builds every a_P psi of a chunk of rows, and one batched
+    inner product per spin gives that spin's block.  np.vecdot takes each
+    element as the BLAS dot product np.vdot takes, so each row's matrix
+    equals that of the row alone, bit for bit.  Chunks hold at most
+    _RDM1_CHUNK values of a_P psi, or one row (16 MB at 16 qubits).
+    """
+    psi = np.asarray(psi)
+    dim = psi.shape[-1]
     m = int(round(math.log2(dim)))
     if m % 2 != 0:
         raise ValueError("odd qubit count; interleaved spin convention violated")
     n = m // 2
-    lowered = np.zeros((m, dim), dtype=complex)
-    for P, (dst, src, sign) in enumerate(_lowering_tables(m)):
-        lowered[P, dst] = sign * psi[src]
-    rho = np.zeros((n, n), dtype=complex)
-    for r in range(n):
-        for s in range(n):
-            for sp in range(2):
-                rho[r, s] += np.vdot(lowered[2 * s + sp], lowered[2 * r + sp])
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+    dst, src, sign = _lowering_table(m)
+    rows = psi.reshape(-1, dim)
+    rho = np.zeros((len(rows), n, n), dtype=complex)
+    chunk = max(1, _RDM1_CHUNK // (m * dim))
+    for lo in range(0, len(rows), chunk):
+        block = rows[lo:lo + chunk]
+        lowered = np.zeros((len(block), m * dim), dtype=complex)
+        lowered[:, dst] = sign * block[:, src]
+        lowered = lowered.reshape(-1, m, dim)
+        for sp in range(2):
+            a = lowered[:, sp::2]
+            rho[lo:lo + chunk] += np.vecdot(a[:, None], a[:, :, None])
+    if np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) > 1e-10:
         raise ValueError("one-body density matrix not Hermitian")
-    return rho
+    return rho.reshape(psi.shape[:-1] + (n, n))
 
 
 def expval_O(O: np.ndarray, rdm: np.ndarray) -> float:

@@ -7,12 +7,39 @@ FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
 
 ACCEPTANCE_VERDICTS = []
 
+PAULI_2X2 = {"I": np.eye(2), "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+             "Y": np.array([[0.0, -1j], [1j, 0.0]]), "Z": np.diag([1.0, -1.0])}
+
 
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_VERDICTS:
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
+
+
+def kron_string(symbols):
+    """Dense operator of one 2x2 factor per qubit, qubit 0 the least significant bit."""
+    M = np.eye(1)
+    for factor in symbols:
+        M = np.kron(factor, M)
+    return M
+
+
+def pauli_matrix(terms, n_qubits):
+    """Dense matrix of a weighted Pauli-string sum [(coeff, string)], qubit 0 first.
+
+    The tests' reference, built from Kronecker products of 2x2 matrices.
+    """
+    H = np.zeros((1 << n_qubits, 1 << n_qubits), dtype=complex)
+    for coeff, s in terms:
+        H += coeff * kron_string([PAULI_2X2[ch] for ch in s])
+    return H
+
+
+def hamiltonian_matrix(ph):
+    """Dense matrix of a PauliHamiltonian."""
+    return pauli_matrix(ph.terms, ph.n_qubits)
 
 
 def h2_molecule(z=1.4):

@@ -11,7 +11,7 @@ from qfp import chem_io, embedding, fci, fingerprint_ml as ml, mean_field, quant
 from qfp.embedding import FragmentSpec
 
 import conftest
-from conftest import FIXTURES, dmet_h2, h2_molecule, h4_molecule
+from conftest import FIXTURES, dmet_h2, h2_molecule, h4_molecule, hamiltonian_matrix
 
 O_REF = np.array([[0.4, -0.8], [-0.8, 0.8]])
 
@@ -44,7 +44,7 @@ def h2_study():
 
 
 def test_criterion_1_h2_ground_truth(h2, h2_mf, h2_active):
-    H_q = qs.jordan_wigner(h2_active).to_matrix()
+    H_q = hamiltonian_matrix(qs.jordan_wigner(h2_active))
     idx = fci.sector_indices(4, 2)
     e_q = np.linalg.eigvalsh(H_q[np.ix_(idx, idx)])[0]
     e_f, _ = fci.fci_ground_state(h2_active.h_eff, h2_active.eri_active,
@@ -61,12 +61,12 @@ def test_criterion_1_h2_ground_truth(h2, h2_mf, h2_active):
 
 
 def test_criterion_2_jw_spectrum_equivalence(h2_active):
-    w_q2 = np.linalg.eigvalsh(qs.jordan_wigner(h2_active).to_matrix())
+    w_q2 = np.linalg.eigvalsh(hamiltonian_matrix(qs.jordan_wigner(h2_active)))
     w_f2 = np.linalg.eigvalsh(fci.fock_space_hamiltonian(
         h2_active.h_eff, h2_active.eri_active, h2_active.e_core))
     _, m_loc, _, cb = _localized_cluster(h4_molecule(1.4), [0, 1])
     eh4 = embedding.dmet_hamiltonian(m_loc, cb)
-    w_q4 = np.linalg.eigvalsh(qs.jordan_wigner(eh4).to_matrix())
+    w_q4 = np.linalg.eigvalsh(hamiltonian_matrix(qs.jordan_wigner(eh4)))
     w_f4 = np.linalg.eigvalsh(fci.fock_space_hamiltonian(
         eh4.h_eff, eh4.eri_active, eh4.e_core))
     d2, d4 = np.max(np.abs(w_q2 - w_f2)), np.max(np.abs(w_q4 - w_f4))
@@ -76,7 +76,7 @@ def test_criterion_2_jw_spectrum_equivalence(h2_active):
 
 def test_criterion_3_conservation_suite(h2_active):
     H = qs.jordan_wigner(h2_active)
-    Hm = H.to_matrix()
+    Hm = hamiltonian_matrix(H)
     ev = qs.ExactEvolver(H)
     grid = np.arange(0.0, 14.001, 0.5)
     worst = 0.0

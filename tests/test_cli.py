@@ -563,7 +563,11 @@ def test_invalid_config_value_exit_2(tmp_path, capsys, overrides, key):
     {"kind": "h2", "separation": 1e200},
     {"kind": "h2", "separation": 0},
     {"kind": "chain", "z_positions": [0, "inf"]},
-], ids=["nan_separation", "huge_separation", "zero_separation", "infinite_z"])
+    {"kind": "h2", "separation": True},
+    {"kind": "h2", "separation": "3.5"},
+    {"kind": "chain", "z_positions": [0, True, 2.8, 4.2]},
+], ids=["nan_separation", "huge_separation", "zero_separation", "infinite_z",
+        "true_separation", "string_separation", "true_z"])
 @pytest.mark.parametrize("argv", [
     ["fingerprint"], ["optimize-measurement", "--budget", "5"],
 ], ids=lambda argv: argv[0])
@@ -579,6 +583,38 @@ def test_bad_generator_geometry_exit_3(tmp_path, capsys, generator, argv):
     err = capsys.readouterr().err
     assert "molecule 'bad'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_separation_exits_3_without_warnings(tmp_path, capsys):
+    # Overflowing integrals are rejected by validation, with numpy's
+    # floating-point warnings silenced inside s_orbital_integrals.
+    entries = [{"id": "bad", "generator": {"kind": "h2", "separation": 1e200}, "target": 1.0}]
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": entries}))
+    cfg = write_config(tmp_path)
+    assert run("fingerprint", "--config", cfg, "--workers", "1",
+               "--out", str(tmp_path / "o")) == 3
+    assert "molecule 'bad'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise, message", [
+    ({"p": 0.5, "scale": 3}, "p * scale"),
+    ({"p": 0.2, "scale": 5}, "p * scale"),
+    ({"p": 0.0, "scale": 10**400 + 1}, "too large"),
+], ids=["product_1.5", "product_1", "scale_overflows"])
+def test_noise_product_at_least_one_exit_2_before_any_scf(tmp_path, capsys, monkeypatch,
+                                                         noise, message):
+    from qfp import mean_field
+
+    def scf_solve(m):
+        raise AssertionError("SCF ran for a config that fails validation")
+
+    monkeypatch.setattr(mean_field, "scf_solve", scf_solve)
+    cfg = write_config(tmp_path, dataset=H2_SCAN,
+                       evolver={"kind": "trotter", "order": 2, "r": 1}, noise=noise)
+    assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("axis,values,overrides", [

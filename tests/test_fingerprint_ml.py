@@ -48,6 +48,20 @@ def test_exact_vs_trotter_fingerprints_agree(h2_active):
     assert np.max(np.abs(exact.values - finer.values)) < 1e-3
 
 
+@pytest.mark.parametrize("n_atoms, n_elec, n_orb", [(6, 4, 4), (8, 6, 6)],
+                         ids=["h6_44", "h8_66"])
+def test_trotter_fingerprint_tracks_exact_at_long_times(n_atoms, n_elec, n_orb):
+    # r = 2 Strang steps per 0.5-wide interval out to t = 14 (12 qubits for
+    # (6e,6o)); r steps spread over all of [0, t] were 0.44 and 0.69 off here.
+    m = chem_io.s_orbital_integrals(chem_io.hydrogen_chain(np.arange(n_atoms) * 1.8))
+    eh = embedding.homo_lumo_active_space(m, mean_field.scf_solve(m), n_elec, n_orb)
+    grid = np.arange(0, 14.001, 0.5)
+    exact = ml.compute_fingerprint(eh, "homo_lumo_excited", grid)
+    trot = ml.compute_fingerprint(eh, "homo_lumo_excited", grid,
+                                  evolver={"kind": "trotter", "order": 2, "r": 2})
+    assert np.max(np.abs(trot.values - exact.values)) < 5e-3
+
+
 def test_rdm_trajectory_and_one_body_features(h2_active):
     grid = np.arange(0, 2.001, 0.5)
     traj = ml.rdm_trajectory(h2_active, "hf_ground", grid)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from qfp import chem_io, embedding, fci, mean_field, pipeline, quantum_sim as qs
 from qfp.quantum_sim import GateSequence, NoiseSpec, PauliHamiltonian
 
-from conftest import dmet_h2, h4_molecule
+from conftest import (PAULI_2X2, dmet_h2, h4_molecule, hamiltonian_matrix, kron_string,
+                      pauli_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,7 @@ def test_apply_pauli_matches_dense_matrix(s, seed):
     n = len(s)
     re, im = np.random.default_rng(seed).normal(size=(2, 1 << n))
     psi = re + 1j * im
-    M = qs.pauli_matrix([(1.0, s)], n)
+    M = pauli_matrix([(1.0, s)], n)
     assert np.allclose(qs.apply_pauli(s, psi), M @ psi, atol=1e-12)
     # Pauli strings are involutions with unit square
     assert np.allclose(M @ M, np.eye(1 << n), atol=1e-12)
@@ -42,7 +43,7 @@ def test_pauli_hamiltonian_canonicalization():
 
 
 def test_jw_spectrum_matches_determinant_oracle_h2(h2_active, h2_pauli):
-    H_q = h2_pauli.to_matrix()
+    H_q = hamiltonian_matrix(h2_pauli)
     H_f = fci.fock_space_hamiltonian(h2_active.h_eff, h2_active.eri_active,
                                      h2_active.e_core)
     assert np.max(np.abs(H_q - H_f)) < 1e-10
@@ -52,7 +53,7 @@ def test_jw_spectrum_matches_determinant_oracle_h4():
     m = h4_molecule(1.4)
     mf = mean_field.scf_solve(m)
     eh = embedding.homo_lumo_active_space(m, mf, 4, 4)
-    w_q = np.linalg.eigvalsh(qs.jordan_wigner(eh).to_matrix())
+    w_q = np.linalg.eigvalsh(hamiltonian_matrix(qs.jordan_wigner(eh)))
     w_f = np.linalg.eigvalsh(
         fci.fock_space_hamiltonian(eh.h_eff, eh.eri_active, eh.e_core))
     assert np.max(np.abs(w_q - w_f)) < 1e-10
@@ -76,7 +77,7 @@ def test_prepare_initial_occupations():
 
 def test_prot_gate_is_pauli_rotation():
     theta = 0.731
-    M = qs.pauli_matrix([(1.0, "XY")], 2)
+    M = pauli_matrix([(1.0, "XY")], 2)
     U = scipy.linalg.expm(-0.5j * theta * M)
     psi = np.random.default_rng(3).normal(size=4) + 0j
     psi /= np.linalg.norm(psi)
@@ -87,12 +88,12 @@ def test_prot_gate_is_pauli_rotation():
 def test_exact_evolution_conserves_everything(h2_active, h2_pauli):
     _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
     ev = qs.ExactEvolver(h2_pauli)
-    e0 = np.vdot(psi0, h2_pauli.to_matrix() @ psi0).real
+    e0 = np.vdot(psi0, hamiltonian_matrix(h2_pauli) @ psi0).real
     for t in np.arange(0, 14.01, 0.5):
         psi = ev.evolve(psi0, t)
         assert abs(np.linalg.norm(psi) - 1) < 1e-10
         assert abs(qs.number_expectation(psi) - 2.0) < 1e-10
-        assert abs(np.vdot(psi, h2_pauli.to_matrix() @ psi).real - e0) < 1e-10
+        assert abs(np.vdot(psi, hamiltonian_matrix(h2_pauli) @ psi).real - e0) < 1e-10
 
 
 def test_trotter_converges_to_exact(h2_pauli):
@@ -135,34 +136,83 @@ def h4_pauli():
         embedding.homo_lumo_active_space(m, mean_field.scf_solve(m), 4, 3))
 
 
-@pytest.mark.parametrize("grid", [np.arange(0.0, 6.5, 0.5), [0.3, 0.7, 1.9, 2.0, 5.5, 11.25]],
-                         ids=["from_zero", "uneven"])
+def _grouped(ph):
+    """ph with its strings reordered by x mask (the X or Y positions), each group
+    where its first string was."""
+    groups = {}
+    for c, s in ph.terms:
+        groups.setdefault(tuple(ch in "XY" for ch in s), []).append((c, s))
+    return PauliHamiltonian([t for g in groups.values() for t in g], ph.n_qubits)
+
+
+def _random_state(n_qubits, seed):
+    re, im = np.random.default_rng(seed).normal(size=(2, 1 << n_qubits))
+    psi = re + 1j * im
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_grouped_step_matches_per_string_step(h2_pauli, h4_pauli, order):
+    # One step: the group exponentials equal the PauliRotation gates of the
+    # strings reordered by group, the identity's phase included.
+    for ph in (h2_pauli, h4_pauli):
+        gph = _grouped(ph)
+        assert [s for _, s in gph.terms] != [s for _, s in ph.terms]
+        for seed in range(3):
+            psi0 = _random_state(ph.n_qubits, seed)
+            for h in (0.5, 1.7):
+                got = qs.trotter_evolve(ph, psi0, [h], order=order, r=1)[0]
+                ref = qs.run_sequence(qs.trotter_sequence(gph, h, order, 1), psi0)
+                assert np.max(np.abs(got - ref)) < 1e-13, (ph.n_qubits, seed, h)
+
+
 @pytest.mark.parametrize("kind", ["hf_ground", "homo_lumo_excited", "half_occupied"])
-def test_trotter_states_match_run_sequence_bitwise(h2_pauli, h4_pauli, kind, grid):
-    # A sequence built on the whole grid runs as one (T, 2^n) batch whose
-    # rows equal the per-time runs bit for bit.
-    times = np.asarray(grid, dtype=float)
+def test_trotter_evolve_is_r_steps_per_interval(h2_pauli, h4_pauli, kind):
+    # On an even grid from 0, the state at t_k has taken r * k steps of t_1 / r.
+    grid = np.arange(0.0, 6.5, 0.5)
     for ph, n_electrons in ((h2_pauli, 2), (h4_pauli, 4)):
+        gph = _grouped(ph)
         _, psi0 = qs.prepare_initial(kind, ph.n_qubits, n_electrons)
         for order in (1, 2):
-            for r in (1, 2, 3):
-                batch = qs.run_sequence(
-                    qs.trotter_sequence(ph, times, order=order, r=r), psi0)
-                assert batch.shape == (len(grid), 1 << ph.n_qubits)
-                for t, psi in zip(grid, batch):
-                    ref = (psi0 if t == 0.0 else qs.run_sequence(
-                        qs.trotter_sequence(ph, t, order=order, r=r), psi0))
-                    assert np.array_equal(psi, ref), (order, r, t)
+            for r in (1, 2):
+                batch = qs.trotter_evolve(ph, psi0, grid, order=order, r=r)
+                assert batch.shape == (grid.size, 1 << ph.n_qubits)
+                assert np.array_equal(batch[0], psi0)
+                for k in range(1, grid.size):
+                    ref = qs.run_sequence(
+                        qs.trotter_sequence(gph, grid[k], order, r * k), psi0)
+                    assert np.max(np.abs(batch[k] - ref)) < 1e-12, (order, r, k)
 
 
-def test_trotter_states_all_zero_times_copy_the_state(h2_pauli):
+def test_trotter_evolve_uneven_grid_composes_intervals(h4_pauli):
+    # The first interval is [0, times[0]]; each interval takes r steps of its own length.
+    grid = [0.3, 0.7, 1.9, 2.0, 5.5, 11.25]
+    gph = _grouped(h4_pauli)
+    for kind in ("homo_lumo_excited", "half_occupied"):
+        _, psi0 = qs.prepare_initial(kind, h4_pauli.n_qubits, 4)
+        for order in (1, 2):
+            batch = qs.trotter_evolve(h4_pauli, psi0, grid, order=order, r=3)
+            psi, prev = psi0, 0.0
+            for t, row in zip(grid, batch):
+                psi = qs.run_sequence(qs.trotter_sequence(gph, t - prev, order, 3), psi)
+                prev = t
+                assert np.max(np.abs(row - psi)) < 1e-12, (kind, order, t)
+
+
+def test_trotter_evolve_rejects_bad_input(h2_pauli):
     psi0 = qs.basis_state(3, 4)
-    out = qs.run_sequence(qs.trotter_sequence(h2_pauli, np.zeros(2)), psi0)
-    assert np.array_equal(out, [psi0, psi0])
-    out[0, 0] = 7.0
-    assert psi0[0] == 0.0
-    with pytest.raises(ValueError):
-        qs.run_sequence(qs.trotter_sequence(h2_pauli, np.ones(1)), qs.basis_state(0, 3))
+    with pytest.raises(ValueError, match="state dimension"):
+        qs.trotter_evolve(h2_pauli, qs.basis_state(0, 3), [1.0])
+    with pytest.raises(ValueError, match="1-D"):
+        qs.trotter_evolve(h2_pauli, psi0, [[1.0]])
+    with pytest.raises(ValueError, match="orders"):
+        qs.trotter_evolve(h2_pauli, psi0, [1.0], order=3)
+    with pytest.raises(ValueError, match="repetition"):
+        qs.trotter_evolve(h2_pauli, psi0, [1.0], r=0)
+    with pytest.raises(ValueError, match="couples"):
+        qs.trotter_evolve(PauliHamiltonian([(0.3, "XXII")], 4), psi0, [1.0])
+    with pytest.raises(ValueError, match="real Hamiltonian"):
+        qs.trotter_evolve(PauliHamiltonian([(0.3, "YIII")], 4), psi0, [1.0])
 
 
 def _parity_vector_bit_loop(mask, n_qubits):
@@ -257,18 +307,6 @@ def test_noisy_expectation_deterministic_given_seed(h2_active, h2_pauli):
     assert a == b
 
 
-_PAULI_2X2 = {"I": np.eye(2), "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
-              "Y": np.array([[0.0, -1j], [1j, 0.0]]), "Z": np.diag([1.0, -1.0])}
-
-
-def _kron_string(symbols):
-    """Dense operator of one 2x2 factor per qubit, qubit 0 the least significant bit."""
-    M = np.eye(1)
-    for factor in symbols:
-        M = np.kron(factor, M)
-    return M
-
-
 def _exact_noisy_expectation(gs, O, p, scale):
     """Tr(rho O) after the folded circuit under the per-gate Pauli channel.
 
@@ -284,17 +322,17 @@ def _exact_noisy_expectation(gs, O, p, scale):
     for gate in qs.fold_sequence(gs, scale).gates:
         if gate[0] == "PROT":
             support = [q for q, ch in enumerate(gate[2]) if ch != "I"]
-            P = _kron_string([_PAULI_2X2[ch] for ch in gate[2]])
+            P = kron_string([PAULI_2X2[ch] for ch in gate[2]])
             U = np.cos(gate[1] / 2) * np.eye(1 << n) - 1j * np.sin(gate[1] / 2) * P
         else:
             q = gate[1] if gate[0] == "X" else gate[2]
             support = [q]
             if gate[0] == "X":
-                u = _PAULI_2X2["X"]
+                u = PAULI_2X2["X"]
             else:
                 c, s = np.cos(gate[1] / 2), np.sin(gate[1] / 2)
                 u = np.array([[c, -s], [s, c]])
-            U = _kron_string([u if k == q else np.eye(2) for k in range(n)])
+            U = kron_string([u if k == q else np.eye(2) for k in range(n)])
         rho = U @ rho @ U.conj().T
         key = tuple(support)
         if key not in channels:
@@ -303,8 +341,8 @@ def _exact_noisy_expectation(gs, O, p, scale):
                 if set(symbols) != {"I"}:
                     factors = list(eye)
                     for q, ch in zip(support, symbols):
-                        factors[q] = _PAULI_2X2[ch]
-                    errors.append(_kron_string(factors))
+                        factors[q] = PAULI_2X2[ch]
+                    errors.append(kron_string(factors))
             channels[key] = errors
         errors = channels[key]
         rho = (1 - p) * rho + p * sum(E @ rho @ E for E in errors) / len(errors)
@@ -317,7 +355,7 @@ def test_noisy_expectation_matches_density_matrix_oracle(h2_pauli, scale):
     # the ideal value; a Pauli on only the first support qubit misses by 12
     prep, _ = qs.prepare_initial("hf_ground", 4, 2)
     circ = prep + qs.trotter_sequence(h2_pauli, 1.0, order=2, r=1)
-    O = h2_pauli.to_matrix()
+    O = hamiltonian_matrix(h2_pauli)
     exact = _exact_noisy_expectation(circ, O, 0.05, scale)
     ideal = _exact_noisy_expectation(circ, O, 0.0, scale)
     mean, err = qs.noisy_expectation(circ, O, NoiseSpec(p=0.05, scale=scale), 1000, seed=3)
@@ -367,7 +405,7 @@ def test_noisy_expectation_matches_scalar_loop_bitwise(h2_pauli, h4_pauli, kind,
         circ = prep + qs.trotter_sequence(ph, 1.0, order=2, r=1)
         n = ph.n_qubits // 2
         O = np.diag(np.arange(1.0, n + 1)) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1))
-        obs = ph.to_matrix() if dense else (lambda psi: qs.expval_O(O, qs.rdm1(psi)))
+        obs = hamiltonian_matrix(ph) if dense else (lambda psi: qs.expval_O(O, qs.rdm1(psi)))
         for scale in (1, 3, 5):
             for p in (0.0, 0.1):
                 for n_traj in (1, 12):
@@ -414,6 +452,20 @@ def test_rdm1_matches_reference_bytes(n_qubits):
         assert qs.rdm1(psi).tobytes() == _rdm1_reference(psi).tobytes()
 
 
+@pytest.mark.parametrize("chunk", [1 << 14, 8192], ids=["one_chunk", "chunks_of_4"])
+def test_rdm1_batch_rows_match_reference_bytes(monkeypatch, chunk):
+    # Each row of a batch gets the bytes of the one-state reference, also
+    # when the rows are split into chunks (4 + 2 rows at 8192 values).
+    monkeypatch.setattr(qs, "_RDM1_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    batch = rng.normal(size=(2, 3, 256)) + 1j * rng.normal(size=(2, 3, 256))
+    batch[1, 2] = qs.basis_state(255, 8)
+    rho = qs.rdm1(batch)
+    assert rho.shape == (2, 3, 4, 4)
+    for i in np.ndindex(2, 3):
+        assert rho[i].tobytes() == _rdm1_reference(batch[i]).tobytes(), i
+
+
 def test_zne_recovers_polynomials():
     quad = lambda lam: 1.0 - 0.1 * lam + 0.02 * lam ** 2
     pts = {lam: quad(lam) for lam in (1, 3, 5)}
@@ -456,7 +508,7 @@ def sector_system(request, h2_active):
     eh = {"h2": lambda: h2_active, "h4_dmet_cluster": _h4_dmet_cluster,
           "h6_44": _h6_active_44}[request.param]()
     ph = qs.jordan_wigner(eh)
-    H = ph.to_matrix()
+    H = hamiltonian_matrix(ph)
     return eh, ph, {t: scipy.linalg.expm(-1j * t * H) for t in EVOLVE_TIMES}
 
 
