@@ -21,14 +21,14 @@ circuit = prep + qs.trotter_sequence(H, 1.0, order=2, r=1)
 print(f"circuit: {len(circuit.gates)} gates on {circuit.n_qubits} qubits")
 
 O = np.array([[0.4, -0.8], [-0.8, 0.8]])
-obs = lambda psi: qs.expval_O(O, qs.rdm1(psi))
-ideal = obs(qs.run_sequence(circuit, qs.basis_state(0, circuit.n_qubits)))
+ideal_state = qs.run_sequence(circuit, qs.basis_state(0, circuit.n_qubits))
+ideal = qs.expval_O(O, qs.rdm1(ideal_state))
 print(f"ideal <O> = {ideal:+.6f}")
 
 points = {}
 for lam in (1, 3, 5):
     ns = qs.NoiseSpec(p=0.02, scale=lam)
-    mean, err = qs.noisy_expectation(circuit, obs, ns, n_trajectories=500,
+    mean, err = qs.noisy_expectation(circuit, O, ns, n_trajectories=500,
                                      seed=100 + lam)
     points[lam] = mean
     print(f"lambda={lam}: <O> = {mean:+.6f} +/- {err:.6f}"

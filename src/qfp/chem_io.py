@@ -64,8 +64,8 @@ class GaussianGeometry:
     shells: tuple
 
     def __post_init__(self):
-        if len(self.atoms) != len(self.shells):
-            raise ValueError("one shell list per atom required")
+        if not self.atoms or len(self.atoms) != len(self.shells):
+            raise ValueError("at least one atom, with one shell list per atom, required")
         for z, pos in self.atoms:
             if not np.all(np.isfinite(pos)):
                 raise ValueError("non-finite atomic position")
@@ -403,6 +403,8 @@ def load_manifest(path: str) -> DatasetManifest:
         if not isinstance(e, dict) or "id" not in e:
             raise ManifestError(f"{path}: entry {i} is not an object with an `id`")
         mid = str(e["id"])
+        if any(c in mid for c in ",\r\n"):  # each would split a features.csv row
+            raise ManifestError(f"{path}: entry {i}: id {mid!r} holds a comma or line break")
         if mid in seen:
             raise ManifestError(f"{path}: duplicate molecule id {mid!r}")
         seen.add(mid)
@@ -438,7 +440,7 @@ def load_manifest(path: str) -> DatasetManifest:
 def _manifest_value(convert, value, path, what):
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf), float(10**400)
         raise ManifestError(f"{path}: {what}: bad value {value!r}") from exc
 
 

@@ -426,8 +426,6 @@ def _noisy_fingerprint(eh, cfg: PipelineConfig, grid, molecule_id):
         cfg.initial_state, H.n_qubits, eh.n_active_electrons
     )
     O = fingerprint_ml._observable_matrix(eh, cfg.observable)
-    # noisy_expectation measures each trajectory's final state with it.
-    obs = lambda psi: quantum_sim.expval_O(O, quantum_sim.rdm1(psi))
     ns = quantum_sim.NoiseSpec(p=spec["p"], scale=spec.get("scale", 1))
     vals = []
     for i, t in enumerate(grid):
@@ -435,7 +433,7 @@ def _noisy_fingerprint(eh, cfg: PipelineConfig, grid, molecule_id):
             H, float(t), order=cfg.evolver.get("order", 2), r=cfg.evolver.get("r", 1)
         )
         mean, _ = quantum_sim.noisy_expectation(
-            circ, obs, ns, n_trajectories=spec.get("n_trajectories", 100),
+            circ, O, ns, n_trajectories=spec.get("n_trajectories", 100),
             seed=spec.get("seed", 0) + i,
         )
         vals.append(mean)

@@ -229,14 +229,13 @@ def test_criterion_9_zne_efficacy(h2_active):
     H = qs.jordan_wigner(h2_active)
     prep, _ = qs.prepare_initial("hf_ground", 4, 2)
     circ = prep + qs.trotter_sequence(H, 1.0, order=2, r=1)
-    obs = lambda psi: qs.expval_O(O_REF, qs.rdm1(psi))
-    ideal = obs(qs.run_sequence(circ, qs.basis_state(0, 4)))
+    ideal = qs.expval_O(O_REF, qs.rdm1(qs.run_sequence(circ, qs.basis_state(0, 4))))
     wins = 0
     for seed in range(50):
         pts = {}
         for lam in (1, 3, 5):
             ns = qs.NoiseSpec(p=0.02, scale=lam)
-            mean, _ = qs.noisy_expectation(circ, obs, ns, n_trajectories=500,
+            mean, _ = qs.noisy_expectation(circ, O_REF, ns, n_trajectories=500,
                                            seed=1000 * seed + lam)
             pts[lam] = mean
         zne = qs.zne_extrapolate(pts, fit_order=2)

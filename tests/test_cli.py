@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from qfp import chem_io
 from qfp.cli import main
 from qfp.pipeline import PipelineConfig
+
+from conftest import FIXTURES
 
 
 def run(*argv):
@@ -288,13 +291,97 @@ H2_ENTRY = {"id": "h2_000", "generator": {"kind": "h2", "separation": 1.4}, "tar
     {"entries": [{**H2_ENTRY, "generator": {"kind": "h2", "separation": "x"}}]},
     {"entries": [{**H2_ENTRY, "generator": {"kind": "chain", "z_positions": 5}}]},
     {"entries": [{**H2_ENTRY, "generator": {"kind": "chain", "z_positions": [0.0, "a"]}}]},
+    *[{"entries": [H2_ENTRY, {**H2_ENTRY, "id": bad}]} for bad in ("a,b", "c\nd", "e\rf")],
 ], ids=["entries", "target", "format_version", "generator", "fcidump",
-        "separation", "z_positions", "z_position_item"])
+        "separation", "z_positions", "z_position_item", "id_comma", "id_newline",
+        "id_carriage_return"])
 def test_malformed_manifest_value_exit_3(tmp_path, manifest):
     (tmp_path / "data").mkdir()
     (tmp_path / "data" / "manifest.json").write_text(json.dumps(manifest))
     cfg = write_config(tmp_path)
     assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+    assert not (tmp_path / "o" / "features.csv").exists()
+
+
+# A 2-molecule H2 manifest: an h2 generator, and the same molecule as a chain.
+FUZZ_MANIFEST = {"format_version": 1, "entries": [
+    {"id": "h2_a", "generator": {"kind": "h2", "separation": 1.4}, "target": 1.4,
+     "label": "a"},
+    {"id": "h2_b", "generator": {"kind": "chain", "z_positions": [0.0, 1.6]}, "target": 1.6,
+     "label": "b"},
+]}
+# (entry index, field): generator fields go inside the entry's generator; an
+# index of None is a top-level key.
+MANIFEST_TARGETS = (
+    [(i, f) for i in (0, 1) for f in ("id", "generator", "kind", "separation",
+                                       "z_positions", "fcidump", "target", "label")]
+    + [(None, "format_version")]
+)
+MANIFEST_SCALARS = st.one_of(
+    st.integers(-2, 5),
+    st.integers(-2**70, 2**70),
+    st.integers(-30, 60).map(lambda k: k / 10),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e300, 1e-300, 10**400]),
+    st.booleans(),
+    st.text(max_size=6),
+    st.sampled_from(["a,b", "c\nd", "e\rf", "h2", "chain", "h2.fcidump", "1.4"]),
+)
+MANIFEST_VALUES = st.one_of(
+    MANIFEST_SCALARS,
+    st.lists(st.one_of(st.integers(-1, 3), st.integers(-30, 30).map(lambda k: k / 10),
+                       st.booleans(), st.text(max_size=2)), max_size=4),
+    st.dictionaries(st.sampled_from(["kind", "separation", "z_positions", "x"]),
+                    MANIFEST_SCALARS, max_size=2),
+    st.sampled_from([{"kind": "h2", "separation": 2.0},
+                     {"kind": "chain", "z_positions": [0, 1.2]}]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_manifest_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("manifests")
+    shutil.copy(os.path.join(FIXTURES, "h2_sto3g_1.4_reference.fcidump"),
+                directory / "h2.fcidump")
+    (directory / "config.json").write_text(json.dumps({
+        "dataset": {"kind": "manifest", "path": "manifest.json"},
+        "embedding": {"mode": "active_space", "n_active_electrons": 2,
+                      "n_active_orbitals": 2},
+        "initial_state": "hf_ground",
+        "time_grid": {"start": 0, "stop": 0.5, "step": 0.5},
+    }))
+    return directory
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(MANIFEST_TARGETS), value=MANIFEST_VALUES)
+@example(target=(0, "id"), value="a,b")
+@example(target=(1, "id"), value="c\nd")
+@example(target=(1, "z_positions"), value=[])
+@example(target=(None, "format_version"), value=math.inf)
+@example(target=(0, "target"), value=10**400)
+def test_manifest_values_fuzz_exit_codes(fuzz_manifest_dir, target, value):
+    index, key = target
+    manifest = json.loads(json.dumps(FUZZ_MANIFEST))
+    if index is None:
+        manifest[key] = value
+    elif key in ("kind", "separation", "z_positions"):
+        manifest["entries"][index]["generator"][key] = value
+    else:
+        manifest["entries"][index][key] = value
+    path = fuzz_manifest_dir / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tempfile.mkdtemp(dir=fuzz_manifest_dir)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["fingerprint", "--config", str(fuzz_manifest_dir / "config.json"),
+                     "--workers", "1", "--out", out])
+    event(f"{key} exit {code}")
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        ids, _, values = chem_io.load_features(os.path.join(out, "features.csv"))
+        assert ids == [e.molecule_id for e in chem_io.load_manifest(str(path)).entries]
+        assert values.shape == (2, 2)
 
 
 H2_SCAN = {"kind": "h2", "rmin": 1.0, "rmax": 2.0, "count": 2}

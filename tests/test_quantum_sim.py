@@ -275,6 +275,9 @@ def test_noise_spec_validation():
         NoiseSpec(p=0.1, scale=0.5)
     with pytest.raises(ValueError):
         NoiseSpec(p=0.5, scale=3)  # p * scale >= 1
+    for scale in (np.inf, np.nan):  # p * scale is NaN at p = 0
+        with pytest.raises(ValueError, match="scale must be finite"):
+            NoiseSpec(p=0.0, scale=scale)
 
 
 def test_fold_sequence_preserves_unitary(h2_pauli):
@@ -291,9 +294,9 @@ def test_fold_sequence_preserves_unitary(h2_pauli):
 def test_noisy_expectation_zero_noise_matches_ideal(h2_active, h2_pauli):
     prep, _ = qs.prepare_initial("hf_ground", 4, 2)
     circ = prep + qs.trotter_sequence(h2_pauli, 1.0, order=2, r=1)
-    obs = lambda psi: qs.expval_O(h2_active.h_eff, qs.rdm1(psi))
-    ideal = obs(qs.run_sequence(circ, qs.basis_state(0, 4)))
-    mean, err = qs.noisy_expectation(circ, obs, NoiseSpec(p=0.0), 5, seed=0)
+    O = h2_active.h_eff
+    ideal = qs.expval_O(O, qs.rdm1(qs.run_sequence(circ, qs.basis_state(0, 4))))
+    mean, err = qs.noisy_expectation(circ, O, NoiseSpec(p=0.0), 5, seed=0)
     assert mean == pytest.approx(ideal, abs=1e-12)
     assert err == pytest.approx(0.0, abs=1e-12)
 
@@ -301,10 +304,16 @@ def test_noisy_expectation_zero_noise_matches_ideal(h2_active, h2_pauli):
 def test_noisy_expectation_deterministic_given_seed(h2_active, h2_pauli):
     prep, _ = qs.prepare_initial("hf_ground", 4, 2)
     circ = prep + qs.trotter_sequence(h2_pauli, 1.0, order=2, r=1)
-    obs = lambda psi: qs.expval_O(h2_active.h_eff, qs.rdm1(psi))
-    a = qs.noisy_expectation(circ, obs, NoiseSpec(p=0.05), 50, seed=9)
-    b = qs.noisy_expectation(circ, obs, NoiseSpec(p=0.05), 50, seed=9)
+    a = qs.noisy_expectation(circ, h2_active.h_eff, NoiseSpec(p=0.05), 50, seed=9)
+    b = qs.noisy_expectation(circ, h2_active.h_eff, NoiseSpec(p=0.05), 50, seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize("n_trajectories", [0, -1])
+def test_noisy_expectation_rejects_fewer_than_one_trajectory(h2_pauli, n_trajectories):
+    circ = qs.trotter_sequence(h2_pauli, 1.0, order=2, r=1)
+    with pytest.raises(ValueError, match="n_trajectories"):
+        qs.noisy_expectation(circ, np.eye(2), NoiseSpec(p=0.05), n_trajectories, seed=0)
 
 
 def _exact_noisy_expectation(gs, O, p, scale):
@@ -351,33 +360,31 @@ def _exact_noisy_expectation(gs, O, p, scale):
 
 @pytest.mark.parametrize("scale", [1, 3])
 def test_noisy_expectation_matches_density_matrix_oracle(h2_pauli, scale):
-    # p = 0.05 moves the energy 33 (scale 1) and 54 (scale 3) standard errors from
-    # the ideal value; a Pauli on only the first support qubit misses by 12
+    # O is the LUMO occupation.  p = 0.05 moves it 25 (scale 1) and 39 (scale 3)
+    # standard errors from the ideal value; a Pauli on only the first support
+    # qubit misses by 30 and 24.  The oracle's Fock-space O comes from the
+    # determinant-basis fci module, not from the Jordan-Wigner route.
     prep, _ = qs.prepare_initial("hf_ground", 4, 2)
     circ = prep + qs.trotter_sequence(h2_pauli, 1.0, order=2, r=1)
-    O = hamiltonian_matrix(h2_pauli)
-    exact = _exact_noisy_expectation(circ, O, 0.05, scale)
-    ideal = _exact_noisy_expectation(circ, O, 0.0, scale)
+    O = np.diag([0.0, 1.0])
+    O_fock = fci.fock_space_hamiltonian(O, np.zeros((2, 2, 2, 2)), 0.0)
+    exact = _exact_noisy_expectation(circ, O_fock, 0.05, scale)
+    ideal = _exact_noisy_expectation(circ, O_fock, 0.0, scale)
     mean, err = qs.noisy_expectation(circ, O, NoiseSpec(p=0.05, scale=scale), 1000, seed=3)
     assert abs(exact - ideal) > 15 * err
     assert abs(mean - exact) < 4 * err
 
 
-def _scalar_noisy_expectation(gs, observable, ns, n_trajectories, seed):
+def _scalar_noisy_expectation(gs, O, ns, n_trajectories, seed):
     """The one-trajectory-at-a-time loop that noisy_expectation batches.
 
     Each trajectory draws rng.random() after every folded gate and, on a
     hit, rng.integers(1, 4^k) for the Pauli on the gate's k-qubit support.
+    Each final state is measured with its own rdm1.
     """
     folded = qs.fold_sequence(gs, ns.scale)
     rng = np.random.default_rng(seed)
     n = gs.n_qubits
-
-    def measure(psi):
-        if callable(observable):
-            return observable(psi)
-        return float(np.vdot(psi, observable @ psi).real)
-
     vals = np.empty(n_trajectories)
     for k in range(n_trajectories):
         psi = qs.basis_state(0, n)
@@ -391,27 +398,25 @@ def _scalar_noisy_expectation(gs, observable, ns, n_trajectories, seed):
                     s[q] = "IXYZ"[code % 4]
                     code //= 4
                 psi = qs.apply_pauli("".join(s), psi)
-        vals[k] = measure(psi)
+        vals[k] = qs.expval_O(O, qs.rdm1(psi))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_trajectories)) if n_trajectories > 1 else 0.0
     return mean, stderr
 
 
-@pytest.mark.parametrize("dense", [False, True], ids=["callable", "dense"])
 @pytest.mark.parametrize("kind", ["hf_ground", "homo_lumo_excited", "half_occupied"])
-def test_noisy_expectation_matches_scalar_loop_bitwise(h2_pauli, h4_pauli, kind, dense):
+def test_noisy_expectation_matches_scalar_loop_bitwise(h2_pauli, h4_pauli, kind):
     for ph, n_electrons in ((h2_pauli, 2), (h4_pauli, 4)):
         prep, _ = qs.prepare_initial(kind, ph.n_qubits, n_electrons)
         circ = prep + qs.trotter_sequence(ph, 1.0, order=2, r=1)
         n = ph.n_qubits // 2
         O = np.diag(np.arange(1.0, n + 1)) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1))
-        obs = hamiltonian_matrix(ph) if dense else (lambda psi: qs.expval_O(O, qs.rdm1(psi)))
         for scale in (1, 3, 5):
             for p in (0.0, 0.1):
                 for n_traj in (1, 12):
                     ns = NoiseSpec(p=p, scale=scale)
-                    got = qs.noisy_expectation(circ, obs, ns, n_traj, seed=scale + 7)
-                    ref = _scalar_noisy_expectation(circ, obs, ns, n_traj, scale + 7)
+                    got = qs.noisy_expectation(circ, O, ns, n_traj, seed=scale + 7)
+                    ref = _scalar_noisy_expectation(circ, O, ns, n_traj, scale + 7)
                     assert got == ref, (ph.n_qubits, scale, p, n_traj)
 
 
