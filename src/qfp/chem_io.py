@@ -42,6 +42,12 @@ STO3G_HYDROGEN = (
     (0.16885540, 0.44463454),
 )
 _ERI_BLOCK = 32  # bra primitive pairs per block of the ERI pair-pair table
+# Smallest overlap eigenvalue s_orbital_integrals accepts.  Below it the
+# basis is nearly linearly dependent and later stages fail on round-off: the
+# DMET cluster of an H4 chain with two nuclei 2.4e-2 bohr apart (eigenvalue
+# 8.1e-5) failed the Jordan-Wigner Hermiticity check, and no H2, H4 or H6
+# chain at 1.1e-4 or above failed.
+_MIN_OVERLAP_EIGENVALUE = 1e-4
 
 
 class FcidumpError(ValueError):
@@ -195,6 +201,10 @@ def s_orbital_integrals(g: GaussianGeometry, n_electrons: int | None = None) -> 
     coef = coef * norm[fn]
     cc = coef[:, None] * coef[None, :]
     S = contract2(s_prim)
+    s_min = np.linalg.eigvalsh(S)[0]
+    if not s_min >= _MIN_OVERLAP_EIGENVALUE:
+        raise ValueError(f"overlap eigenvalue {s_min:.3g} below {_MIN_OVERLAP_EIGENVALUE:g}: "
+                         "the basis is nearly linearly dependent (nuclei too close)")
     h = contract2(t_prim + v_prim)
 
     # Two-electron integrals (ab|cd) over primitives, then contracted.  p, K,
@@ -402,7 +412,7 @@ def load_manifest(path: str) -> DatasetManifest:
     for i, e in enumerate(raw["entries"]):
         if not isinstance(e, dict) or "id" not in e:
             raise ManifestError(f"{path}: entry {i} is not an object with an `id`")
-        mid = str(e["id"])
+        mid = _manifest_value((str,), e["id"], path, f"entry {i}: `id`")
         if any(c in mid for c in ",\r\n"):  # each would split a features.csv row
             raise ManifestError(f"{path}: entry {i}: id {mid!r} holds a comma or line break")
         if mid in seen:
@@ -424,7 +434,8 @@ def load_manifest(path: str) -> DatasetManifest:
             source["generator"] = dict(e["generator"])
         else:
             raise ManifestError(f"{path}: id {mid!r} has neither `fcidump` nor `generator`")
-        target = _manifest_value(float, e.get("target", math.nan), path, f"id {mid!r}: `target`")
+        target = _manifest_value((float, int), e.get("target", math.nan), path,
+                                 f"id {mid!r}: `target`")
         entries.append(
             ManifestEntry(
                 molecule_id=mid,
@@ -433,15 +444,19 @@ def load_manifest(path: str) -> DatasetManifest:
                 label=str(e.get("label", "")),
             )
         )
-    version = _manifest_value(int, raw.get("format_version", 1), path, "`format_version`")
+    version = _manifest_value((int,), raw.get("format_version", 1), path, "`format_version`")
     return DatasetManifest(entries=entries, format_version=version)
 
 
-def _manifest_value(convert, value, path, what):
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf), float(10**400)
-        raise ManifestError(f"{path}: {what}: bad value {value!r}") from exc
+def _manifest_value(types, value, path, what):
+    """value as a types[0]: a JSON value of one of types.  A boolean is not a
+    number, and a numeric string is not one either."""
+    if isinstance(value, types) and not isinstance(value, bool):
+        try:
+            return types[0](value)
+        except OverflowError:  # float(10**400)
+            pass
+    raise ManifestError(f"{path}: {what}: bad value {value!r}")
 
 
 def save_manifest(manifest: DatasetManifest, path: str) -> None:
@@ -474,12 +489,18 @@ def save_features(ids, time_grid, values, path) -> None:
 
 
 def load_features(path):
-    """Inverse of save_features; returns (ids, time_grid, values)."""
+    """Inverse of save_features; returns (ids, time_grid, values).
+
+    Raises ValueError unless the times t=<v> form a non-empty, finite,
+    strictly increasing grid and every value is a finite number.
+    """
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
-        if header[0] != "molecule_id":
+        if header[0] != "molecule_id" or not all(c.startswith("t=") for c in header[1:]):
             raise ValueError(f"{path}: not a feature table (bad header)")
         grid = np.array([float(c[2:]) for c in header[1:]])
+        if not (grid.size and np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+            raise ValueError(f"{path}: times must be finite and strictly increasing")
         ids, rows = [], []
         for ln, line in enumerate(fh, start=2):
             if not line.strip():
@@ -489,5 +510,7 @@ def load_features(path):
                 raise ValueError(f"{path}: line {ln}: expected {len(header)} fields")
             ids.append(parts[0])
             rows.append([float(v) for v in parts[1:]])
+            if not np.all(np.isfinite(rows[-1])):
+                raise ValueError(f"{path}: line {ln}: non-finite value")
     values = np.array(rows) if rows else np.zeros((0, len(grid)))
     return ids, grid, values

@@ -126,6 +126,7 @@ def cmd_gen_h2(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
+    _check_flag("workers", args.workers, 1)
     cfg = _load_config(args.config)
     _make_out_dir(args.out)
     base = os.path.dirname(os.path.abspath(args.config))
@@ -207,6 +208,7 @@ def _sweep_config(cfg: PipelineConfig, axis: str, value: str) -> PipelineConfig:
 
 
 def cmd_sweep(args) -> int:
+    _check_flag("workers", args.workers, 1)
     cfg = _load_config(args.config)
     _make_out_dir(args.out)
     base = os.path.dirname(os.path.abspath(args.config))
@@ -250,6 +252,8 @@ def cmd_cluster(args) -> int:
     _make_out_dir(args.out)
     try:
         feats = fingerprint_ml.ts_feature_matrix(X, grid)
+        if not np.all(np.isfinite(feats)):
+            raise NumericalError("time-series features are not finite")
         scores = fingerprint_ml.pca_project(feats, args.pca_dims)
         labels, inertia = fingerprint_ml.kmeans_cluster(scores, args.k, seed=args.seed)
     except ValueError as exc:
@@ -286,15 +290,17 @@ def cmd_optimize_measurement(args) -> int:
         raise DataError("measurement optimization needs >= 5 molecules with targets")
     grid = cfg.grid()
     trajs = []
-    n_orb = None
     for e in manifest.entries:
         m = pipeline.build_molecule(e)
         with pipeline.molecule_errors(e.molecule_id):
             eh = pipeline.embed_molecule(m, cfg.embedding)
             trajs.append(fingerprint_ml.rdm_trajectory(
                 eh, cfg.initial_state, grid, evolver=cfg.evolver))
-        n_orb = eh.n_active_orbitals
+        if trajs[-1].shape != trajs[0].shape:  # one operator must fit every molecule
+            raise DataError(f"molecule {e.molecule_id!r}: {eh.n_active_orbitals} active "
+                            f"orbitals, not the {trajs[0].shape[-1]} of the first molecule")
     trajs = np.real(np.array(trajs))
+    n_orb = trajs.shape[-1]
     tr, va, _ = fingerprint_ml.train_val_test_split(len(y), seed=args.seed)
     iu = np.triu_indices(n_orb)
 
@@ -350,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fingerprint", help="compute fingerprint features")
     f.add_argument("--config", required=True)
-    f.add_argument("--workers", type=int, default=None)
+    f.add_argument("--workers", type=int, default=1)
     f.add_argument("--out", required=True)
     f.set_defaults(func=cmd_fingerprint)
 
@@ -371,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--axis", required=True,
                    choices=("time_max", "active_space", "trotter_r", "initial_state"))
     s.add_argument("--values", nargs="+", required=True)
-    s.add_argument("--workers", type=int, default=None)
+    s.add_argument("--workers", type=int, default=1)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sweep)
 

@@ -25,7 +25,6 @@ __all__ = [
     "DataError",
     "NumericalError",
     "PipelineConfig",
-    "worker_count",
     "build_molecule",
     "embed_molecule",
     "molecule_errors",
@@ -298,24 +297,6 @@ class PipelineConfig:
         return g["start"] + g["step"] * np.arange(n)
 
 
-def worker_count(flag_value: int | None = None) -> int:
-    """Worker-pool size: explicit flag, then QFP_THREADS, then cpu count."""
-    if flag_value is not None:
-        if flag_value < 1:
-            raise ConfigError("--workers: must be >= 1")
-        return flag_value
-    env = os.environ.get("QFP_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"QFP_THREADS: not an integer: {env!r}") from exc
-        if n < 1:
-            raise ConfigError("QFP_THREADS: must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
 def build_molecule(entry: ManifestEntry) -> MolecularIntegrals:
     """Integrals for a manifest entry (FCIDUMP file or geometry generator)."""
     if "fcidump" in entry.source:
@@ -471,9 +452,8 @@ def _one_fingerprint(entry, cfg, grid):
     return fp.values
 
 
-def run_fingerprints(cfg: PipelineConfig, base_dir: str = ".",
-                     workers: int | None = None):
-    """Fingerprints for every molecule in the dataset.
+def run_fingerprints(cfg: PipelineConfig, base_dir: str = ".", workers: int = 1):
+    """Fingerprints for every molecule in the dataset, on a pool of workers threads.
 
     Returns (ids, targets, grid, values) with values of shape
     (n_molecules, n_times), rows in manifest order.
@@ -484,8 +464,7 @@ def run_fingerprints(cfg: PipelineConfig, base_dir: str = ".",
     targets = np.array([e.target for e in manifest.entries])
     if not manifest.entries:
         return ids, targets, grid, np.zeros((0, len(grid)))
-    n_workers = worker_count(workers)
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(lambda e: _one_fingerprint(e, cfg, grid),
                              manifest.entries))
     return ids, targets, grid, np.stack(rows)

@@ -5,7 +5,8 @@ Conventions frozen here:
 * qubit 0 is the least significant bit of a basis-state index;
 * spatial orbital p maps to qubits 2p (spin-alpha) and 2p+1 (spin-beta);
 * Pauli strings are written with the qubit-0 symbol first;
-* a PauliRotation gate with angle theta applies cos(theta/2) I - i sin(theta/2) P.
+* a gate (theta, P) applies cos(theta/2) I - i sin(theta/2) P, and
+  (None, P) applies the Pauli string P itself.
 
 Pauli algebra is done in the symplectic (x_mask, z_mask) representation,
 with Y = i X Z, so products are bitwise operations.
@@ -35,7 +36,6 @@ __all__ = [
     "number_expectation",
     "noisy_expectation",
     "zne_extrapolate",
-    "apply_pauli",
 ]
 
 _SYMBOLS = "IXYZ"
@@ -75,17 +75,6 @@ def _pauli_action(string: str):
     n = len(string)
     x, z, ny = _masks_from_string(string)
     return np.arange(1 << n) ^ x, 1j ** ny * _parity_vector(z, n)
-
-
-def _apply_action(psi, action):
-    """P psi for action = _pauli_action(P), on states of shape (..., 2^n)."""
-    perm, pv = action
-    return (pv * psi).take(perm, axis=-1)
-
-
-def apply_pauli(string: str, psi: np.ndarray) -> np.ndarray:
-    """Apply a Pauli string to a statevector (or to each row of a batch)."""
-    return _apply_action(psi, _pauli_action(string))
 
 
 @dataclass
@@ -175,7 +164,8 @@ def jordan_wigner(eh) -> PauliHamiltonian:
 
 @dataclass
 class GateSequence:
-    """Ordered list of gates: ("X", q), ("RY", theta, q), ("PROT", theta, string)."""
+    """Ordered list of gates (theta, P) on Pauli strings P: the rotation
+    exp(-i theta P / 2), or P itself when theta is None."""
 
     gates: list
     n_qubits: int
@@ -200,78 +190,49 @@ def basis_state(index: int, n_qubits: int) -> np.ndarray:
 def prepare_initial(kind: str, n_qubits: int, n_electrons: int):
     """Initial-state circuits: HF ground, HOMO-LUMO pair excitation, half filling.
 
-    Returns (GateSequence, Statevector).  Occupied spin orbitals follow the
+    Returns (GateSequence, Statevector): X gates on the occupied spin
+    orbitals, or a Y rotation by pi/2 on every qubit for half filling, and
+    that circuit run on |0...0>.  Occupied spin orbitals follow the
     interleaved convention with orbitals in ascending energy order.
     """
     if n_electrons % 2 != 0:
         raise ValueError("even electron count required")
     if n_electrons > n_qubits:
         raise ValueError("more electrons than spin orbitals")
-    gates = []
+    theta, symbol = None, "X"
     if kind == "hf_ground":
-        occ = list(range(n_electrons))
+        qubits = range(n_electrons)
     elif kind == "homo_lumo_excited":
         if n_electrons < 2 or n_electrons >= n_qubits - 1:
             raise ValueError("pair excitation needs >=2 electrons and a virtual orbital")
         homo = n_electrons // 2 - 1
         lumo = homo + 1
         occ = [q for q in range(n_electrons) if q not in (2 * homo, 2 * homo + 1)]
-        occ += [2 * lumo, 2 * lumo + 1]
+        qubits = sorted(occ + [2 * lumo, 2 * lumo + 1])
     elif kind == "half_occupied":
-        theta = math.pi / 2
-        gates = [("RY", theta, q) for q in range(n_qubits)]
-        gs = GateSequence(gates=gates, n_qubits=n_qubits)
-        return gs, run_sequence(gs, basis_state(0, n_qubits))
+        theta, symbol, qubits = math.pi / 2, "Y", range(n_qubits)
     else:
         raise ValueError(f"unknown initial state kind {kind!r}")
-    gates = [("X", q) for q in sorted(occ)]
+    gates = [(theta, "I" * q + symbol + "I" * (n_qubits - 1 - q)) for q in qubits]
     gs = GateSequence(gates=gates, n_qubits=n_qubits)
-    index = sum(1 << q for q in occ)
-    return gs, basis_state(index, n_qubits)
-
-
-def _apply_x(psi, q):
-    return psi.take(np.arange(psi.shape[-1]) ^ (1 << q), axis=-1)
-
-
-def _apply_ry(psi, theta, q):
-    # Each row's 2^n amplitudes split into whole (2, 2^q) blocks, so one
-    # reshape covers a single state and every row of a (..., 2^n) batch.
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    v = psi.reshape(-1, 2, 1 << q)
-    out = np.empty_like(v)
-    out[:, 0, :] = c * v[:, 0, :] - s * v[:, 1, :]
-    out[:, 1, :] = s * v[:, 0, :] + c * v[:, 1, :]
-    return out.reshape(psi.shape)
-
-
-def _apply_prot(psi, theta, action):
-    """cos(theta/2) psi - i sin(theta/2) P psi on states of shape (..., 2^n);
-    action is _pauli_action(P)."""
-    return math.cos(theta / 2) * psi - 1j * math.sin(theta / 2) * _apply_action(psi, action)
-
-
-def _cached_action(actions: dict, string: str):
-    """_pauli_action(string), built once per dict of actions."""
-    action = actions.get(string)
-    if action is None:
-        action = actions[string] = _pauli_action(string)
-    return action
+    return gs, run_sequence(gs, basis_state(0, n_qubits))
 
 
 def _apply_gate(psi, gate, actions: dict):
-    """Apply one gate to a state or to every row of a (..., 2^n) batch.
+    """Apply gate (theta, P) to a state or to every row of a (..., 2^n) batch:
+    cos(theta/2) psi - i sin(theta/2) P psi, or P psi when theta is None.
 
-    actions caches each PROT string's _pauli_action for one circuit run.
+    actions caches each string's _pauli_action for one circuit run.
     """
-    # PROT first: Trotter circuits are almost all PauliRotation gates.
-    if gate[0] == "PROT":
-        return _apply_prot(psi, gate[1], _cached_action(actions, gate[2]))
-    if gate[0] == "X":
-        return _apply_x(psi, gate[1])
-    if gate[0] == "RY":
-        return _apply_ry(psi, gate[1], gate[2])
-    raise ValueError(f"unknown gate {gate[0]!r}")
+    theta, string = gate
+    action = actions.get(string)
+    if action is None:
+        action = actions[string] = _pauli_action(string)
+    perm, pv = action
+    p_psi = (pv * psi).take(perm, axis=-1)
+    if theta is None:
+        return p_psi
+    return math.cos(theta / 2) * psi - 1j * math.sin(theta / 2) * p_psi
 
 
 def run_sequence(gs: GateSequence, psi0: np.ndarray) -> np.ndarray:
@@ -399,7 +360,7 @@ class ExactEvolver:
 
 def trotter_sequence(ph: PauliHamiltonian, t: float, order: int = 2,
                      r: int = 1) -> GateSequence:
-    """Product-formula approximation to exp(-iHt) as PauliRotation gates.
+    """Product-formula approximation to exp(-iHt) as Pauli rotation gates.
 
     r is the total number of repetitions over the whole of [0, t], not a
     count per unit time: order 1 takes r steps of t/r, order 2 takes r
@@ -414,19 +375,10 @@ def trotter_sequence(ph: PauliHamiltonian, t: float, order: int = 2,
     body = [(c, s) for c, s in ph.terms if s != ident]
     phase = ph.identity_coefficient * t
 
-    gates = []
-    if order == 1:
-        dt = t / r
-        cycle = [("PROT", 2.0 * c * dt, s) for c, s in body]
-        for _ in range(r):
-            gates.extend(cycle)
-    else:
-        dt = t / (2 * r)
-        fwd = [("PROT", 2.0 * c * dt, s) for c, s in body]
-        cycle = fwd + fwd[::-1]
-        for _ in range(r):
-            gates.extend(cycle)
-    return GateSequence(gates=gates, n_qubits=ph.n_qubits, global_phase=phase)
+    dt = t / (order * r)
+    fwd = [(2.0 * c * dt, s) for c, s in body]
+    cycle = fwd + fwd[::-1] if order == 2 else fwd
+    return GateSequence(gates=cycle * r, n_qubits=ph.n_qubits, global_phase=phase)
 
 
 def trotter_evolve(ph: PauliHamiltonian, psi0: np.ndarray, times, order: int = 2,
@@ -599,11 +551,8 @@ class NoiseSpec:
 
 
 def _inverse_gate(gate):
-    if gate[0] == "X":
-        return gate
-    if gate[0] == "RY":
-        return ("RY", -gate[1], gate[2])
-    return ("PROT", -gate[1], gate[2])
+    theta, string = gate
+    return gate if theta is None else (-theta, string)
 
 
 def fold_sequence(gs: GateSequence, scale: float) -> GateSequence:
@@ -622,11 +571,7 @@ def fold_sequence(gs: GateSequence, scale: float) -> GateSequence:
 
 
 def _gate_support(gate):
-    if gate[0] in ("X",):
-        return [gate[1]]
-    if gate[0] == "RY":
-        return [gate[2]]
-    return [q for q, ch in enumerate(gate[2]) if ch != "I"]
+    return [q for q, ch in enumerate(gate[1]) if ch != "I"]
 
 
 def noisy_expectation(
@@ -681,7 +626,7 @@ def noisy_expectation(
     for gate, errors in zip(folded.gates, drawn):
         psi = _apply_gate(psi, gate, actions)
         for s, rows in errors.items():
-            psi[rows] = _apply_action(psi[rows], _cached_action(actions, s))
+            psi[rows] = _apply_gate(psi[rows], (None, s), actions)
 
     vals = np.array([expval_O(O, rho) for rho in rdm1(psi)])
     mean = float(vals.mean())

@@ -41,6 +41,17 @@ def test_coincident_nuclei_rejected():
         chem_io.s_orbital_integrals(chem_io.hydrogen_chain([0.0, 0.0]))
 
 
+@pytest.mark.parametrize("z_positions", [
+    [0.0, 3e-3],
+    # Overlap eigenvalue 8.1e-5: as DMET fragment [0, 1], this chain failed the
+    # Jordan-Wigner Hermiticity check.
+    [0.0, 1.4, 1.4244, 2.8244],
+])
+def test_nearly_dependent_basis_rejected(z_positions):
+    with pytest.raises(ValueError, match="nearly linearly dependent"):
+        chem_io.s_orbital_integrals(chem_io.hydrogen_chain(z_positions))
+
+
 def test_boys_function_branches_agree():
     # the small-argument Taylor branch must join the erf branch smoothly
     xs = np.array([1e-12, 1e-8, 1e-6, 1e-4, 1e-2])

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import shutil
 import tempfile
 
@@ -73,6 +74,7 @@ def test_fingerprint_writes_feature_table(h2_dataset):
     assert len(ids) == 6 and X.shape == (6, 5)
     assert np.array_equal(grid, np.arange(0, 2.001, 0.5))
     prov = json.loads((out / "provenance.json").read_text())
+    assert prov["args"] == {"workers": 1}
     # provenance config round-trips through validation
     assert PipelineConfig.from_dict(prov["config"]).to_dict() == prov["config"]
 
@@ -115,16 +117,6 @@ def test_numerical_failure_exit_4(h2_dataset):
                    "n_active_electrons": 2, "n_active_orbitals": 5})
     assert run("fingerprint", "--config", cfg, "--out",
                str(h2_dataset / "o")) == 4
-
-
-def test_qfp_threads_env(h2_dataset, monkeypatch):
-    cfg = write_config(h2_dataset)
-    monkeypatch.setenv("QFP_THREADS", "2")
-    assert run("fingerprint", "--config", cfg, "--out",
-               str(h2_dataset / "thr")) == 0
-    monkeypatch.setenv("QFP_THREADS", "zero")
-    assert run("fingerprint", "--config", cfg, "--out",
-               str(h2_dataset / "thr2")) == 2
 
 
 def test_train_on_pipeline_output(h2_dataset):
@@ -241,6 +233,24 @@ def test_optimize_measurement_h2(h2_dataset):
     assert min(hist["values"]) == best["validation_mse"]
 
 
+def test_optimize_measurement_active_space_size_mismatch_exit_3(tmp_path, capsys):
+    # A DMET cluster is the fragment and its bath: 2 orbitals for H2, 4 for H4.
+    entries = [{"id": f"h2_{i}", "generator": {"kind": "h2", "separation": 1.2 + 0.2 * i},
+                "target": 1.0 * i} for i in range(4)]
+    entries += [{"id": f"h4_{i}", "generator": {"kind": "chain",
+                                                "z_positions": [0.0, 1.4, 2.8, 4.2 + i]},
+                 "target": 5.0 + i} for i in range(2)]
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": entries}))
+    cfg = write_config(tmp_path, embedding={"mode": "dmet", "fragment": [0, 1]})
+    assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "fp")) == 0
+    assert run("optimize-measurement", "--config", cfg, "--budget", "5",
+               "--out", str(tmp_path / "opt")) == 3
+    err = capsys.readouterr().err
+    assert "molecule 'h4_0'" in err
+    assert "Traceback" not in err
+
+
 def test_dmet_fragment_out_of_range_exit_2(h2_dataset):
     # H2 has orbitals 0 and 1 only
     cfg = write_config(h2_dataset, name="frag.json",
@@ -279,6 +289,57 @@ def test_ragged_feature_table_exit_3(tmp_path, monkeypatch, command, args):
     assert run(command, "--features", "f.csv", *args, "--out", "o") == 3
 
 
+# The commands that read the ten-molecule f.csv (and t.csv).
+TABLE_COMMANDS = {
+    "train_pls": ["train", "--features", "f.csv", "--targets", "t.csv", "--model", "pls"],
+    "train_krr": ["train", "--features", "f.csv", "--targets", "t.csv", "--model", "krr"],
+    "cluster": ["cluster", "--features", "f.csv", "--k", "2"],
+}
+
+
+def _edit_table(directory, row, col, text):
+    """Replace field col of line row (0 is the header) of the ten-molecule f.csv."""
+    _ten_molecule_table(directory)
+    lines = (directory / "f.csv").read_text().splitlines()
+    fields = lines[row].split(",")
+    fields[col] = text
+    lines[row] = ",".join(fields)
+    (directory / "f.csv").write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("row,col,text,command", [
+    (3, 5, "inf", "cluster"),
+    (3, 5, "nan", "train_pls"),
+    (0, 4, "t=nan", "train_pls"),
+    (0, 4, "t=1e999", "train_krr"),
+    (0, 4, "t=0.5", "train_krr"),
+    (0, 4, "x=1.7", "train_krr"),
+], ids=["inf_cell", "nan_cell", "nan_time", "infinite_time", "repeated_time", "not_a_time"])
+def test_bad_feature_table_exit_3(tmp_path, monkeypatch, capsys, row, col, text, command):
+    monkeypatch.chdir(tmp_path)
+    _edit_table(tmp_path, row, col, text)
+    assert run(*TABLE_COMMANDS[command], "--out", "o") == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_feature_table_without_times_exit_3(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _ten_molecule_table(tmp_path)
+    (tmp_path / "f.csv").write_text("molecule_id\n" + "".join(f"m{i}\n" for i in range(10)))
+    assert run(*TABLE_COMMANDS["train_krr"], "--out", "o") == 3
+
+
+def test_cluster_overflowing_features_exit_4(tmp_path, monkeypatch, capfd):
+    # 1e308 is a finite cell, but the variance of its series overflows.
+    monkeypatch.chdir(tmp_path)
+    _edit_table(tmp_path, 3, 5, "1e308")
+    assert run(*TABLE_COMMANDS["cluster"], "--out", "o") == 4
+    err = capfd.readouterr().err
+    assert "not finite" in err
+    assert "DLASCL" not in err
+    assert not (tmp_path / "o" / "labels.csv").exists()
+
+
 H2_ENTRY = {"id": "h2_000", "generator": {"kind": "h2", "separation": 1.4}, "target": 1.4}
 
 
@@ -292,9 +353,17 @@ H2_ENTRY = {"id": "h2_000", "generator": {"kind": "h2", "separation": 1.4}, "tar
     {"entries": [{**H2_ENTRY, "generator": {"kind": "chain", "z_positions": 5}}]},
     {"entries": [{**H2_ENTRY, "generator": {"kind": "chain", "z_positions": [0.0, "a"]}}]},
     *[{"entries": [H2_ENTRY, {**H2_ENTRY, "id": bad}]} for bad in ("a,b", "c\nd", "e\rf")],
+    {"entries": [{**H2_ENTRY, "id": True}]},
+    {"entries": [{**H2_ENTRY, "id": 7}]},
+    {"entries": [{**H2_ENTRY, "target": True}]},
+    {"entries": [{**H2_ENTRY, "target": "1.4"}]},
+    {"entries": [H2_ENTRY], "format_version": 3.7},
+    {"entries": [H2_ENTRY], "format_version": True},
+    {"entries": [H2_ENTRY], "format_version": "1"},
 ], ids=["entries", "target", "format_version", "generator", "fcidump",
         "separation", "z_positions", "z_position_item", "id_comma", "id_newline",
-        "id_carriage_return"])
+        "id_carriage_return", "id_true", "id_number", "target_true", "target_string",
+        "format_version_float", "format_version_true", "format_version_string"])
 def test_malformed_manifest_value_exit_3(tmp_path, manifest):
     (tmp_path / "data").mkdir()
     (tmp_path / "data" / "manifest.json").write_text(json.dumps(manifest))
@@ -378,6 +447,11 @@ def test_manifest_values_fuzz_exit_codes(fuzz_manifest_dir, target, value):
     event(f"{key} exit {code}")
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in stderr.getvalue()
+    # id is a string, target a number and format_version an integer; a boolean
+    # or a numeric string is neither.
+    json_types = {"id": str, "target": (int, float), "format_version": int}
+    if key in json_types and (isinstance(value, bool) or not isinstance(value, json_types[key])):
+        assert code == 3
     if code == 0:
         ids, _, values = chem_io.load_features(os.path.join(out, "features.csv"))
         assert ids == [e.molecule_id for e in chem_io.load_manifest(str(path)).entries]
@@ -546,6 +620,9 @@ TRAIN_10 = ["train", "--features", "f.csv", "--targets", "t.csv"]
     ["gen-h2", "--rmin", "1", "--rmax", "inf", "--count", "2"],
     *[["optimize-measurement", "--config", "config.json", f"--budget={b}"]
       for b in (0, 1, 3, -1)],
+    ["fingerprint", "--config", "config.json", "--workers", "0"],
+    ["sweep", "--config", "config.json", "--axis", "time_max", "--values", "1",
+     "--workers", "0"],
 ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv if a not in TRAIN_10[1:]))
 def test_bad_numeric_flag_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -558,11 +635,12 @@ def test_bad_numeric_flag_exit_2(tmp_path, monkeypatch, capsys, argv):
 
 # Each flag is often in range, so that valid runs are drawn too.
 def test_train_non_finite_cv_exit_4(tmp_path, monkeypatch, capsys):
-    # A NaN feature gives NaN out-of-fold predictions; cv_report.json would not be JSON.
+    # A feature of 1e300 overflows the kernel's squared distances, which gives
+    # NaN out-of-fold predictions; cv_report.json would not be JSON.
     monkeypatch.chdir(tmp_path)
     _ten_molecule_table(tmp_path)
     ids, grid, X = chem_io.load_features("f.csv")
-    X[4, 7] = np.nan
+    X[4, 7] = 1e300
     chem_io.save_features(ids, grid, X, "f.csv")
     assert run(*TRAIN_10, "--model", "krr", "--out", "o") == 4
     assert "non-finite" in capsys.readouterr().err
@@ -621,6 +699,52 @@ def test_numeric_flags_fuzz_exit_codes(ten_molecule_dir, argv):
             json.load(fh, parse_constant=lambda c: pytest.fail(f"{c} in cv_report.json"))
 
 
+FEATURE_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda v: f"t={v!r}"),
+    st.sampled_from(["", "x", "inf", "-inf", "nan", "1e999", "1e308", "-1e308", "0x10",
+                     "1,2", "t=", "t=x", "t=0.5", "t=1e999", "1_0", " 2.5 "]),
+    st.text(max_size=4),
+)
+
+
+def _bad_cell(text: str, header: bool) -> bool:
+    """True for a time or value that is not a finite number (a time needs t=)."""
+    if header:
+        if not text.startswith("t="):
+            return True
+        text = text[2:]
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:
+        return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(row=st.integers(0, 10), col=st.integers(0, 12), text=FEATURE_CELLS)
+# Each of these used to exit 0; 1e308 also made LAPACK print DLASCL errors.
+@example(row=3, col=5, text="inf")
+@example(row=3, col=5, text="1e308")
+@example(row=0, col=4, text="t=nan")
+def test_feature_table_fuzz_exit_codes(ten_molecule_dir, row, col, text):
+    directory = tempfile.mkdtemp(dir=ten_molecule_dir)
+    _edit_table(pathlib.Path(directory), row, col, text)
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        for name, argv in TABLE_COMMANDS.items():
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main([*argv, "--out", name])
+            event(f"{name} exit {code}")
+            assert code in (0, 2, 3, 4)
+            assert "Traceback" not in stderr.getvalue()
+            if col > 0 and _bad_cell(text, header=row == 0):
+                assert code == 3, name
+    finally:
+        os.chdir(cwd)
+
+
 # "__RAW__" is replaced by raw JSON text: 1e400 parses to inf.
 @pytest.mark.parametrize("overrides,key", [
     ({"embedding": {"mode": "active_space", "n_active_electrons": 2,
@@ -653,8 +777,10 @@ def test_invalid_config_value_exit_2(tmp_path, capsys, overrides, key):
     {"kind": "h2", "separation": True},
     {"kind": "h2", "separation": "3.5"},
     {"kind": "chain", "z_positions": [0, True, 2.8, 4.2]},
+    *[{"kind": "chain", "z_positions": [0, z]} for z in (1e-3, 1e-5, 1e-9)],
 ], ids=["nan_separation", "huge_separation", "zero_separation", "infinite_z",
-        "true_separation", "string_separation", "true_z"])
+        "true_separation", "string_separation", "true_z",
+        "near_coincident_1e-3", "near_coincident_1e-5", "near_coincident_1e-9"])
 @pytest.mark.parametrize("argv", [
     ["fingerprint"], ["optimize-measurement", "--budget", "5"],
 ], ids=lambda argv: argv[0])

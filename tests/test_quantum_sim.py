@@ -29,7 +29,8 @@ def test_apply_pauli_matches_dense_matrix(s, seed):
     re, im = np.random.default_rng(seed).normal(size=(2, 1 << n))
     psi = re + 1j * im
     M = pauli_matrix([(1.0, s)], n)
-    assert np.allclose(qs.apply_pauli(s, psi), M @ psi, atol=1e-12)
+    gs = GateSequence(gates=[(None, s)], n_qubits=n)
+    assert np.allclose(qs.run_sequence(gs, psi), M @ psi, atol=1e-12)
     # Pauli strings are involutions with unit square
     assert np.allclose(M @ M, np.eye(1 << n), atol=1e-12)
 
@@ -81,7 +82,7 @@ def test_prot_gate_is_pauli_rotation():
     U = scipy.linalg.expm(-0.5j * theta * M)
     psi = np.random.default_rng(3).normal(size=4) + 0j
     psi /= np.linalg.norm(psi)
-    seq = GateSequence(gates=[("PROT", theta, "XY")], n_qubits=2)
+    seq = GateSequence(gates=[(theta, "XY")], n_qubits=2)
     assert np.allclose(qs.run_sequence(seq, psi), U @ psi, atol=1e-12)
 
 
@@ -329,19 +330,11 @@ def _exact_noisy_expectation(gs, O, p, scale):
     rho[0, 0] = 1.0
     channels = {}
     for gate in qs.fold_sequence(gs, scale).gates:
-        if gate[0] == "PROT":
-            support = [q for q, ch in enumerate(gate[2]) if ch != "I"]
-            P = kron_string([PAULI_2X2[ch] for ch in gate[2]])
-            U = np.cos(gate[1] / 2) * np.eye(1 << n) - 1j * np.sin(gate[1] / 2) * P
-        else:
-            q = gate[1] if gate[0] == "X" else gate[2]
-            support = [q]
-            if gate[0] == "X":
-                u = PAULI_2X2["X"]
-            else:
-                c, s = np.cos(gate[1] / 2), np.sin(gate[1] / 2)
-                u = np.array([[c, -s], [s, c]])
-            U = kron_string([u if k == q else np.eye(2) for k in range(n)])
+        theta, string = gate
+        support = [q for q, ch in enumerate(string) if ch != "I"]
+        U = kron_string([PAULI_2X2[ch] for ch in string])
+        if theta is not None:
+            U = np.cos(theta / 2) * np.eye(1 << n) - 1j * np.sin(theta / 2) * U
         rho = U @ rho @ U.conj().T
         key = tuple(support)
         if key not in channels:
@@ -397,7 +390,7 @@ def _scalar_noisy_expectation(gs, O, ns, n_trajectories, seed):
                 for q in support:
                     s[q] = "IXYZ"[code % 4]
                     code //= 4
-                psi = qs.apply_pauli("".join(s), psi)
+                psi = qs.run_sequence(GateSequence(gates=[(None, "".join(s))], n_qubits=n), psi)
         vals[k] = qs.expval_O(O, qs.rdm1(psi))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_trajectories)) if n_trajectories > 1 else 0.0
