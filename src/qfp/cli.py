@@ -256,6 +256,8 @@ def cmd_cluster(args) -> int:
             raise NumericalError("time-series features are not finite")
         scores = fingerprint_ml.pca_project(feats, args.pca_dims)
         labels, inertia = fingerprint_ml.kmeans_cluster(scores, args.k, seed=args.seed)
+    except FloatingPointError as exc:
+        raise NumericalError(f"time-series features overflow in PCA: {exc}") from exc
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     with open(os.path.join(args.out, "labels.csv"), "w") as fh:
@@ -284,6 +286,8 @@ def cmd_optimize_measurement(args) -> int:
     base = os.path.dirname(os.path.abspath(args.config))
     if cfg.model["kind"] != "krr":
         raise ConfigError("optimize-measurement requires a krr model spec")
+    if cfg.noise is not None:
+        raise ConfigError("noise: optimize-measurement measures noiseless RDM trajectories")
     manifest = pipeline.load_dataset(cfg, base)
     y = np.array([e.target for e in manifest.entries])
     if len(y) < 5 or not np.all(np.isfinite(y)):

@@ -42,11 +42,9 @@ __all__ = [
 
 @dataclass
 class Fingerprint:
-    """Per-molecule time series of an observable on a shared grid (t_H units)."""
+    """An observable's time series on a grid (t_H units)."""
 
-    molecule_id: str
     time_grid: np.ndarray
-    label: str
     values: np.ndarray
 
     def __post_init__(self):
@@ -57,25 +55,9 @@ class Fingerprint:
             raise ValueError("non-finite fingerprint values")
 
 
-def _evolved_states(eh: EmbeddedHamiltonian, initial_kind: str, time_grid, evolver):
-    """The (T, 2^n) batch of states at the grid times for an evolver spec.
-
-    evolver: {"kind": "exact"} or {"kind": "trotter", "order": o, "r": r}.
-    The exact evolver propagates the sector blocks psi0 touches (see
-    ExactEvolver).  A trotter evolver steps psi from one grid time to the
-    next with r steps of order o per interval (see trotter_evolve), so its
-    step does not grow with t.
-    """
-    ph = quantum_sim.jordan_wigner(eh)
-    n_qubits = 2 * eh.n_active_orbitals
-    _, psi0 = quantum_sim.prepare_initial(initial_kind, n_qubits, eh.n_active_electrons)
-    kind = evolver.get("kind", "exact")
-    if kind == "exact":
-        return quantum_sim.ExactEvolver(ph).evolve(psi0, time_grid)
-    if kind == "trotter":
-        return quantum_sim.trotter_evolve(ph, psi0, time_grid, order=int(evolver.get("order", 2)),
-                                          r=int(evolver.get("r", 1)))
-    raise ValueError(f"unknown evolver kind {kind!r}")
+def _trotter_steps(evolver: dict):
+    """(order, r) of a trotter evolver spec: 2 and 1 unless it sets them."""
+    return int(evolver.get("order", 2)), int(evolver.get("r", 1))
 
 
 def compute_fingerprint(
@@ -84,28 +66,39 @@ def compute_fingerprint(
     time_grid,
     observable: dict | None = None,
     evolver: dict | None = None,
-    molecule_id: str = "",
+    noise: dict | None = None,
 ) -> Fingerprint:
     """Evolve and measure: one observable value per grid point.
 
     observable: {"kind": "F"} (energy-weighted density, the default) or
-    {"kind": "O", "matrix": O} for a general one-body operator.  For the
-    whole one-body density matrix along the evolution, use rdm_trajectory.
+    {"kind": "O", "matrix": O} for a general one-body operator.  evolver: see
+    rdm_trajectory.  For the whole one-body density matrix along the
+    evolution, use rdm_trajectory.
+
+    noise: None, or {"p": p, "scale": s, "n_trajectories": K, "seed": seed}
+    (defaults 1, 100 and 0) for gate-level noise on a trotter evolver.  The
+    value at t_i is then the noisy_expectation of the whole-interval circuit
+    prep + trotter_sequence(H, t_i, order, r) with seed + i, so r counts the
+    steps over [0, t_i]; a ValueError for any other evolver.
     """
     time_grid = np.asarray(time_grid, dtype=float)
     if time_grid.size == 0:
         raise ValueError("empty time grid")
-    observable = observable or {"kind": "F"}
     evolver = evolver or {"kind": "exact"}
-    O = _observable_matrix(eh, observable)
-    rdms = rdm_trajectory(eh, initial_kind, time_grid, evolver)
-    label = "custom-O" if observable["kind"] == "O" else observable["kind"]
-    return Fingerprint(
-        molecule_id=molecule_id,
-        time_grid=time_grid,
-        label=f"{label}|{evolver.get('kind', 'exact')}",
-        values=np.asarray([quantum_sim.expval_O(O, rho) for rho in rdms]),
-    )
+    O = _observable_matrix(eh, observable or {"kind": "F"})
+    if noise is None:
+        rdms = rdm_trajectory(eh, initial_kind, time_grid, evolver)
+        return Fingerprint(time_grid, np.asarray([quantum_sim.expval_O(O, rho) for rho in rdms]))
+    if evolver.get("kind", "exact") != "trotter":
+        raise ValueError("noise requires a trotter evolver (gate-level noise)")
+    ph = quantum_sim.jordan_wigner(eh)
+    prep, _ = quantum_sim.prepare_initial(initial_kind, ph.n_qubits, eh.n_active_electrons)
+    ns = quantum_sim.NoiseSpec(p=noise["p"], scale=noise.get("scale", 1))
+    values = [quantum_sim.noisy_expectation(
+        prep + quantum_sim.trotter_sequence(ph, float(t), *_trotter_steps(evolver)), O, ns,
+        n_trajectories=noise.get("n_trajectories", 100), seed=noise.get("seed", 0) + i)[0]
+        for i, t in enumerate(time_grid)]
+    return Fingerprint(time_grid, np.asarray(values))
 
 
 def _observable_matrix(eh: EmbeddedHamiltonian, observable: dict) -> np.ndarray:
@@ -120,11 +113,25 @@ def rdm_trajectory(eh: EmbeddedHamiltonian, initial_kind: str, time_grid,
                    evolver: dict | None = None) -> np.ndarray:
     """One-body density matrices along the evolution, shape (T, n, n).
 
-    Lets linear observables O be swept cheaply after a single simulation.
+    evolver: {"kind": "exact"} (the default) or {"kind": "trotter", "order":
+    o, "r": r}.  The exact evolver propagates the sector blocks psi0 touches
+    (see ExactEvolver).  A trotter evolver steps psi from one grid time to
+    the next with r steps of order o per interval (see trotter_evolve), so
+    its step does not grow with t.  Lets linear observables O be swept
+    cheaply after a single simulation.
     """
     evolver = evolver or {"kind": "exact"}
-    return quantum_sim.rdm1(
-        _evolved_states(eh, initial_kind, np.asarray(time_grid, float), evolver))
+    time_grid = np.asarray(time_grid, float)
+    ph = quantum_sim.jordan_wigner(eh)
+    _, psi0 = quantum_sim.prepare_initial(initial_kind, ph.n_qubits, eh.n_active_electrons)
+    kind = evolver.get("kind", "exact")
+    if kind == "exact":
+        states = quantum_sim.ExactEvolver(ph).evolve(psi0, time_grid)
+    elif kind == "trotter":
+        states = quantum_sim.trotter_evolve(ph, psi0, time_grid, *_trotter_steps(evolver))
+    else:
+        raise ValueError(f"unknown evolver kind {kind!r}")
+    return quantum_sim.rdm1(states)
 
 
 def one_body_features(rdm_traj: np.ndarray, O: np.ndarray) -> np.ndarray:
@@ -292,6 +299,9 @@ def _fit_model(spec: dict, X, y):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
+# Features near 1e154 or above overflow the fits to inf or nan without a
+# warning; the caller rejects a non-finite R2 or RMSE.
+@np.errstate(over="ignore", invalid="ignore")
 def kfold_cv(X, y, model_spec: dict, k: int = 5, seed: int = 0, ids=None) -> CVReport:
     """Seeded shuffle + contiguous folds; pooled out-of-fold metrics."""
     X = np.asarray(X, dtype=float)
@@ -457,6 +467,9 @@ def _autocorr(x, lag):
     return float(xc[:-lag] @ xc[lag:]) / denom
 
 
+# Values near 1e154 or above overflow the variance to inf or nan without a
+# warning; the caller rejects non-finite features.
+@np.errstate(over="ignore", invalid="ignore")
 def ts_feature_matrix(series: np.ndarray, time_grid=None) -> np.ndarray:
     """Fixed 16-feature summary per series (rows), see TS_FEATURE_NAMES."""
     series = np.atleast_2d(np.asarray(series, dtype=float))
@@ -467,7 +480,11 @@ def ts_feature_matrix(series: np.ndarray, time_grid=None) -> np.ndarray:
     out = np.empty((n, 16))
     for i, x in enumerate(series):
         dft = np.fft.rfft(x - x.mean())
-        slope = np.polyfit(t, x, 1)[0]
+        with warnings.catch_warnings():
+            # polyfit warns on a grid spanning ~1e154 or more; the slope it
+            # returns there is about 0, as the least-squares slope is.
+            warnings.simplefilter("ignore", np.exceptions.RankWarning)
+            slope = np.polyfit(t, x, 1)[0]
         out[i] = [
             x.mean(), x.var(), x.min(), x.max(), x[-1] - x[0],
             float(np.mean(np.abs(np.diff(x)))),
@@ -480,9 +497,14 @@ def ts_feature_matrix(series: np.ndarray, time_grid=None) -> np.ndarray:
 
 
 def pca_project(X: np.ndarray, n: int):
-    """Scores of column-standardized X on its top-n covariance eigenvectors."""
+    """Scores of column-standardized X on its top-n covariance eigenvectors.
+
+    Raises FloatingPointError if a column's variance overflows (values near
+    1e154 or above), which would otherwise zero that column.
+    """
     X = np.asarray(X, dtype=float)
-    std = X.std(axis=0)
+    with np.errstate(over="raise"):
+        std = X.std(axis=0)
     mask = std > 1e-14
     Xs = (X[:, mask] - X[:, mask].mean(axis=0)) / std[mask]
     if n > min(Xs.shape):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from qfp import chem_io, embedding, fingerprint_ml, mean_field, quantum_sim
+from qfp import chem_io, embedding, fingerprint_ml, mean_field
 from qfp.chem_io import DatasetManifest, ManifestEntry, MolecularIntegrals
 
 __all__ = [
@@ -400,30 +400,6 @@ def _h2_scan(rmin, rmax, count) -> DatasetManifest:
     ])
 
 
-def _noisy_fingerprint(eh, cfg: PipelineConfig, grid, molecule_id):
-    spec = cfg.noise
-    H = quantum_sim.jordan_wigner(eh)
-    prep, _ = quantum_sim.prepare_initial(
-        cfg.initial_state, H.n_qubits, eh.n_active_electrons
-    )
-    O = fingerprint_ml._observable_matrix(eh, cfg.observable)
-    ns = quantum_sim.NoiseSpec(p=spec["p"], scale=spec.get("scale", 1))
-    vals = []
-    for i, t in enumerate(grid):
-        circ = prep + quantum_sim.trotter_sequence(
-            H, float(t), order=cfg.evolver.get("order", 2), r=cfg.evolver.get("r", 1)
-        )
-        mean, _ = quantum_sim.noisy_expectation(
-            circ, O, ns, n_trajectories=spec.get("n_trajectories", 100),
-            seed=spec.get("seed", 0) + i,
-        )
-        vals.append(mean)
-    return fingerprint_ml.Fingerprint(
-        molecule_id=molecule_id, time_grid=np.asarray(grid, float),
-        label=f"{cfg.observable['kind']}|noisy-trotter", values=np.asarray(vals),
-    )
-
-
 @contextmanager
 def molecule_errors(molecule_id: str):
     """Name the molecule in its ConfigError (exit 2) or numerical failure (exit 4)."""
@@ -442,14 +418,10 @@ def _one_fingerprint(entry, cfg, grid):
         n = eh.n_active_orbitals
         if cfg.observable["kind"] == "O" and np.shape(cfg.observable["matrix"]) != (n, n):
             raise ConfigError(f"observable.matrix: expected {n}x{n} for the active space")
-        if cfg.noise is not None:
-            fp = _noisy_fingerprint(eh, cfg, grid, entry.molecule_id)
-        else:
-            fp = fingerprint_ml.compute_fingerprint(
-                eh, cfg.initial_state, grid, observable=cfg.observable,
-                evolver=cfg.evolver, molecule_id=entry.molecule_id,
-            )
-    return fp.values
+        return fingerprint_ml.compute_fingerprint(
+            eh, cfg.initial_state, grid, observable=cfg.observable,
+            evolver=cfg.evolver, noise=cfg.noise,
+        ).values
 
 
 def run_fingerprints(cfg: PipelineConfig, base_dir: str = ".", workers: int = 1):

@@ -282,12 +282,13 @@ def _sector_labels(n_qubits: int) -> np.ndarray:
 
 
 def _group_values(groups, sector: np.ndarray, idx: np.ndarray):
-    """Yield (x, f, dst, inside) for each group on the sorted basis indices idx.
+    """Yield (x, f, src) for each group on the sorted basis indices idx.
 
-    idx holds whole sectors; f[i] = f_x(idx[i]) = sum_k c_k (-1)^popcount(idx[i] & z_k),
-    dst = idx ^ x, and inside marks the dst in the same sector as idx.
-    Raises ValueError if f is nonzero where dst leaves the sector (H couples
-    sectors).
+    idx holds whole sectors; f[i] = f_x(idx[i]) = sum_k c_k (-1)^popcount(idx[i] & z_k)
+    and src[i] is the position in idx of idx[i] ^ x, so A_x takes the
+    amplitude at position i to position src[i] with weight f[i].  Where
+    idx[i] ^ x leaves the sectors, src[i] = i and f[i] is set to 0; it raises
+    ValueError if f_x there is above 1e-10 (H couples sectors).
     """
     labels = sector[idx]
     for x, zs, cs in groups:
@@ -297,7 +298,9 @@ def _group_values(groups, sector: np.ndarray, idx: np.ndarray):
         inside = sector[dst] == labels
         if np.any(np.abs(f[~inside]) > 1e-10):
             raise ValueError("Hamiltonian couples (N_alpha, N_beta) sectors")
-        yield x, f, dst, inside
+        src = np.arange(idx.size)
+        src[inside] = np.searchsorted(idx, dst[inside])
+        yield x, np.where(inside, f, 0.0), src
 
 
 class ExactEvolver:
@@ -330,8 +333,9 @@ class ExactEvolver:
         the block H[i, j] = <indices[i]|H|indices[j]> (real without odd-Y strings)."""
         idx = np.flatnonzero(self._sector == self._sector[index])
         H = np.zeros((idx.size, idx.size), dtype=self._dtype)
-        for _, f, dst, inside in _group_values(self._groups, self._sector, idx):
-            H[np.searchsorted(idx, dst[inside]), np.flatnonzero(inside)] += f[inside]
+        cols = np.arange(idx.size)
+        for _, f, src in _group_values(self._groups, self._sector, idx):
+            H[src, cols] += f
         if np.max(np.abs(H - H.conj().T)) > 1e-10:
             raise ValueError("Hamiltonian matrix is not Hermitian")
         return idx, H
@@ -415,12 +419,7 @@ def trotter_evolve(ph: PauliHamiltonian, psi0: np.ndarray, times, order: int = 2
         raise ValueError("grouped Trotter steps need a real Hamiltonian (no odd-Y strings)")
     sector = _sector_labels(ph.n_qubits)
     idx = np.flatnonzero(np.isin(sector, sector[psi0 != 0]))
-    acts = []
-    for x, f, dst, inside in _group_values(groups, sector, idx):
-        # Where idx ^ x leaves the sectors, f is (below 1e-10) zero: step nothing there.
-        src = np.arange(idx.size)
-        src[inside] = np.searchsorted(idx, dst[inside])
-        acts.append((x, np.where(inside, f, 0.0), src))
+    acts = list(_group_values(groups, sector, idx))
 
     def step(h):
         theta = h / (order * r)

@@ -329,6 +329,7 @@ def test_feature_table_without_times_exit_3(tmp_path, monkeypatch):
     assert run(*TABLE_COMMANDS["train_krr"], "--out", "o") == 3
 
 
+@pytest.mark.filterwarnings("error")
 def test_cluster_overflowing_features_exit_4(tmp_path, monkeypatch, capfd):
     # 1e308 is a finite cell, but the variance of its series overflows.
     monkeypatch.chdir(tmp_path)
@@ -634,6 +635,7 @@ def test_bad_numeric_flag_exit_2(tmp_path, monkeypatch, capsys, argv):
 
 
 # Each flag is often in range, so that valid runs are drawn too.
+@pytest.mark.filterwarnings("error")
 def test_train_non_finite_cv_exit_4(tmp_path, monkeypatch, capsys):
     # A feature of 1e300 overflows the kernel's squared distances, which gives
     # NaN out-of-fold predictions; cv_report.json would not be JSON.
@@ -720,12 +722,17 @@ def _bad_cell(text: str, header: bool) -> bool:
         return True
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=100, deadline=None)
 @given(row=st.integers(0, 10), col=st.integers(0, 12), text=FEATURE_CELLS)
 # Each of these used to exit 0; 1e308 also made LAPACK print DLASCL errors.
 @example(row=3, col=5, text="inf")
 @example(row=3, col=5, text="1e308")
 @example(row=0, col=4, text="t=nan")
+# Each of these printed numpy warnings: finite time-series features whose PCA
+# standardization overflows, and a time grid too wide for polyfit.
+@example(row=1, col=1, text="4.4161370087347275e+77")
+@example(row=0, col=12, text="t=1.3407807929942597e+154")
 def test_feature_table_fuzz_exit_codes(ten_molecule_dir, row, col, text):
     directory = tempfile.mkdtemp(dir=ten_molecule_dir)
     _edit_table(pathlib.Path(directory), row, col, text)
@@ -828,6 +835,24 @@ def test_noise_product_at_least_one_exit_2_before_any_scf(tmp_path, capsys, monk
                        evolver={"kind": "trotter", "order": 2, "r": 1}, noise=noise)
     assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert message in capsys.readouterr().err
+
+
+def test_optimize_measurement_rejects_noise_exit_2_before_any_scf(tmp_path, capsys,
+                                                                  monkeypatch):
+    # It fits O on noiseless RDM trajectories, so a noise block would go unused.
+    from qfp import mean_field
+
+    def scf_solve(m):
+        raise AssertionError("SCF ran for a config optimize-measurement rejects")
+
+    monkeypatch.setattr(mean_field, "scf_solve", scf_solve)
+    cfg = write_config(tmp_path, dataset={**H2_SCAN, "count": 6},
+                       evolver={"kind": "trotter", "order": 2, "r": 1},
+                       noise={"p": 0.05, "scale": 3})
+    assert run("optimize-measurement", "--config", cfg, "--budget", "5",
+               "--out", str(tmp_path / "o")) == 2
+    assert "noiseless" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "best_operator.json").exists()
 
 
 @pytest.mark.parametrize("axis,values,overrides", [

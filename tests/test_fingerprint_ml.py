@@ -16,9 +16,9 @@ from conftest import dmet_h2
 
 def test_fingerprint_invariants():
     with pytest.raises(ValueError):
-        Fingerprint("m", np.array([0.0, 0.0, 1.0]), "F", np.zeros(3))
+        Fingerprint(np.array([0.0, 0.0, 1.0]), np.zeros(3))
     with pytest.raises(ValueError):
-        Fingerprint("m", np.array([0.0, 1.0]), "F", np.array([1.0, np.nan]))
+        Fingerprint(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
 
 
 def test_compute_fingerprint_grid_shape(h2_active):
@@ -60,6 +60,27 @@ def test_trotter_fingerprint_tracks_exact_at_long_times(n_atoms, n_elec, n_orb):
     trot = ml.compute_fingerprint(eh, "homo_lumo_excited", grid,
                                   evolver={"kind": "trotter", "order": 2, "r": 2})
     assert np.max(np.abs(trot.values - exact.values)) < 5e-3
+
+
+@pytest.mark.parametrize("scale", [1, 3])
+@pytest.mark.parametrize("observable", [{"kind": "F"},
+                                        {"kind": "O", "matrix": [[0.4, -0.8], [-0.8, 0.8]]}],
+                         ids=["F", "O"])
+def test_noisy_fingerprint_is_noisy_expectation_per_time(h2_active, observable, scale):
+    # Whole-interval circuits over [0, t_i], trajectory seed seed + i.
+    grid = np.array([0.0, 0.5, 1.5])
+    noise = {"p": 0.05, "scale": scale, "n_trajectories": 20, "seed": 4}
+    fp = ml.compute_fingerprint(h2_active, "homo_lumo_excited", grid, observable=observable,
+                                evolver={"kind": "trotter", "order": 1, "r": 3}, noise=noise)
+    prep, _ = qs.prepare_initial("homo_lumo_excited", 4, 2)
+    O = h2_active.h_eff if observable["kind"] == "F" else np.array(observable["matrix"])
+    H = qs.jordan_wigner(h2_active)
+    ref = [qs.noisy_expectation(prep + qs.trotter_sequence(H, t, 1, 3), O,
+                                qs.NoiseSpec(0.05, scale), 20, 4 + i)[0]
+           for i, t in enumerate(grid)]
+    assert fp.values.tolist() == ref
+    with pytest.raises(ValueError, match="trotter"):
+        ml.compute_fingerprint(h2_active, "hf_ground", grid, noise=noise)
 
 
 def test_rdm_trajectory_and_one_body_features(h2_active):

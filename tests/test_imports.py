@@ -1,5 +1,7 @@
 """Package structure: fci is the tests' oracle, not a production dependency,
-and importing the CLI loads only what it runs."""
+pipeline reaches the simulator only through fingerprint_ml, the package needs
+nothing beyond the standard library, numpy and scipy at run time, and
+importing the CLI loads only what it runs."""
 
 import ast
 import os
@@ -13,23 +15,27 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qfp"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
-def qfp_imports(module: str) -> set:
-    """Names of the qfp modules that `module` imports, anywhere in its source."""
-    tree = ast.parse((SRC / f"{module}.py").read_text())
-    found = set()
-    for node in ast.walk(tree):
+def imported_names(module: str) -> list:
+    """Dotted names `module` imports, anywhere in its source; for `from a import b`,
+    both a and a.b."""
+    names = []
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
         if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
+            names += [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
             # a relative import (level > 0) imports from inside qfp
             base = (("qfp." if node.level else "") + (node.module or "")).rstrip(".")
-            names = [base] + [f"{base}.{a.name}" for a in node.names]
-        else:
-            continue
-        for name in names:
-            parts = name.split(".")
-            if parts[0] == "qfp" and len(parts) > 1 and parts[1] in MODULES:
-                found.add(parts[1])
+            names += [base] + [f"{base}.{a.name}" for a in node.names]
+    return names
+
+
+def qfp_imports(module: str) -> set:
+    """Names of the qfp modules that `module` imports, anywhere in its source."""
+    found = set()
+    for name in imported_names(module):
+        parts = name.split(".")
+        if parts[0] == "qfp" and len(parts) > 1 and parts[1] in MODULES:
+            found.add(parts[1])
     return found
 
 
@@ -40,6 +46,17 @@ def test_no_production_module_imports_fci(module):
 
 def test_quantum_sim_imports_no_qfp_module():
     assert qfp_imports("quantum_sim") == set()
+
+
+def test_pipeline_imports_no_quantum_sim():
+    # Every fingerprint, noisy or not, comes from fingerprint_ml.compute_fingerprint.
+    assert "quantum_sim" not in qfp_imports("pipeline")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_runtime_imports_are_stdlib_numpy_scipy_or_qfp(module):
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "qfp"}
+    assert {name.split(".")[0] for name in imported_names(module)} <= allowed
 
 
 def test_cli_import_skips_scipy_stats():
