@@ -8,11 +8,10 @@ extrapolates to the zero-noise limit with a quadratic fit.
 import numpy as np
 
 from qfp import chem_io, embedding, mean_field, quantum_sim as qs
-from qfp.embedding import FragmentSpec
 
 m = chem_io.s_orbital_integrals(chem_io.h2_geometry(1.4))
 m_loc, D_loc = embedding.dmet_setup(m, mean_field.scf_solve(m))
-cb = embedding.dmet_cluster_basis(D_loc, FragmentSpec([0]))
+cb = embedding.dmet_cluster_basis(D_loc, [0])
 eh = embedding.dmet_hamiltonian(m_loc, cb)
 
 H = qs.jordan_wigner(eh)

@@ -8,13 +8,12 @@ one-body measurement operator O that predicts best on the validation set.
 import numpy as np
 
 from qfp import chem_io, embedding, fingerprint_ml as ml, mean_field
-from qfp.embedding import FragmentSpec
 
 
 def dmet_h2(z):
     m = chem_io.s_orbital_integrals(chem_io.h2_geometry(z))
     m_loc, D_loc = embedding.dmet_setup(m, mean_field.scf_solve(m))
-    cb = embedding.dmet_cluster_basis(D_loc, FragmentSpec([0]))
+    cb = embedding.dmet_cluster_basis(D_loc, [0])
     return embedding.dmet_hamiltonian(m_loc, cb)
 
 zs = np.linspace(1.0, 3.0, 30)

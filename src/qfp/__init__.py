@@ -17,11 +17,11 @@ from qfp.mean_field import MeanFieldSolution, lowdin_orthonormalize, scf_solve
 from qfp.embedding import (
     ClusterBasis,
     EmbeddedHamiltonian,
-    FragmentSpec,
     dmet_cluster_basis,
     dmet_hamiltonian,
     fit_chemical_potential,
     homo_lumo_active_space,
+    shift_chemical_potential,
 )
 from qfp.quantum_sim import (
     GateSequence,
@@ -46,11 +46,11 @@ __all__ = [
     "scf_solve",
     "ClusterBasis",
     "EmbeddedHamiltonian",
-    "FragmentSpec",
     "dmet_cluster_basis",
     "dmet_hamiltonian",
     "fit_chemical_potential",
     "homo_lumo_active_space",
+    "shift_chemical_potential",
     "GateSequence",
     "NoiseSpec",
     "PauliHamiltonian",

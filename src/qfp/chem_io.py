@@ -126,8 +126,9 @@ class MolecularIntegrals:
         for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
             require(np.allclose(self.eri, self.eri.transpose(perm), atol=1e-8),
                     f"eri not symmetric under {perm}")
-        require(self.n_electrons % 2 == 0 and self.n_electrons > 0,
-                "electron count must be even and positive")
+        require(math.isfinite(self.e_nuclear), "non-finite core energy")
+        require(self.n_electrons % 2 == 0 and 0 < self.n_electrons <= 2 * n,
+                f"electron count must be even, positive and at most {2 * n}")
 
 
 def _boys_f0(x: np.ndarray) -> np.ndarray:
@@ -337,7 +338,7 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
             for a, b, c, d in _eri_images(p - 1, q - 1, r - 1, s - 1):
                 eri[a, b, c, d] = val
 
-    return MolecularIntegrals(
+    m = MolecularIntegrals(
         n_orbitals=norb,
         n_electrons=nelec,
         S=np.eye(norb),
@@ -345,6 +346,11 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
         eri=eri,
         e_nuclear=e_nuc,
     )
+    try:
+        m.validate()
+    except ValueError as exc:
+        raise FcidumpError(str(exc)) from exc
+    return m
 
 
 def emit_fcidump(m: MolecularIntegrals) -> str:

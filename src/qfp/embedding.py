@@ -1,15 +1,18 @@
 """Fragment embedding: HOMO-LUMO active spaces and single-shot DMET.
 
-Active-space freezing traces inactive occupied orbitals into an effective
-one-electron term and a core energy.  The DMET path builds a fragment+bath
-cluster from the Schmidt decomposition of the mean-field density matrix in
-the Lowdin-localized basis, with a chemical potential on the fragment
-diagonal fitted so the cluster holds the right number of electrons.
+Both embeddings are one frozen-core construction: a density outside the
+active orbitals enters as a mean field J - K/2 on the one-electron term and
+as a core energy, and the integrals are projected onto the active columns.
+The active space freezes the MOs below a HOMO/LUMO window; DMET freezes the
+occupied environment of a fragment+bath cluster, built from the Schmidt
+decomposition of the mean-field density matrix in the Lowdin-localized
+basis.  A chemical potential on the fragment diagonal can then be fitted to
+a target fragment filling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,7 +21,6 @@ from qfp.chem_io import MolecularIntegrals
 from qfp.mean_field import MeanFieldSolution, lowdin_orthonormalize
 
 __all__ = [
-    "FragmentSpec",
     "ClusterBasis",
     "EmbeddedHamiltonian",
     "transform_integrals",
@@ -27,6 +29,7 @@ __all__ = [
     "homo_lumo_active_space",
     "dmet_cluster_basis",
     "dmet_hamiltonian",
+    "shift_chemical_potential",
     "fit_chemical_potential",
     "fragment_count_builder",
     "EmbeddingError",
@@ -37,17 +40,6 @@ class EmbeddingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FragmentSpec:
-    """Fragment orbital indices into the localized orbital basis."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError("fragment indices must be unique")
-
-
 @dataclass
 class ClusterBasis:
     """Column-orthonormal split of the localized space around a fragment."""
@@ -55,7 +47,6 @@ class ClusterBasis:
     fragment: np.ndarray      # n x n_frag
     bath: np.ndarray          # n x n_bath
     env_occupied: np.ndarray  # n x n_eo
-    env_virtual: np.ndarray   # n x n_ev
     bath_singular_values: np.ndarray
 
     @property
@@ -68,9 +59,9 @@ class ClusterBasis:
 class EmbeddedHamiltonian:
     """Effective Hamiltonian on an active orbital set.
 
-    h_eff already contains the environment mean field and (for DMET) the
-    -mu shift on fragment diagonals; e_core is the frozen-orbital constant
-    including nuclear repulsion.
+    h_eff already contains the frozen mean field and the -mu shift on
+    fragment diagonals (shift_chemical_potential); e_core is the
+    frozen-orbital constant including nuclear repulsion.
     """
 
     n_active_orbitals: int
@@ -78,9 +69,7 @@ class EmbeddedHamiltonian:
     h_eff: np.ndarray
     eri_active: np.ndarray
     e_core: float
-    mu: float = 0.0
     fragment_mask: np.ndarray = field(default=None)
-    provenance: str = "active-space"
 
     def __post_init__(self):
         if self.fragment_mask is None:
@@ -139,13 +128,22 @@ def _coulomb_exchange(eri, D):
     return J - 0.5 * K
 
 
-def _freeze_window(h, eri, e_const, n_electrons, n_elec_act, n_orb_act, eps):
-    """Freeze orbitals outside a window centered on the Fermi level.
+def _frozen_core(h, eri, e_const, D_frozen):
+    """The density D_frozen frozen as a mean field: (h + V, e_core).
 
-    Orbitals are ordered by their energies eps.  Returns (h_eff, eri_act,
-    e_core).
+    V = J - K/2 of D_frozen and e_core = e_const + tr(D h) + tr(D V) / 2.  The
+    caller projects h + V and eri onto its active orbitals.
     """
-    n = h.shape[0]
+    V = _coulomb_exchange(eri, D_frozen)
+    return h + V, e_const + np.sum(D_frozen * h) + 0.5 * np.sum(D_frozen * V)
+
+
+def _freeze_window(n, n_electrons, n_elec_act, n_orb_act, eps):
+    """Orbital window [lo, hi) centered on the Fermi level.
+
+    Orbitals are ordered by their energies eps; the window must fit and must
+    not split a degenerate pair.
+    """
     n_occ = n_electrons // 2
     n_act_occ = n_elec_act // 2
     if n_act_occ > n_occ or n_orb_act - n_act_occ > n - n_occ or n_orb_act < n_act_occ:
@@ -160,41 +158,39 @@ def _freeze_window(h, eri, e_const, n_electrons, n_elec_act, n_orb_act, eps):
             raise EmbeddingError(
                 f"active window edge splits a degenerate pair at index {edge}"
             )
-    inact = np.arange(lo)
-    act = np.arange(lo, hi)
-
-    D_in = np.zeros((n, n))
-    D_in[inact, inact] = 2.0
-    V = _coulomb_exchange(eri, D_in)
-    h_eff = (h + V)[np.ix_(act, act)]
-    e_core = e_const + np.sum(D_in * h) + 0.5 * np.sum(D_in * V)
-    eri_act = eri[np.ix_(act, act, act, act)]
-    return h_eff, eri_act, e_core
+    return lo, hi
 
 
 def homo_lumo_active_space(m: MolecularIntegrals, mf: MeanFieldSolution,
                            n_elec_act: int, n_orb_act: int) -> EmbeddedHamiltonian:
     """Freeze MOs outside a HOMO/LUMO-centered window at the SCF level."""
+    n = m.n_orbitals
+    lo, hi = _freeze_window(n, m.n_electrons, n_elec_act, n_orb_act, mf.eps)
     h_mo, eri_mo = transform_integrals(m.h_core, m.eri, mf.C)
-    h_eff, eri_act, e_core = _freeze_window(
-        h_mo, eri_mo, m.e_nuclear, m.n_electrons, n_elec_act, n_orb_act, eps=mf.eps)
+    h_fc, e_core = _frozen_core(h_mo, eri_mo, m.e_nuclear,
+                                np.diag(2.0 * (np.arange(n) < lo)))
+    act = np.arange(lo, hi)
     return EmbeddedHamiltonian(
         n_active_orbitals=n_orb_act,
         n_active_electrons=n_elec_act,
-        h_eff=h_eff,
-        eri_active=eri_act,
+        h_eff=h_fc[np.ix_(act, act)],
+        eri_active=eri_mo[np.ix_(act, act, act, act)],
         e_core=e_core,
-        provenance="active-space",
     )
 
 
-def dmet_cluster_basis(D_loc: np.ndarray, frag: FragmentSpec) -> ClusterBasis:
-    """Schmidt fragment+bath split of the localized mean-field 1-RDM."""
+def dmet_cluster_basis(D_loc: np.ndarray, fragment) -> ClusterBasis:
+    """Schmidt fragment+bath split of the localized mean-field 1-RDM.
+
+    fragment lists distinct orbital indices into the localized basis.
+    """
     tol = 1e-6  # occupation slack, and the smallest bath singular value kept
     n = D_loc.shape[0]
-    frag_idx = np.asarray(frag.indices, dtype=int)
+    frag_idx = np.asarray(fragment, dtype=int)
     if frag_idx.size and (frag_idx.min() < 0 or frag_idx.max() >= n):
         raise EmbeddingError("fragment index out of range")
+    if np.unique(frag_idx).size != frag_idx.size:
+        raise EmbeddingError("fragment indices must be unique")
     occs = np.linalg.eigvalsh(D_loc)
     if occs.min() < -tol or occs.max() > 2.0 + tol:
         raise EmbeddingError(
@@ -206,7 +202,7 @@ def dmet_cluster_basis(D_loc: np.ndarray, frag: FragmentSpec) -> ClusterBasis:
     fragment = np.eye(n)[:, frag_idx]
     if env_idx.size == 0:
         empty = np.zeros((n, 0))
-        return ClusterBasis(fragment, empty, empty, empty, np.zeros(0))
+        return ClusterBasis(fragment, empty, empty, np.zeros(0))
 
     block = D_loc[np.ix_(env_idx, frag_idx)] / 2.0
     U, s, _ = np.linalg.svd(block, full_matrices=True)
@@ -219,81 +215,63 @@ def dmet_cluster_basis(D_loc: np.ndarray, frag: FragmentSpec) -> ClusterBasis:
         out[env_idx, :] = cols
         return out
 
-    bath = embed(U[:, :n_bath])
     rest = U[:, n_bath:]
-    if rest.shape[1]:
-        D_env = rest.T @ D_loc[np.ix_(env_idx, env_idx)] @ rest
-        w, V = np.linalg.eigh(D_env)
-        occ_cols = embed(rest @ V[:, w > 0.5])
-        vir_cols = embed(rest @ V[:, w <= 0.5])
-    else:
-        occ_cols = np.zeros((n, 0))
-        vir_cols = np.zeros((n, 0))
-
+    w, V = np.linalg.eigh(rest.T @ D_loc[np.ix_(env_idx, env_idx)] @ rest)
     return ClusterBasis(
         fragment=fragment,
-        bath=bath,
-        env_occupied=occ_cols,
-        env_virtual=vir_cols,
+        bath=embed(U[:, :n_bath]),
+        env_occupied=embed(rest @ V[:, w > 0.5]),
         bath_singular_values=s[:n_bath],
     )
 
 
-def dmet_hamiltonian(m_loc: MolecularIntegrals, cb: ClusterBasis,
-                     mu: float = 0.0) -> EmbeddedHamiltonian:
-    """Cluster Hamiltonian with the environment entering as a mean field."""
-    if not np.isfinite(mu):
-        raise EmbeddingError("chemical potential must be finite")
-    C = cb.cluster
-    n_frag = cb.fragment.shape[1]
+def dmet_hamiltonian(m_loc: MolecularIntegrals, cb: ClusterBasis) -> EmbeddedHamiltonian:
+    """Cluster Hamiltonian at mu = 0, the occupied environment frozen as a mean field."""
     D_env = 2.0 * cb.env_occupied @ cb.env_occupied.T
-
-    V = _coulomb_exchange(m_loc.eri, D_env)
-    h_emb = m_loc.h_core + V
-    h_eff = C.T @ h_emb @ C
-    mask = np.zeros(C.shape[1], dtype=bool)
-    mask[:n_frag] = True
-    h_eff[np.diag_indices_from(h_eff)] -= mu * mask
-
-    _, eri_act = transform_integrals(np.zeros_like(m_loc.h_core), m_loc.eri, C)
-    e_core = m_loc.e_nuclear + np.sum(D_env * m_loc.h_core) + 0.5 * np.sum(D_env * V)
-
-    n_env = float(np.trace(D_env))
-    n_act = m_loc.n_electrons - n_env
+    n_act = m_loc.n_electrons - float(np.trace(D_env))
     n_act_round = int(round(n_act / 2.0)) * 2
     if abs(n_act - n_act_round) > 0.05:
         raise EmbeddingError(
             f"cluster electron count {n_act:.4f} not close to an even integer"
         )
-
+    h_fc, e_core = _frozen_core(m_loc.h_core, m_loc.eri, m_loc.e_nuclear, D_env)
+    h_eff, eri_act = transform_integrals(h_fc, m_loc.eri, cb.cluster)
     return EmbeddedHamiltonian(
-        n_active_orbitals=C.shape[1],
+        n_active_orbitals=h_eff.shape[0],
         n_active_electrons=n_act_round,
         h_eff=h_eff,
         eri_active=eri_act,
         e_core=e_core,
-        mu=mu,
-        fragment_mask=mask,
-        provenance="dmet",
+        fragment_mask=np.arange(h_eff.shape[0]) < cb.fragment.shape[1],
     )
 
 
-def fragment_count_builder(m_loc: MolecularIntegrals, cb: ClusterBasis):
-    """builder(mu) -> fragment electron count in the cluster ground state.
+def shift_chemical_potential(eh: EmbeddedHamiltonian, mu: float) -> EmbeddedHamiltonian:
+    """eh with -mu added to its fragment diagonal."""
+    if not np.isfinite(mu):
+        raise EmbeddingError("chemical potential must be finite")
+    h_eff = eh.h_eff.copy()
+    h_eff[np.diag_indices_from(h_eff)] -= mu * eh.fragment_mask
+    return replace(eh, h_eff=h_eff)
 
-    H0 is built once, at mu = 0, as the (N/2, N/2) block of the cluster's
-    Jordan-Wigner form (ExactEvolver.sector_matrix at index (1 << N) - 1).
-    H0 is spin-free and N is even, so every spin multiplet has an Ms = 0
-    member, and N_frag commutes with total spin: this block's lowest state
-    has the fragment count of the whole N-electron sector's (36 x 36, not
-    70 x 70, for 4 orbitals).  The -mu shift adds -mu * N_frag, diagonal
-    here: with fragment orbitals first, n_f is a state's low 2 * n_frag bit
-    count.  Each call is one eigh of H0 - mu diag(n_f); the count is v0^2 @ n_f.
+
+def fragment_count_builder(eh: EmbeddedHamiltonian):
+    """builder(mu) -> fragment electron count in the ground state of eh at mu.
+
+    eh is the mu = 0 cluster Hamiltonian of dmet_hamiltonian.  H0 is the
+    (N/2, N/2) block of its Jordan-Wigner form (ExactEvolver.sector_matrix
+    at index (1 << N) - 1).  H0 is spin-free and N is even, so every spin
+    multiplet has an Ms = 0 member, and N_frag commutes with total spin:
+    this block's lowest state has the fragment count of the whole
+    N-electron sector's (36 x 36, not 70 x 70, for 4 orbitals).  The -mu
+    shift adds -mu * N_frag, diagonal here: with fragment orbitals first,
+    n_f is a state's low 2 * n_frag bit count.  Each call is one eigh of
+    H0 - mu diag(n_f); the count is v0^2 @ n_f.
     """
-    eh = dmet_hamiltonian(m_loc, cb, mu=0.0)
     evolver = quantum_sim.ExactEvolver(quantum_sim.jordan_wigner(eh))
     idx, H0 = evolver.sector_matrix((1 << eh.n_active_electrons) - 1)
-    n_f = np.bitwise_count(idx & ((1 << 2 * cb.fragment.shape[1]) - 1)).astype(float)
+    n_frag = int(np.count_nonzero(eh.fragment_mask))
+    n_f = np.bitwise_count(idx & ((1 << 2 * n_frag) - 1)).astype(float)
 
     def count(mu: float) -> float:
         if not np.isfinite(mu):

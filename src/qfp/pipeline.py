@@ -133,6 +133,8 @@ def _validate_embedding(d):
         if not isinstance(d.get("fit_mu", False), bool):
             raise ConfigError("embedding.fit_mu: expected a boolean")
         if d.get("target_filling") is not None:
+            if not d.get("fit_mu", False):
+                raise ConfigError("embedding.target_filling: applies only with fit_mu true")
             _number(d, "target_filling", "embedding", lo=0.0, hi=2 * len(frag))
     else:
         raise ConfigError(f"embedding.mode: unknown mode {mode!r}")
@@ -356,16 +358,17 @@ def embed_molecule(m: MolecularIntegrals, emb: dict) -> embedding.EmbeddedHamilt
             return embedding.homo_lumo_active_space(
                 m, mf, emb["n_active_electrons"], emb["n_active_orbitals"])
         m_loc, D_loc = embedding.dmet_setup(m, mf)
-        cb = embedding.dmet_cluster_basis(D_loc, embedding.FragmentSpec(emb["fragment"]))
-        mu = 0.0
+        cb = embedding.dmet_cluster_basis(D_loc, emb["fragment"])
+        eh = embedding.dmet_hamiltonian(m_loc, cb)
         if emb.get("fit_mu", False):
             target = emb.get("target_filling")
             if target is None:
                 frag = list(emb["fragment"])
                 target = float(np.trace(D_loc[np.ix_(frag, frag)]))
-            builder = embedding.fragment_count_builder(m_loc, cb)
-            mu = embedding.fit_chemical_potential(builder, target)
-        return embedding.dmet_hamiltonian(m_loc, cb, mu=mu)
+            builder = embedding.fragment_count_builder(eh)
+            eh = embedding.shift_chemical_potential(
+                eh, embedding.fit_chemical_potential(builder, target))
+        return eh
     except (mean_field.LinearDependenceError, mean_field.DegeneracyError,
             embedding.EmbeddingError, np.linalg.LinAlgError) as exc:
         raise NumericalError(str(exc)) from exc

@@ -54,7 +54,7 @@ def dmet_h2(z, fragment=(0,)):
     """H2 DMET cluster Hamiltonian in the Lowdin-localized atomic basis."""
     m = h2_molecule(z)
     m_loc, D_loc = embedding.dmet_setup(m, mean_field.scf_solve(m))
-    cb = embedding.dmet_cluster_basis(D_loc, embedding.FragmentSpec(list(fragment)))
+    cb = embedding.dmet_cluster_basis(D_loc, list(fragment))
     return embedding.dmet_hamiltonian(m_loc, cb)
 
 

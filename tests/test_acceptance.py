@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from qfp import chem_io, embedding, fci, fingerprint_ml as ml, mean_field, quantum_sim as qs
-from qfp.embedding import FragmentSpec
 
 import conftest
 from conftest import FIXTURES, dmet_h2, h2_molecule, h4_molecule, hamiltonian_matrix
@@ -27,7 +26,7 @@ def check(num, desc, ok, detail=""):
 def _localized_cluster(m, fragment):
     mf = mean_field.scf_solve(m)
     m_loc, D_loc = embedding.dmet_setup(m, mf)
-    cb = embedding.dmet_cluster_basis(D_loc, FragmentSpec(list(fragment)))
+    cb = embedding.dmet_cluster_basis(D_loc, list(fragment))
     return mf, m_loc, D_loc, cb
 
 
@@ -217,7 +216,7 @@ def test_criterion_8_dmet_sanity():
     d_mf = abs(e0 - mf0.e_total)
     # (c) H4 fragment-{0,1} chemical-potential fit
     _, m4_loc, _, cb4 = _localized_cluster(m4, [0, 1])
-    builder = embedding.fragment_count_builder(m4_loc, cb4)
+    builder = embedding.fragment_count_builder(embedding.dmet_hamiltonian(m4_loc, cb4))
     mu = embedding.fit_chemical_potential(builder, 2.0)
     d_fill = abs(builder(mu) - 2.0)
     check(8, "DMET sanity (spectrum, non-interacting limit, mu fit)",

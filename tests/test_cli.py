@@ -12,7 +12,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from qfp import chem_io
+from qfp import chem_io, embedding, mean_field
 from qfp.cli import main
 from qfp.pipeline import PipelineConfig
 
@@ -459,6 +459,64 @@ def test_manifest_values_fuzz_exit_codes(fuzz_manifest_dir, target, value):
         assert values.shape == (2, 2)
 
 
+def _localized_chain(norb):
+    m = chem_io.s_orbital_integrals(chem_io.hydrogen_chain(np.arange(norb) * 1.4), 2)
+    return embedding.localize_integrals(m, mean_field.lowdin_orthonormalize(m.S))
+
+
+# Orthonormal-basis integrals of H1..H4 chains.  NORB stays small: the ERI
+# tensor of an FCIDUMP holds NORB^4 floats (12.8 GB at NORB = 200).
+FCIDUMP_BASES = {norb: chem_io.emit_fcidump(_localized_chain(norb)) for norb in range(1, 5)}
+FCIDUMP_TOKENS = st.one_of(
+    st.none(),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1.0D+300", "0", "abc"]),
+)
+
+
+def _fcidump_number(token):
+    try:
+        return float(token.replace("D", "E"))
+    except ValueError:
+        return math.nan
+
+
+@settings(max_examples=100, deadline=None)
+@given(norb=st.integers(1, 4), nelec=st.one_of(st.just(2), st.integers(-4, 12)),
+       record=st.integers(-40, 40), token=FCIDUMP_TOKENS)
+# Each of these used to exit 0 or 4: a NaN core energy, a NaN h_11, and more
+# electron pairs than orbitals.
+@example(norb=2, nelec=2, record=-1, token="nan")
+@example(norb=2, nelec=2, record=-2, token="nan")
+@example(norb=2, nelec=6, record=0, token=None)
+def test_fcidump_values_fuzz_exit_codes(fuzz_manifest_dir, norb, nelec, record, token):
+    lines = FCIDUMP_BASES[norb].splitlines()
+    lines[0] = f"&FCI NORB={norb},NELEC={nelec},MS2=0,"
+    records = lines[3:]  # "value p q r s"; the core energy is last
+    if token is not None:
+        k = record % len(records)
+        records[k] = " ".join([token, *records[k].split()[1:]])
+    (fuzz_manifest_dir / "fuzzed.fcidump").write_text("\n".join(lines[:3] + records) + "\n")
+    (fuzz_manifest_dir / "manifest.json").write_text(json.dumps({"entries": [
+        {"id": "fuzzed", "fcidump": "fuzzed.fcidump", "target": 1.0},
+        {"id": "h2", "fcidump": "h2.fcidump", "target": 1.4},
+    ]}))
+    out = tempfile.mkdtemp(dir=fuzz_manifest_dir)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["fingerprint", "--config", str(fuzz_manifest_dir / "config.json"),
+                     "--out", out])
+    event(f"exit {code}")
+    assert "Traceback" not in stderr.getvalue()
+    invalid = (nelec % 2 or not 0 < nelec <= 2 * norb
+               or (token is not None and not math.isfinite(_fcidump_number(token))))
+    if invalid:
+        assert code == 3, stderr.getvalue()
+        assert "'fuzzed'" in stderr.getvalue()
+    else:
+        assert code in (0, 4), stderr.getvalue()
+
+
 H2_SCAN = {"kind": "h2", "rmin": 1.0, "rmax": 2.0, "count": 2}
 
 
@@ -722,7 +780,10 @@ def _bad_cell(text: str, header: bool) -> bool:
         return True
 
 
-@pytest.mark.filterwarnings("error")
+# DeprecationWarnings stay warnings: hypothesis' explanation of a failing
+# example imports libcst, whose DeprecationWarning would otherwise end the run
+# in an INTERNALERROR instead of reporting the example.
+@pytest.mark.filterwarnings("error", "ignore::DeprecationWarning")
 @settings(max_examples=100, deadline=None)
 @given(row=st.integers(0, 10), col=st.integers(0, 12), text=FEATURE_CELLS)
 # Each of these used to exit 0; 1e308 also made LAPACK print DLASCL errors.
@@ -763,9 +824,12 @@ def test_feature_table_fuzz_exit_codes(ten_molecule_dir, row, col, text):
                       "target_filling": tf}}, "target_filling")
       for tf in (float("nan"), float("inf"), "__RAW__", 2.5, -0.5)],
     ({"embedding": {"mode": "dmet", "fragment": [True, 0]}}, "fragment"),
+    *[({"embedding": {"mode": "dmet", "fragment": [0], "target_filling": 0.3, **fit}},
+       "target_filling") for fit in ({}, {"fit_mu": False})],
 ], ids=["exchange_factor_active_space", "exchange_factor_dmet", "rdm_observable",
         "target_filling_nan", "target_filling_infinity", "target_filling_1e400",
-        "target_filling_above_2n", "target_filling_negative", "fragment_bool"])
+        "target_filling_above_2n", "target_filling_negative", "fragment_bool",
+        "target_filling_without_fit_mu", "target_filling_fit_mu_false"])
 def test_invalid_config_value_exit_2(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, dataset=H2_SCAN, **overrides)
     with open(cfg) as fh:

@@ -489,7 +489,7 @@ def test_dmet_cluster_evolution_consistency():
 def _h4_dmet_cluster():
     m = h4_molecule(1.4)
     m_loc, D_loc = embedding.dmet_setup(m, mean_field.scf_solve(m))
-    cb = embedding.dmet_cluster_basis(D_loc, embedding.FragmentSpec([0, 1]))
+    cb = embedding.dmet_cluster_basis(D_loc, [0, 1])
     return embedding.dmet_hamiltonian(m_loc, cb)
 
 
