@@ -88,7 +88,7 @@ def compute_fingerprint(
     O = _observable_matrix(eh, observable or {"kind": "F"})
     if noise is None:
         rdms = rdm_trajectory(eh, initial_kind, time_grid, evolver)
-        return Fingerprint(time_grid, np.asarray([quantum_sim.expval_O(O, rho) for rho in rdms]))
+        return Fingerprint(time_grid, quantum_sim.expval_O(O, rdms))
     if evolver.get("kind", "exact") != "trotter":
         raise ValueError("noise requires a trotter evolver (gate-level noise)")
     ph = quantum_sim.jordan_wigner(eh)
@@ -370,31 +370,30 @@ def _latin_hypercube(n, d, bounds, rng):
     return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
 
 
-def _gp_loglik(X, y, ls, sv, nv):
-    K = sv * _rbf(X, X, ls) + nv * np.eye(len(y))
-    try:
-        L = np.linalg.cholesky(K)
-    except np.linalg.LinAlgError:
-        return -np.inf
-    alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
-    return float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))))
+def _gp_loglik(X, y, ls, nv):
+    """Log marginal likelihood (up to a constant) of y under a unit-signal RBF GP, at
+    each noise variance of the array nv: K = R + nv I shares R's eigenvectors Q, so
+    it is -1/2 sum b^2 / (lam + nv) - 1/2 sum log(lam + nv), b = Q^T y, or -inf
+    where some lam + nv <= 0 (K not positive definite)."""
+    lam, Q = np.linalg.eigh(_rbf(X, X, ls))
+    d = lam + nv[:, None]
+    ok = np.all(d > 0, axis=1)
+    d[~ok] = 1.0
+    ll = -0.5 * np.sum((Q.T @ y) ** 2 / d, axis=1) - 0.5 * np.sum(np.log(d), axis=1)
+    return np.where(ok, ll, -np.inf)
 
 
 def _gp_hyperparameters(X, y, bounds):
     """Standardized y and the (length scale, signal, noise variance) of the
-    fixed log-grid with the highest marginal likelihood."""
+    fixed log-grid with the highest marginal likelihood (the first on a tie)."""
     ym, ys = y.mean(), y.std()
     ys = ys if ys > 1e-12 else 1.0
     yn = (y - ym) / ys
     ls_grid = np.geomspace(0.05, 5.0, 8) * float(np.mean(bounds[:, 1] - bounds[:, 0]))
     nv_grid = np.geomspace(1e-8, 1e-2, 4)
-    best = (-np.inf, ls_grid[0], 1.0, nv_grid[0])
-    for ls in ls_grid:
-        for nv in nv_grid:
-            ll = _gp_loglik(X, yn, ls, 1.0, nv)
-            if ll > best[0]:
-                best = (ll, ls, 1.0, nv)
-    return (yn, *best[1:])
+    ll = np.array([_gp_loglik(X, yn, ls, nv_grid) for ls in ls_grid])
+    i, j = np.unravel_index(np.argmax(ll), ll.shape)
+    return yn, ls_grid[i], 1.0, nv_grid[j]
 
 
 def _gp_posterior(X, y, Xs, ls, sv, nv):

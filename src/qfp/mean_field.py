@@ -22,6 +22,7 @@ __all__ = [
     "scf_solve",
     "LinearDependenceError",
     "DegeneracyError",
+    "SCFOverflowError",
 ]
 
 
@@ -31,6 +32,10 @@ class LinearDependenceError(ValueError):
 
 class DegeneracyError(ValueError):
     """Orbital degeneracy at the Fermi level; closed-shell filling is ambiguous."""
+
+
+class SCFOverflowError(ValueError):
+    """The Fock matrix or the SCF energy overflowed to a non-finite value."""
 
 
 @dataclass
@@ -75,6 +80,7 @@ def scf_solve(m: MolecularIntegrals, max_iter: int = 200) -> MeanFieldSolution:
     Each update mixes 0.3 of the previous density into the new one, and the
     iteration stops once no density element moves by 1e-8 or more.
     Non-convergence is reported via the `converged` flag, never hidden.
+    A non-finite F or e_total (from integrals near the float limit) raises.
     """
     if m.n_electrons % 2 != 0:
         raise ValueError("restricted HF needs an even electron count")
@@ -82,27 +88,34 @@ def scf_solve(m: MolecularIntegrals, max_iter: int = 200) -> MeanFieldSolution:
     if n_occ > m.n_orbitals:
         raise ValueError("more electron pairs than orbitals")
 
-    eps, C = scipy.linalg.eigh(m.h_core, m.S)
-    D = _density(C, n_occ)
-    converged = False
-    n_iter = 0
-    F = fock_build(D, m)
-    for n_iter in range(1, max_iter + 1):
-        eps, C = scipy.linalg.eigh(F, m.S)
-        if n_occ < m.n_orbitals and abs(eps[n_occ] - eps[n_occ - 1]) < 1e-9:
-            raise DegeneracyError(
-                f"HOMO/LUMO degenerate at eps={eps[n_occ - 1]:.10f}; "
-                "closed-shell occupation undefined"
-            )
-        D_new = _density(C, n_occ)
-        delta = np.max(np.abs(D_new - D))
-        D = 0.3 * D + 0.7 * D_new
-        F = fock_build(D, m)
-        if delta < 1e-8:
-            converged = True
-            break
+    def finite(value, what):
+        if not np.all(np.isfinite(value)):
+            raise SCFOverflowError(f"SCF overflow: non-finite {what}")
+        return value
 
-    e_total = 0.5 * np.sum(D * (m.h_core + F)) + m.e_nuclear
+    # Overflow is reported by the checks, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps, C = scipy.linalg.eigh(m.h_core, m.S)
+        D = _density(C, n_occ)
+        converged = False
+        n_iter = 0
+        F = finite(fock_build(D, m), "Fock matrix")
+        for n_iter in range(1, max_iter + 1):
+            eps, C = scipy.linalg.eigh(F, m.S)
+            if n_occ < m.n_orbitals and abs(eps[n_occ] - eps[n_occ - 1]) < 1e-9:
+                raise DegeneracyError(
+                    f"HOMO/LUMO degenerate at eps={eps[n_occ - 1]:.10f}; "
+                    "closed-shell occupation undefined"
+                )
+            D_new = _density(C, n_occ)
+            delta = np.max(np.abs(D_new - D))
+            D = 0.3 * D + 0.7 * D_new
+            F = finite(fock_build(D, m), "Fock matrix")
+            if delta < 1e-8:
+                converged = True
+                break
+
+        e_total = finite(0.5 * np.sum(D * (m.h_core + F)) + m.e_nuclear, "energy")
     return MeanFieldSolution(
         C=C, eps=eps, D=D, F=F, e_total=e_total, converged=converged, n_iterations=n_iter
     )

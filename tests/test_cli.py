@@ -517,6 +517,27 @@ def test_fcidump_values_fuzz_exit_codes(fuzz_manifest_dir, norb, nelec, record, 
         assert code in (0, 4), stderr.getvalue()
 
 
+@pytest.mark.filterwarnings("error")
+def test_fcidump_near_float_limit_exits_4_naming_scf_overflow(fuzz_manifest_dir, capsys):
+    # h_11 = 1.7e308 is finite, so the FCIDUMP parses, but the SCF energy overflows.
+    text = FCIDUMP_BASES[2].splitlines()
+    records = [r.split() for r in text[3:]]
+    for r in records:
+        if r[1:] == ["1", "1", "0", "0"]:
+            r[0] = "1.7e308"
+    (fuzz_manifest_dir / "huge.fcidump").write_text(
+        "\n".join(text[:3] + [" ".join(r) for r in records]) + "\n")
+    (fuzz_manifest_dir / "manifest.json").write_text(json.dumps({"entries": [
+        {"id": "huge", "fcidump": "huge.fcidump", "target": 1.0}]}))
+    out = tempfile.mkdtemp(dir=fuzz_manifest_dir)
+    code = main(["fingerprint", "--config", str(fuzz_manifest_dir / "config.json"),
+                 "--out", out])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == ("numerical failure: molecule 'huge': "
+                   "SCF overflow: non-finite energy\n")
+
+
 H2_SCAN = {"kind": "h2", "rmin": 1.0, "rmax": 2.0, "count": 2}
 
 

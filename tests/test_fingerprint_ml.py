@@ -243,6 +243,49 @@ def test_gp_optimize_constant_objective():
     assert state.best_value == 1.0
 
 
+def _cholesky_loglik(X, y, ls, nv):
+    """The GP log likelihood from a Cholesky factor of K = R + nv I."""
+    K = ml._rbf(X, X, ls) + nv * np.eye(len(y))
+    try:
+        L = np.linalg.cholesky(K)
+    except np.linalg.LinAlgError:
+        return -np.inf
+    alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
+    return float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))))
+
+
+@pytest.mark.filterwarnings("error")
+def test_gp_loglik_eigh_form_matches_cholesky_on_the_grid():
+    # Both forms are backward stable, so each carries a relative error of about
+    # n kappa(K) eps, kappa the condition number of K: 1e-10 where K is well
+    # conditioned, and up to ~1e-6 at nv = 1e-8 with long length scales.
+    rng = np.random.default_rng(5)
+    eps = np.finfo(float).eps
+    nv_grid = np.geomspace(1e-8, 1e-2, 4)
+    well = []  # relative differences where kappa(K) < 1e4
+    for n in (5, 12, 30, 60):
+        for d in (1, 3, 6):
+            X = rng.uniform(-1.0, 1.0, (n, d))
+            y = rng.normal(size=n)
+            yn, *_ = ml._gp_hyperparameters(X, y, np.array([[-1.0, 1.0]] * d))
+            for ls in np.geomspace(0.05, 5.0, 8) * 2.0:
+                lam = np.linalg.eigvalsh(ml._rbf(X, X, ls))
+                got = ml._gp_loglik(X, yn, ls, nv_grid)
+                for nv, value in zip(nv_grid, got):
+                    ref = _cholesky_loglik(X, yn, ls, nv)
+                    kappa = (lam[-1] + nv) / (lam[0] + nv)
+                    rel = abs(value - ref) / abs(ref)
+                    assert rel <= max(1e-10, n * kappa * eps), (n, d, ls, nv)
+                    if kappa < 1e4:
+                        well.append(rel)
+    assert len(well) > 50 and max(well) <= 1e-10
+    # A non-positive lam + nv, where no Cholesky factor exists, gives -inf.
+    X = rng.uniform(-1.0, 1.0, (8, 2))
+    lam = np.linalg.eigh(ml._rbf(X, X, 0.5))[0]  # the eigenvalues _gp_loglik uses
+    got = ml._gp_loglik(X, rng.normal(size=8), 0.5, np.array([-lam[0], -1.0, 1e-2]))
+    assert got[0] == got[1] == -np.inf and np.isfinite(got[2])
+
+
 def test_gp_optimize_budget_floor():
     with pytest.raises(ValueError):
         ml.gp_optimize(lambda x: 0.0, [(0, 1)], budget=3)

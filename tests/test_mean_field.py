@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qfp import mean_field
 from qfp.chem_io import MolecularIntegrals
-from qfp.mean_field import DegeneracyError, LinearDependenceError
+from qfp.mean_field import DegeneracyError, LinearDependenceError, SCFOverflowError
 
 from conftest import h2_molecule, h4_molecule
 
@@ -74,3 +76,18 @@ def test_honest_convergence_flag():
     mf = mean_field.scf_solve(m, max_iter=1)
     assert not mf.converged
     assert mf.n_iterations == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, what", [("h_core", "energy"), ("eri", "Fock matrix")])
+def test_overflow_to_non_finite_is_an_error(field, what):
+    # Finite integrals near the float limit: h_11 = 1.7e308 overflows only the
+    # energy, and ERIs of 1e308 overflow J(D) in the first Fock build.
+    m = h2_molecule(1.4)
+    big = getattr(m, field).copy()
+    if field == "h_core":
+        big[0, 0] = 1.7e308
+    else:
+        big[:] = 1e308
+    with pytest.raises(SCFOverflowError, match=f"SCF overflow: non-finite {what}"):
+        mean_field.scf_solve(dataclasses.replace(m, **{field: big}))

@@ -258,6 +258,22 @@ def test_expval_F_at_t0_matches_direct_sum(h2_active):
     assert val == pytest.approx(2.0 * h2_active.h_eff[0, 0], abs=1e-12)
 
 
+def test_expval_O_batch_matches_each_matrix_bitwise():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 5, 8):
+        A = rng.normal(size=(3, 7, n, n)) + 1j * rng.normal(size=(3, 7, n, n))
+        rdm = A + A.conj().swapaxes(-1, -2)
+        O = rng.normal(size=(n, n))
+        O = O + O.T
+        vals = qs.expval_O(O, rdm)
+        assert vals.shape == (3, 7)
+        one = [qs.expval_O(O, rho) for rho in rdm.reshape(-1, n, n)]
+        assert all(type(v) is float for v in one)
+        assert vals.ravel().tolist() == one
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        qs.expval_O(np.eye(2), np.zeros((3, 2, 3)))
+
+
 def test_expval_O_rejects_non_hermitian():
     with pytest.raises(ValueError):
         qs.expval_O(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2) + 0j)
@@ -371,26 +387,35 @@ def test_noisy_expectation_matches_density_matrix_oracle(h2_pauli, scale):
 def _scalar_noisy_expectation(gs, O, ns, n_trajectories, seed):
     """The one-trajectory-at-a-time loop that noisy_expectation batches.
 
-    Each trajectory draws rng.random() after every folded gate and, on a
-    hit, rng.integers(1, 4^k) for the Pauli on the gate's k-qubit support.
-    Each final state is measured with its own rdm1.
+    It draws the noise events in noisy_expectation's order: one
+    rng.random((K, G)) array whose entries below p mark the hits, then one
+    rng.integers(1, 4^k) call giving each hit, in row-major order, its Pauli
+    code on the gate's k-qubit support.  Each trajectory then runs gate by
+    gate with its own Paulis, and each final state is measured with its own
+    rdm1 and expval_O.
     """
     folded = qs.fold_sequence(gs, ns.scale)
     rng = np.random.default_rng(seed)
     n = gs.n_qubits
+    supports = [qs._gate_support(gate) for gate in folded.gates]
+    errors = {}
+    if ns.p > 0:
+        hits = np.argwhere(rng.random((n_trajectories, len(supports))) < ns.p)
+        highs = [4 ** len(supports[g]) for _, g in hits]
+        for (k, g), code in zip(hits.tolist(), rng.integers(1, highs).tolist()):
+            s = ["I"] * n
+            for q in supports[g]:
+                s[q] = "IXYZ"[code % 4]
+                code //= 4
+            errors[k, g] = "".join(s)
     vals = np.empty(n_trajectories)
     for k in range(n_trajectories):
         psi = qs.basis_state(0, n)
-        for gate in folded.gates:
+        for g, gate in enumerate(folded.gates):
             psi = qs.run_sequence(GateSequence(gates=[gate], n_qubits=n), psi)
-            if ns.p > 0 and rng.random() < ns.p:
-                support = qs._gate_support(gate)
-                code = rng.integers(1, 4 ** len(support))
-                s = ["I"] * n
-                for q in support:
-                    s[q] = "IXYZ"[code % 4]
-                    code //= 4
-                psi = qs.run_sequence(GateSequence(gates=[(None, "".join(s))], n_qubits=n), psi)
+            if (k, g) in errors:
+                psi = qs.run_sequence(GateSequence(gates=[(None, errors[k, g])], n_qubits=n),
+                                      psi)
         vals[k] = qs.expval_O(O, qs.rdm1(psi))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_trajectories)) if n_trajectories > 1 else 0.0
@@ -411,6 +436,43 @@ def test_noisy_expectation_matches_scalar_loop_bitwise(h2_pauli, h4_pauli, kind)
                     got = qs.noisy_expectation(circ, O, ns, n_traj, seed=scale + 7)
                     ref = _scalar_noisy_expectation(circ, O, ns, n_traj, scale + 7)
                     assert got == ref, (ph.n_qubits, scale, p, n_traj)
+
+
+def test_noisy_expectation_draws_uniform_non_identity_paulis(monkeypatch):
+    # Every Pauli applied without an angle is a noise event: record its folded
+    # gate, its string and its row count.  Folding at scale 3 turns the two
+    # gates into six, three on a one-qubit and three on a two-qubit support.
+    gs = GateSequence(gates=[(0.3, "XI"), (0.7, "YZ")], n_qubits=2)
+    K, p = 20000, 0.1
+    events, folded = [], [-1]
+    apply_gate = qs._apply_gate
+
+    def spy(psi, gate, actions):
+        if gate[0] is None:
+            events.append((folded[0], gate[1], len(psi)))
+        else:
+            folded[0] += 1
+        return apply_gate(psi, gate, actions)
+
+    monkeypatch.setattr(qs, "_apply_gate", spy)
+    qs.noisy_expectation(gs, np.eye(1), NoiseSpec(p=p, scale=3), K, seed=11)
+    assert folded[0] == 5
+    # Hits per folded gate are Binomial(K, p): each within 4 sigma of K p.
+    hits = np.bincount([g for g, _, _ in events], [rows for _, _, rows in events], 6)
+    assert np.all(np.abs(hits - K * p) < 4 * np.sqrt(K * p * (1 - p))), hits
+    # Given a hit, the Pauli is uniform over the 4^k - 1 non-identity strings
+    # on the support: every one is drawn, each count within 4 sigma of N / m.
+    for gates, support in ((range(3), 1), (range(3, 6), 2)):
+        counts = {}
+        for g, s, rows in events:
+            if g in gates:
+                counts[s] = counts.get(s, 0) + rows
+        expected = {"".join(c) + "I" * (2 - support)
+                    for c in itertools.product("IXYZ", repeat=support)} - {"II"}
+        assert set(counts) == expected
+        c = np.array(list(counts.values()))
+        m, N = len(expected), c.sum()
+        assert np.all(np.abs(c - N / m) < 4 * np.sqrt(N / m * (1 - 1 / m))), counts
 
 
 def _apply_annihilation_reference(psi, mode):
