@@ -498,7 +498,8 @@ def load_features(path):
     """Inverse of save_features; returns (ids, time_grid, values).
 
     Raises ValueError unless the times t=<v> form a non-empty, finite,
-    strictly increasing grid and every value is a finite number.
+    strictly increasing grid, no molecule id repeats and every value is a
+    finite number.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
@@ -507,13 +508,16 @@ def load_features(path):
         grid = np.array([float(c[2:]) for c in header[1:]])
         if not (grid.size and np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
             raise ValueError(f"{path}: times must be finite and strictly increasing")
-        ids, rows = [], []
+        ids, rows, seen = [], [], set()
         for ln, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split(",")
             if len(parts) != len(header):
                 raise ValueError(f"{path}: line {ln}: expected {len(header)} fields")
+            if parts[0] in seen:
+                raise ValueError(f"{path}: line {ln}: repeated molecule id {parts[0]!r}")
+            seen.add(parts[0])
             ids.append(parts[0])
             rows.append([float(v) for v in parts[1:]])
             if not np.all(np.isfinite(rows[-1])):

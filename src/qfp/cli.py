@@ -87,10 +87,15 @@ def _read_targets(path: str) -> dict:
         parts = line.rstrip("\n").split(",")
         if len(parts) != 2:
             raise DataError(f"{path}:{ln}: expected two columns")
+        if parts[0] in targets:
+            raise DataError(f"{path}:{ln}: repeated molecule id {parts[0]!r}")
         try:
-            targets[parts[0]] = float(parts[1])
+            target = float(parts[1])
         except ValueError as exc:
             raise DataError(f"{path}:{ln}: bad target {parts[1]!r}") from exc
+        if not math.isfinite(target):
+            raise DataError(f"{path}:{ln}: non-finite target {parts[1]!r}")
+        targets[parts[0]] = target
     return targets
 
 
@@ -126,11 +131,12 @@ def cmd_gen_h2(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
-    _check_flag("workers", args.workers, 1)
+    # Molecules run one after another; 1 is the only value --workers takes.
+    _check_flag("workers", args.workers, 1, 1)
     cfg = _load_config(args.config)
     _make_out_dir(args.out)
     base = os.path.dirname(os.path.abspath(args.config))
-    ids, _, grid, values = pipeline.run_fingerprints(cfg, base, args.workers)
+    ids, _, grid, values = pipeline.run_fingerprints(cfg, base)
     chem_io.save_features(ids, grid, values,
                           os.path.join(args.out, "features.csv"))
     _provenance(args.out, "fingerprint", {"workers": args.workers}, cfg.to_dict())
@@ -208,7 +214,6 @@ def _sweep_config(cfg: PipelineConfig, axis: str, value: str) -> PipelineConfig:
 
 
 def cmd_sweep(args) -> int:
-    _check_flag("workers", args.workers, 1)
     cfg = _load_config(args.config)
     _make_out_dir(args.out)
     base = os.path.dirname(os.path.abspath(args.config))
@@ -217,7 +222,7 @@ def cmd_sweep(args) -> int:
     rows, errors = [], {}
     for value, sub in zip(args.values, subs):
         try:
-            ids, y, grid, X = pipeline.run_fingerprints(sub, base, args.workers)
+            ids, y, grid, X = pipeline.run_fingerprints(sub, base)
             if not np.all(np.isfinite(y)):
                 raise DataError("dataset is missing finite targets")
             report = fingerprint_ml.kfold_cv(
@@ -236,7 +241,7 @@ def cmd_sweep(args) -> int:
             fh.write(f"{value},{r2:.17g},{rmse:.17g}\n")
     _provenance(args.out, "sweep",
                 {"axis": args.axis, "values": list(args.values),
-                 "workers": args.workers, "errors": errors}, cfg.to_dict())
+                 "errors": errors}, cfg.to_dict())
     print(f"swept {args.axis} over {len(args.values)} values "
           f"({len(errors)} failed)")
     return 0
@@ -381,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--axis", required=True,
                    choices=("time_max", "active_space", "trotter_r", "initial_state"))
     s.add_argument("--values", nargs="+", required=True)
-    s.add_argument("--workers", type=int, default=1)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sweep)
 

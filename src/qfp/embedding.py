@@ -98,7 +98,10 @@ def transform_integrals(h, eri, C):
 
 
 def localize_integrals(m: MolecularIntegrals, X: np.ndarray) -> MolecularIntegrals:
-    """Integrals in the Lowdin-orthonormalized basis (X = S^{-1/2})."""
+    """Integrals in the S-orthonormal basis given by X's columns (X^T S X = I).
+
+    X is the Lowdin S^{-1/2} for DMET or the RHF orbitals C for an MO basis.
+    """
     h_loc, eri_loc = transform_integrals(m.h_core, m.eri, X)
     return MolecularIntegrals(
         n_orbitals=m.n_orbitals,

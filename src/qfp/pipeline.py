@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -427,8 +426,8 @@ def _one_fingerprint(entry, cfg, grid):
         ).values
 
 
-def run_fingerprints(cfg: PipelineConfig, base_dir: str = ".", workers: int = 1):
-    """Fingerprints for every molecule in the dataset, on a pool of workers threads.
+def run_fingerprints(cfg: PipelineConfig, base_dir: str = "."):
+    """Fingerprints for every molecule in the dataset, one after another.
 
     Returns (ids, targets, grid, values) with values of shape
     (n_molecules, n_times), rows in manifest order.
@@ -439,9 +438,7 @@ def run_fingerprints(cfg: PipelineConfig, base_dir: str = ".", workers: int = 1)
     targets = np.array([e.target for e in manifest.entries])
     if not manifest.entries:
         return ids, targets, grid, np.zeros((0, len(grid)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda e: _one_fingerprint(e, cfg, grid),
-                             manifest.entries))
+    rows = [_one_fingerprint(e, cfg, grid) for e in manifest.entries]
     return ids, targets, grid, np.stack(rows)
 
 
@@ -462,15 +459,9 @@ def generate_h2_dataset(rmin: float, rmax: float, count: int, out_dir: str):
             mf = mean_field.scf_solve(m)
             if not mf.converged:
                 raise NumericalError(f"SCF did not converge for z={e.target:.6f}")
-        h_mo, eri_mo = embedding.transform_integrals(m.h_core, m.eri, mf.C)
-        m_mo = MolecularIntegrals(
-            n_orbitals=m.n_orbitals, n_electrons=m.n_electrons,
-            S=np.eye(m.n_orbitals), h_core=h_mo, eri=eri_mo,
-            e_nuclear=m.e_nuclear,
-        )
         fname = f"{e.molecule_id}.fcidump"
         with open(os.path.join(out_dir, fname), "w") as fh:
-            fh.write(chem_io.emit_fcidump(m_mo))
+            fh.write(chem_io.emit_fcidump(embedding.localize_integrals(m, mf.C)))
         manifest.entries[i] = replace(e, source={"fcidump": fname})
     chem_io.save_manifest(manifest, os.path.join(out_dir, "manifest.json"))
     with open(os.path.join(out_dir, "targets.csv"), "w") as fh:

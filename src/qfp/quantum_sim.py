@@ -311,11 +311,11 @@ class ExactEvolver:
     are grouped by x mask (_compile_groups), and sector_matrix builds a
     block from f_x on that sector's indices only (_group_values).  It
     raises ValueError if the block is not Hermitian or if a group maps an
-    index out of the sector (H couples sectors).  evolve diagonalizes a block
-    the first time a state has amplitude in its sector, and keeps it.
-    Memory: the sum of d^2 over the sectors touched, 8 B per element for a
-    real H (16 B complex), e.g. d = 100 for (4e,5o) at 10 qubits; no
-    2^n x 2^n matrix is formed.
+    index out of the sector (H couples sectors).  Each evolve call builds and
+    diagonalizes the block of every sector where the state has amplitude.
+    Memory: d^2 per sector block, 8 B per element for a real H (16 B
+    complex), e.g. d = 100 for (4e,5o) at 10 qubits; no 2^n x 2^n matrix is
+    formed.
     """
 
     def __init__(self, ph: PauliHamiltonian):
@@ -326,7 +326,6 @@ class ExactEvolver:
         # Real coefficients (no odd-Y strings) give real symmetric blocks.
         self._dtype = float if real else complex
         self._sector = _sector_labels(ph.n_qubits)
-        self._blocks: dict = {}
 
     def sector_matrix(self, index: int):
         """(indices, H): the sorted basis indices of the sector holding `index`, and
@@ -353,10 +352,8 @@ class ExactEvolver:
         times = np.asarray(t, dtype=float)
         out = np.zeros((times.size, psi0.size), dtype=complex)
         for key in np.unique(self._sector[psi0 != 0]):
-            if key not in self._blocks:
-                idx, H = self.sector_matrix(np.argmax(self._sector == key))
-                self._blocks[key] = (idx, *np.linalg.eigh(H))
-            idx, w, V = self._blocks[key]
+            idx, H = self.sector_matrix(np.argmax(self._sector == key))
+            w, V = np.linalg.eigh(H)
             c = V.conj().T @ psi0[idx]
             out[:, idx] = (np.exp(-1j * np.outer(times, w)) * c) @ V.T
         return out.reshape(times.shape + psi0.shape)

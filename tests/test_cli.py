@@ -6,13 +6,14 @@ import os
 import pathlib
 import shutil
 import tempfile
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from qfp import chem_io, embedding, mean_field
+from qfp import chem_io, embedding, mean_field, pipeline
 from qfp.cli import main
 from qfp.pipeline import PipelineConfig
 
@@ -85,6 +86,31 @@ def test_fingerprint_deterministic(h2_dataset):
     run("fingerprint", "--config", cfg, "--out", str(h2_dataset / "r2"))
     a = (h2_dataset / "r1" / "features.csv").read_bytes()
     assert a == (h2_dataset / "r2" / "features.csv").read_bytes()
+
+
+def test_run_fingerprints_on_calling_thread(h2_dataset, monkeypatch):
+    path = pathlib.Path(write_config(h2_dataset))
+    cfg = PipelineConfig.from_dict(json.loads(path.read_text()))
+    seen = []
+    build = pipeline.build_molecule
+    monkeypatch.setattr(pipeline, "build_molecule", lambda e: seen.append(
+        (e.molecule_id, threading.current_thread())) or build(e))
+    ids, _, _, values = pipeline.run_fingerprints(cfg, str(h2_dataset))
+    assert seen == [(i, threading.current_thread()) for i in ids]
+    assert values.shape == (6, 5)
+
+
+def test_workers_flag_accepts_only_one(tmp_path, monkeypatch, capsys):
+    # fingerprint keeps --workers for existing command lines; sweep has none.
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    assert run("fingerprint", "--config", "config.json", "--workers", "2", "--out", "o") == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(SystemExit) as exc:
+        run("sweep", "--config", "config.json", "--axis", "time_max", "--values", "1",
+            "--workers", "1", "--out", "o")
+    assert exc.value.code == 2
 
 
 def test_fingerprint_empty_manifest(tmp_path):
@@ -297,14 +323,14 @@ TABLE_COMMANDS = {
 }
 
 
-def _edit_table(directory, row, col, text):
-    """Replace field col of line row (0 is the header) of the ten-molecule f.csv."""
+def _edit_table(directory, row, col, text, table="f.csv"):
+    """Replace field col of line row (0 is the header) of the ten-molecule f.csv or t.csv."""
     _ten_molecule_table(directory)
-    lines = (directory / "f.csv").read_text().splitlines()
+    lines = (directory / table).read_text().splitlines()
     fields = lines[row].split(",")
     fields[col] = text
     lines[row] = ",".join(fields)
-    (directory / "f.csv").write_text("\n".join(lines) + "\n")
+    (directory / table).write_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("row,col,text,command", [
@@ -320,6 +346,22 @@ def test_bad_feature_table_exit_3(tmp_path, monkeypatch, capsys, row, col, text,
     _edit_table(tmp_path, row, col, text)
     assert run(*TABLE_COMMANDS[command], "--out", "o") == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table,col,text,message", [
+    ("f.csv", 0, "m2", "f.csv: line 5: repeated molecule id 'm2'"),
+    ("t.csv", 0, "m2", "t.csv:5: repeated molecule id 'm2'"),
+    ("t.csv", 1, "nan", "t.csv:5: non-finite target 'nan'"),
+    ("t.csv", 1, "-inf", "t.csv:5: non-finite target '-inf'"),
+], ids=["repeated_feature_id", "repeated_target_id", "nan_target", "inf_target"])
+def test_repeated_id_or_non_finite_target_exit_3(tmp_path, monkeypatch, capsys,
+                                                 table, col, text, message):
+    # A repeated id used to train on one of its targets and drop the other.
+    monkeypatch.chdir(tmp_path)
+    _edit_table(tmp_path, 4, col, text, table)
+    assert run(*TABLE_COMMANDS["train_krr"], "--folds", "2", "--out", "o") == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_feature_table_without_times_exit_3(tmp_path, monkeypatch):
@@ -701,8 +743,6 @@ TRAIN_10 = ["train", "--features", "f.csv", "--targets", "t.csv"]
     *[["optimize-measurement", "--config", "config.json", f"--budget={b}"]
       for b in (0, 1, 3, -1)],
     ["fingerprint", "--config", "config.json", "--workers", "0"],
-    ["sweep", "--config", "config.json", "--axis", "time_max", "--values", "1",
-     "--workers", "0"],
 ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv if a not in TRAIN_10[1:]))
 def test_bad_numeric_flag_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -1072,7 +1112,7 @@ def test_config_values_fuzz_exit_codes(two_h2_dir, target, value):
         json.dump(cfg, fh)
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        code = main([*argv, "--config", path, "--workers", "1", "--out", out])
+        code = main([*argv, "--config", path, "--out", out])
     event(f"{section} exit {code}")
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in stderr.getvalue()

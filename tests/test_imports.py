@@ -1,7 +1,8 @@
 """Package structure: fci is the tests' oracle, not a production dependency,
 pipeline reaches the simulator only through fingerprint_ml, the package needs
-nothing beyond the standard library, numpy and scipy at run time, and
-importing the CLI loads only what it runs."""
+nothing beyond the standard library, numpy and scipy at run time,
+importing the CLI loads only what it runs, and importing the package loads
+no module of it."""
 
 import ast
 import os
@@ -59,11 +60,23 @@ def test_runtime_imports_are_stdlib_numpy_scipy_or_qfp(module):
     assert {name.split(".")[0] for name in imported_names(module)} <= allowed
 
 
-def test_cli_import_skips_scipy_stats():
-    # scipy.stats costs about 0.3 s of start-up in every process; nothing needs it.
+def fresh_python(code: str) -> str:
+    """Standard output of `code` run in a new interpreter that imports qfp from src."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, qfp.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, check=True).stdout
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs about 0.3 s of start-up in every process; nothing needs it.
+    out = fresh_python("import sys, qfp.cli; print('scipy.stats' in sys.modules)")
+    assert out.strip() == "False"
+
+
+def test_package_import_loads_no_submodule():
+    # Modules are imported by name (from qfp import chem_io); the package re-exports nothing.
+    out = fresh_python("import sys, qfp; "
+                       "print(sorted(m for m in sys.modules if m.startswith('qfp.')), "
+                       "qfp.__version__)")
+    assert out.split() == ["[]", "0.1.0"]

@@ -577,16 +577,21 @@ def test_sector_evolver_matches_expm(sector_system, kind):
     eh, ph, expm = sector_system
     _, psi0 = qs.prepare_initial(kind, ph.n_qubits, eh.n_active_electrons)
     ev = qs.ExactEvolver(ph)
+    built = []
+    sector_matrix = ev.sector_matrix
+    ev.sector_matrix = lambda index: built.append(index) or sector_matrix(index)
     batch = ev.evolve(psi0, np.array(EVOLVE_TIMES))
     assert batch.shape == (len(EVOLVE_TIMES), 1 << ph.n_qubits)
-    for t, row in zip(EVOLVE_TIMES, batch):
+    # A determinant lies in one (N_alpha, N_beta) sector; half filling in all.
+    # Only those sectors are built, once each per evolve call.
+    n_sectors = ((ph.n_qubits + 2) // 2) ** 2 if kind == "half_occupied" else 1
+    assert len(built) == len(set(built)) == n_sectors
+    for k, (t, row) in enumerate(zip(EVOLVE_TIMES, batch), start=2):
         single = ev.evolve(psi0, t)
+        assert len(built) == k * n_sectors
         assert np.max(np.abs(single - expm[t] @ psi0)) < 1e-10
         # Grid rows and single-time calls differ only in BLAS summation order.
         assert np.max(np.abs(row - single)) < 1e-13
-    # A determinant lies in one (N_alpha, N_beta) sector; half filling in all.
-    n_sectors = ((ph.n_qubits + 2) // 2) ** 2 if kind == "half_occupied" else 1
-    assert len(ev._blocks) == n_sectors
 
 
 def test_sector_evolver_rejects_sector_coupling_and_non_hermitian():
