@@ -17,7 +17,6 @@ import numpy as np
 from scipy.special import erf
 
 __all__ = [
-    "GaussianGeometry",
     "MolecularIntegrals",
     "DatasetManifest",
     "ManifestEntry",
@@ -58,43 +57,16 @@ class ManifestError(ValueError):
     """Raised for malformed or inconsistent dataset manifests."""
 
 
-@dataclass(frozen=True)
-class GaussianGeometry:
-    """All-s-orbital molecular geometry.
-
-    atoms: sequence of (nuclear charge Z, position 3-vector in bohr).
-    shells: one list of (exponent, contraction coefficient) primitives per atom.
-    """
-
-    atoms: tuple
-    shells: tuple
-
-    def __post_init__(self):
-        if not self.atoms or len(self.atoms) != len(self.shells):
-            raise ValueError("at least one atom, with one shell list per atom, required")
-        for z, pos in self.atoms:
-            if not np.all(np.isfinite(pos)):
-                raise ValueError("non-finite atomic position")
-            if z <= 0:
-                raise ValueError("nuclear charge must be positive")
-        for prims in self.shells:
-            if len(prims) == 0:
-                raise ValueError("every atom needs at least one primitive")
-            for alpha, _ in prims:
-                if alpha <= 0:
-                    raise ValueError("Gaussian exponents must be positive")
-
-
-def h2_geometry(separation: float) -> GaussianGeometry:
-    """H2 along z at the given bond length (bohr), STO-3G."""
+def h2_geometry(separation: float) -> np.ndarray:
+    """H2 along z at the given bond length (bohr): its (2, 3) nuclear centres."""
     return hydrogen_chain([0.0, separation])
 
 
-def hydrogen_chain(z_positions) -> GaussianGeometry:
-    """Linear chain of hydrogen atoms at the given z coordinates (bohr)."""
-    atoms = tuple((1, np.array([0.0, 0.0, z])) for z in z_positions)
-    shells = tuple(STO3G_HYDROGEN for _ in z_positions)
-    return GaussianGeometry(atoms=atoms, shells=shells)
+def hydrogen_chain(z_positions) -> np.ndarray:
+    """Linear chain of hydrogen atoms at the given z coordinates (bohr): the
+    (n, 3) array of nuclear centres."""
+    z = np.asarray(z_positions, dtype=float)
+    return np.stack([np.zeros_like(z), np.zeros_like(z), z], axis=-1)
 
 
 @dataclass
@@ -146,33 +118,30 @@ def _boys_f0(x: np.ndarray) -> np.ndarray:
 # Far-apart or huge coordinates overflow to inf or nan without a warning;
 # validate() then rejects the integrals with a ValueError.
 @np.errstate(over="ignore", invalid="ignore")
-def s_orbital_integrals(g: GaussianGeometry, n_electrons: int | None = None) -> MolecularIntegrals:
-    """Overlap, core Hamiltonian and ERIs for contracted s-Gaussians.
+def s_orbital_integrals(centres, n_electrons: int | None = None) -> MolecularIntegrals:
+    """Overlap, core Hamiltonian and ERIs for hydrogen atoms at the given
+    (n, 3) nuclear centres (bohr).
 
-    One contracted basis function per atom, renormalized so that the
-    diagonal of S is exactly 1.  Nuclear repulsion from point charges.
+    One STO-3G 1s function and one unit charge per centre, each function
+    renormalized so that the diagonal of S is exactly 1.  n_electrons
+    defaults to n, which must then be even.
     """
-    centers = np.array([pos for _, pos in g.atoms], dtype=float)
-    charges = np.array([z for z, _ in g.atoms], dtype=float)
-    n = len(g.atoms)
+    centres = np.asarray(centres, dtype=float)
+    if centres.ndim != 2 or centres.shape[1] != 3 or len(centres) == 0:
+        raise ValueError(f"centres must be a non-empty (n, 3) array, not {centres.shape}")
+    if not np.all(np.isfinite(centres)):
+        raise ValueError("non-finite atomic position")
+    n = len(centres)
+    dist = [np.linalg.norm(centres[a] - centres[b])
+            for a in range(n) for b in range(a + 1, n)]
+    if min(dist, default=np.inf) < 1e-10:
+        raise ValueError("coincident nuclei give a singular attraction integral")
 
-    for a in range(n):
-        for b in range(a + 1, n):
-            if np.linalg.norm(centers[a] - centers[b]) < 1e-10:
-                raise ValueError("coincident nuclei give a singular attraction integral")
-
-    # Flatten primitives with primitive normalization folded into the coefficient.
-    prim_alpha, prim_coef, prim_center, prim_fn = [], [], [], []
-    for i, prims in enumerate(g.shells):
-        for alpha, c in prims:
-            prim_alpha.append(alpha)
-            prim_coef.append(c * (2.0 * alpha / np.pi) ** 0.75)
-            prim_center.append(centers[i])
-            prim_fn.append(i)
-    alpha = np.array(prim_alpha)
-    coef = np.array(prim_coef)
-    A = np.array(prim_center)
-    fn = np.array(prim_fn)
+    # Primitives atom by atom, primitive normalization folded into the coefficient.
+    alpha = np.tile([a for a, _ in STO3G_HYDROGEN], n)
+    coef = np.tile([c * (2.0 * a / np.pi) ** 0.75 for a, c in STO3G_HYDROGEN], n)
+    fn = np.repeat(np.arange(n), len(STO3G_HYDROGEN))
+    A = centres[fn]
     m = len(alpha)
 
     # Pairwise primitive quantities.
@@ -185,9 +154,9 @@ def s_orbital_integrals(g: GaussianGeometry, n_electrons: int | None = None) -> 
     s_prim = (np.pi / p) ** 1.5 * K
     t_prim = mu * (3.0 - 2.0 * mu * ab2) * s_prim
 
-    pc2 = np.sum((P[:, :, None, :] - centers[None, None, :, :]) ** 2, axis=-1)
+    pc2 = np.sum((P[:, :, None, :] - centres[None, None, :, :]) ** 2, axis=-1)
     v_prim = -(2.0 * np.pi / p)[:, :, None] * K[:, :, None] * _boys_f0(p[:, :, None] * pc2)
-    v_prim = np.einsum("abc,c->ab", v_prim, charges)
+    v_prim = np.einsum("abc,c->ab", v_prim, np.ones(n))  # unit nuclear charges
 
     cc = coef[:, None] * coef[None, :]
 
@@ -242,14 +211,10 @@ def s_orbital_integrals(g: GaussianGeometry, n_electrons: int | None = None) -> 
     eri = (eri + eri.transpose(0, 1, 3, 2)) / 2.0
     eri = (eri + eri.transpose(2, 3, 0, 1)) / 2.0
 
-    e_nuc = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            e_nuc += charges[a] * charges[b] / np.linalg.norm(centers[a] - centers[b])
-
+    e_nuc = sum((1.0 / d for d in dist), 0.0)
     if n_electrons is None:
-        n_electrons = int(round(charges.sum()))
-        if n_electrons % 2 == 1:
+        n_electrons = n
+        if n % 2 == 1:
             raise ValueError("odd electron count; pass n_electrons explicitly")
 
     out = MolecularIntegrals(

@@ -145,13 +145,9 @@ def one_body_features(rdm_traj: np.ndarray, O: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PLSModel:
-    n_components: int
     x_mean: np.ndarray
     y_mean: float
-    weights: np.ndarray       # n_features x n_components
-    loadings: np.ndarray      # n_features x n_components
-    coefficients: np.ndarray  # n_features
-    column_mask: np.ndarray   # features retained after zero-variance drop
+    coefficients: np.ndarray  # n_features, 0 on dropped zero-variance columns
 
 
 def pls_fit(X: np.ndarray, y: np.ndarray, n_components: int) -> PLSModel:
@@ -204,15 +200,7 @@ def pls_fit(X: np.ndarray, y: np.ndarray, n_components: int) -> PLSModel:
     full_mean[mask] = x_mean
     full_coef = np.zeros(n_features_all)
     full_coef[mask] = coef
-    return PLSModel(
-        n_components=used,
-        x_mean=full_mean,
-        y_mean=y_mean,
-        weights=W,
-        loadings=P,
-        coefficients=full_coef,
-        column_mask=mask,
-    )
+    return PLSModel(x_mean=full_mean, y_mean=y_mean, coefficients=full_coef)
 
 
 def pls_predict(model: PLSModel, X: np.ndarray) -> np.ndarray:
@@ -353,11 +341,10 @@ class GPState:
     points: np.ndarray
     values: np.ndarray
     length_scale: float
-    signal_variance: float
     noise_variance: float
-    bounds: np.ndarray
     best_point: np.ndarray = field(default=None)
     best_value: float = float("inf")
+    signal_variance = 1.0  # not a field: the kernel is unit-signal, y is standardized
 
     def __post_init__(self):
         i = int(np.argmin(self.values))
@@ -384,8 +371,8 @@ def _gp_loglik(X, y, ls, nv):
 
 
 def _gp_hyperparameters(X, y, bounds):
-    """Standardized y and the (length scale, signal, noise variance) of the
-    fixed log-grid with the highest marginal likelihood (the first on a tie)."""
+    """Standardized y and the (length scale, noise variance) of the fixed
+    log-grid with the highest marginal likelihood (the first on a tie)."""
     ym, ys = y.mean(), y.std()
     ys = ys if ys > 1e-12 else 1.0
     yn = (y - ym) / ys
@@ -393,17 +380,17 @@ def _gp_hyperparameters(X, y, bounds):
     nv_grid = np.geomspace(1e-8, 1e-2, 4)
     ll = np.array([_gp_loglik(X, yn, ls, nv_grid) for ls in ls_grid])
     i, j = np.unravel_index(np.argmax(ll), ll.shape)
-    return yn, ls_grid[i], 1.0, nv_grid[j]
+    return yn, ls_grid[i], nv_grid[j]
 
 
-def _gp_posterior(X, y, Xs, ls, sv, nv):
-    K = sv * _rbf(X, X, ls) + nv * np.eye(len(y))
-    Ks = sv * _rbf(Xs, X, ls)
+def _gp_posterior(X, y, Xs, ls, nv):
+    K = _rbf(X, X, ls) + nv * np.eye(len(y))
+    Ks = _rbf(Xs, X, ls)
     L = np.linalg.cholesky(K)
     alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
     mean = Ks @ alpha
     v = np.linalg.solve(L, Ks.T)
-    var = np.maximum(sv + nv - np.sum(v ** 2, axis=0), 1e-12)
+    var = np.maximum(1.0 + nv - np.sum(v ** 2, axis=0), 1e-12)
     return mean, var
 
 
@@ -424,9 +411,9 @@ def gp_optimize(objective, bounds, budget: int = 25, seed: int = 0) -> GPState:
     y = np.array([float(objective(x)) for x in X])
 
     while len(y) < budget:
-        yn, ls, sv, nv = _gp_hyperparameters(X, y, bounds)
+        yn, ls, nv = _gp_hyperparameters(X, y, bounds)
         cand = bounds[:, 0] + rng.random((1024, d)) * (bounds[:, 1] - bounds[:, 0])
-        mean, var = _gp_posterior(X, yn, cand, ls, sv, nv)
+        mean, var = _gp_posterior(X, yn, cand, ls, nv)
         sd = np.sqrt(var)
         fbest = yn.min()
         z = (fbest - mean) / sd
@@ -442,9 +429,8 @@ def gp_optimize(objective, bounds, budget: int = 25, seed: int = 0) -> GPState:
         X = np.vstack([X, x_next])
         y = np.append(y, y_next)
 
-    _, ls, sv, nv = _gp_hyperparameters(X, y, bounds)
-    return GPState(points=X, values=y, length_scale=ls,
-                   signal_variance=sv, noise_variance=nv, bounds=bounds)
+    _, ls, nv = _gp_hyperparameters(X, y, bounds)
+    return GPState(points=X, values=y, length_scale=ls, noise_variance=nv)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,9 @@ INITIAL_KINDS = ("hf_ground", "homo_lumo_excited", "half_occupied")
 # values of all its times, are held in memory at once; a grid far past this
 # fails to allocate instead of being rejected as a config error.
 MAX_GRID_POINTS = 10**6
+# Round-off slack, in steps, when a time grid counts its points: a stop that
+# is a multiple of the step up to round-off (0.3 with step 0.1) ends the grid.
+_GRID_SLACK = 1e-9
 
 
 class ConfigError(ValueError):
@@ -149,9 +152,15 @@ def _validate_time_grid(d):
         raise ConfigError("time_grid.step: must be positive")
     if stop < start:
         raise ConfigError("time_grid: stop must be >= start")
-    if (stop - start) / step + 1 > MAX_GRID_POINTS:
+    if _grid_size(start, stop, step) > MAX_GRID_POINTS:
         raise ConfigError(f"time_grid: more than {MAX_GRID_POINTS} points")
     return dict(d)
+
+
+def _grid_size(start, stop, step) -> float:
+    """Points of the grid start, start + step, ... that stay at or below stop
+    (inf when the count overflows a float)."""
+    return np.floor((stop - start) / step + _GRID_SLACK) + 1
 
 
 def _validate_evolver(d):
@@ -294,7 +303,7 @@ class PipelineConfig:
 
     def grid(self) -> np.ndarray:
         g = self.time_grid
-        n = int(round((g["stop"] - g["start"]) / g["step"])) + 1
+        n = int(_grid_size(g["start"], g["stop"], g["step"]))
         return g["start"] + g["step"] * np.arange(n)
 
 
@@ -345,32 +354,29 @@ def _generator_number(v, entry: ManifestEntry, key: str) -> float:
 
 
 def embed_molecule(m: MolecularIntegrals, emb: dict) -> embedding.EmbeddedHamiltonian:
-    """Mean field + the configured embedding for one molecule."""
+    """Mean field + the configured embedding for one molecule.  SCF and embedding
+    errors propagate as raised; molecule_errors names the molecule (exit 4)."""
     if emb["mode"] == "dmet" and max(emb["fragment"]) >= m.n_orbitals:
         raise ConfigError(f"embedding.fragment: index {max(emb['fragment'])} out of "
                           f"range for a molecule with {m.n_orbitals} orbitals")
-    try:
-        mf = mean_field.scf_solve(m)
-        if not mf.converged:
-            raise NumericalError("SCF did not converge")
-        if emb["mode"] == "active_space":
-            return embedding.homo_lumo_active_space(
-                m, mf, emb["n_active_electrons"], emb["n_active_orbitals"])
-        m_loc, D_loc = embedding.dmet_setup(m, mf)
-        cb = embedding.dmet_cluster_basis(D_loc, emb["fragment"])
-        eh = embedding.dmet_hamiltonian(m_loc, cb)
-        if emb.get("fit_mu", False):
-            target = emb.get("target_filling")
-            if target is None:
-                frag = list(emb["fragment"])
-                target = float(np.trace(D_loc[np.ix_(frag, frag)]))
-            builder = embedding.fragment_count_builder(eh)
-            eh = embedding.shift_chemical_potential(
-                eh, embedding.fit_chemical_potential(builder, target))
-        return eh
-    except (mean_field.LinearDependenceError, mean_field.DegeneracyError,
-            embedding.EmbeddingError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(str(exc)) from exc
+    mf = mean_field.scf_solve(m)
+    if not mf.converged:
+        raise NumericalError("SCF did not converge")
+    if emb["mode"] == "active_space":
+        return embedding.homo_lumo_active_space(
+            m, mf, emb["n_active_electrons"], emb["n_active_orbitals"])
+    m_loc, D_loc = embedding.dmet_setup(m, mf)
+    cb = embedding.dmet_cluster_basis(D_loc, emb["fragment"])
+    eh = embedding.dmet_hamiltonian(m_loc, cb)
+    if emb.get("fit_mu", False):
+        target = emb.get("target_filling")
+        if target is None:
+            frag = list(emb["fragment"])
+            target = float(np.trace(D_loc[np.ix_(frag, frag)]))
+        builder = embedding.fragment_count_builder(eh)
+        eh = embedding.shift_chemical_potential(
+            eh, embedding.fit_chemical_potential(builder, target))
+    return eh
 
 
 def load_dataset(cfg: PipelineConfig, base_dir: str = ".") -> DatasetManifest:

@@ -36,6 +36,23 @@ def test_integral_tensor_symmetries():
     assert np.array_equal(eri, eri.transpose(2, 3, 0, 1))
 
 
+@pytest.mark.parametrize("centres, match", [
+    (np.zeros((0, 3)), "non-empty"),
+    (np.zeros((2, 2)), "non-empty"),
+    ([[0.0, 0.0, 0.0], [0.0, 0.0, np.nan]], "non-finite"),
+    ([[0.0, 0.0, 0.0], [np.inf, 0.0, 1.4]], "non-finite"),
+])
+def test_bad_centres_rejected(centres, match):
+    with pytest.raises(ValueError, match=match):
+        chem_io.s_orbital_integrals(centres)
+
+
+def test_hydrogen_chain_centres():
+    assert chem_io.hydrogen_chain([0, 1.4, 2.8]).tolist() == [
+        [0.0, 0.0, 0.0], [0.0, 0.0, 1.4], [0.0, 0.0, 2.8]]
+    assert chem_io.h2_geometry(1.4).shape == (2, 3)
+
+
 def test_coincident_nuclei_rejected():
     with pytest.raises(ValueError):
         chem_io.s_orbital_integrals(chem_io.hydrogen_chain([0.0, 0.0]))
@@ -156,7 +173,7 @@ def test_validate_raises_value_error():
         bad.validate()
 
 
-def _s_orbital_integrals_loop(g):
+def _s_orbital_integrals_loop(centres):
     """The per-bra-pair ERI loop that s_orbital_integrals replaced, kept as its
     reference: (S, h_core, eri, e_nuclear, bra pairs skipped below 1e-18)."""
     from scipy.special import erf
@@ -169,11 +186,11 @@ def _s_orbital_integrals_loop(g):
         out[~small] = 0.5 * np.sqrt(np.pi / xl) * erf(np.sqrt(xl))
         return out
 
-    centers = np.array([pos for _, pos in g.atoms], dtype=float)
-    charges = np.array([z for z, _ in g.atoms], dtype=float)
-    n = len(g.atoms)
+    centers = np.asarray(centres, dtype=float)
+    charges = np.ones(len(centers))
+    n = len(centers)
     prims = [(i, a, c * (2.0 * a / np.pi) ** 0.75)
-             for i, shell in enumerate(g.shells) for a, c in shell]
+             for i in range(n) for a, c in chem_io.STO3G_HYDROGEN]
     fn = np.array([i for i, _, _ in prims])
     alpha = np.array([a for _, a, _ in prims])
     coef = np.array([c for _, _, c in prims])
@@ -221,9 +238,7 @@ def _s_orbital_integrals_loop(g):
 
 
 def _scattered_h6():
-    pos = np.random.default_rng(5).normal(scale=1.5, size=(6, 3))
-    return chem_io.GaussianGeometry(atoms=tuple((1, x) for x in pos),
-                                    shells=(chem_io.STO3G_HYDROGEN,) * 6)
+    return np.random.default_rng(5).normal(scale=1.5, size=(6, 3))
 
 
 @pytest.mark.parametrize("n_atoms", range(2, 13))
@@ -231,9 +246,9 @@ def test_s_orbital_integrals_match_loop_bitwise(n_atoms):
     geometries = [chem_io.hydrogen_chain(np.arange(n_atoms) * d) for d in (0.8, 1.4, 2.2, 3.0)]
     if n_atoms == 6:
         geometries.append(_scattered_h6())  # off-axis: every coordinate enters pq2
-    for g in geometries:
-        got = chem_io.s_orbital_integrals(g, n_electrons=n_atoms + n_atoms % 2)
-        S, h, eri, e_nuc, skipped = _s_orbital_integrals_loop(g)
+    for centres in geometries:
+        got = chem_io.s_orbital_integrals(centres, n_electrons=n_atoms + n_atoms % 2)
+        S, h, eri, e_nuc, skipped = _s_orbital_integrals_loop(centres)
         assert got.S.tobytes() == S.tobytes()
         assert got.h_core.tobytes() == h.tobytes()
         assert got.eri.tobytes() == eri.tobytes()

@@ -593,6 +593,31 @@ def test_unusable_time_grid_exit_2(tmp_path, time_grid):
     assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 2
 
 
+def _config_with_grid(time_grid):
+    return PipelineConfig.from_dict({
+        "dataset": H2_SCAN, "initial_state": "hf_ground", "time_grid": time_grid,
+        "embedding": {"mode": "active_space", "n_active_electrons": 2,
+                      "n_active_orbitals": 2}})
+
+
+@pytest.mark.parametrize("time_grid, expected", [
+    # stop 1.0 lies 0.4 steps past 0.6: rounding the step count gave 1.2
+    ({"start": 0, "stop": 1.0, "step": 0.6}, [0.0, 0.6]),
+    # (0.3 - 0) / 0.1 = 2.9999999999999996: stop is a multiple up to round-off
+    ({"start": 0, "stop": 0.3, "step": 0.1}, [0.0, 0.1, 0.2, 0.1 * 3]),
+    ({"start": 0, "stop": 14, "step": 0.5}, [0.5 * i for i in range(29)]),
+])
+def test_time_grid_never_passes_stop(time_grid, expected):
+    assert _config_with_grid(time_grid).grid().tolist() == expected
+
+
+def test_time_grid_point_limit_counts_as_the_grid():
+    limit = pipeline.MAX_GRID_POINTS
+    _config_with_grid({"start": 0, "stop": limit - 0.3, "step": 1})  # limit points
+    with pytest.raises(pipeline.ConfigError, match="more than"):
+        _config_with_grid({"start": 0, "stop": limit, "step": 1})
+
+
 def test_config_path_is_directory_exit_2(tmp_path):
     assert run("fingerprint", "--config", str(tmp_path), "--out",
                str(tmp_path / "o")) == 2

@@ -1,8 +1,8 @@
 """Package structure: fci is the tests' oracle, not a production dependency,
 pipeline reaches the simulator only through fingerprint_ml, the package needs
 nothing beyond the standard library, numpy and scipy at run time,
-importing the CLI loads only what it runs, and importing the package loads
-no module of it."""
+importing the CLI loads only what it runs, importing the package loads
+no module of it, and no check rests on an `assert`, which `python -O` strips."""
 
 import ast
 import os
@@ -58,6 +58,14 @@ def test_pipeline_imports_no_quantum_sim():
 def test_runtime_imports_are_stdlib_numpy_scipy_or_qfp(module):
     allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "qfp"}
     assert {name.split(".")[0] for name in imported_names(module)} <= allowed
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_assert_statements(module):
+    # Validation raises typed errors; `python -O` would strip an assert.
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
 
 
 def fresh_python(code: str) -> str:
