@@ -2,8 +2,9 @@
 
 Hydrogen systems (H2, hydrogen chains) are generated internally from
 closed-form formulas for s-type Gaussians; everything else enters through
-FCIDUMP interchange files.  Feature tables and dataset manifests round-trip
-through CSV/JSON.
+FCIDUMP interchange files.  Dataset manifests round-trip through JSON and
+feature tables through CSV; read_json and read_table are the one reader of
+each format.
 """
 
 from __future__ import annotations
@@ -11,14 +12,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
 
 __all__ = [
     "MolecularIntegrals",
-    "DatasetManifest",
     "ManifestEntry",
     "STO3G_HYDROGEN",
     "hydrogen_chain",
@@ -26,6 +27,8 @@ __all__ = [
     "s_orbital_integrals",
     "parse_fcidump",
     "emit_fcidump",
+    "read_json",
+    "read_table",
     "load_manifest",
     "save_manifest",
     "save_features",
@@ -254,16 +257,14 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
         raise FcidumpError("line 1: no &END terminator found in FCIDUMP header")
 
     def header_int(key):
-        up = header.upper()
-        pos = up.find(key + "=")
-        if pos < 0:
+        # The value runs from KEY= (and any padding) to the next comma or space.
+        match = re.search(key + r"=\s*([^,\s]*)", header.upper())
+        if match is None:
             raise FcidumpError(f"line 1: missing {key} in header")
-        rest = up[pos + len(key) + 1:]
-        tok = rest.split(",")[0].split()[0]
         try:
-            return int(tok)
+            return int(match[1])
         except ValueError as exc:
-            raise FcidumpError(f"line 1: non-integer {key}={tok!r}") from exc
+            raise FcidumpError(f"line 1: non-integer {key}={match[1]!r}") from exc
 
     norb = header_int("NORB")
     nelec = header_int("NELEC")
@@ -323,19 +324,16 @@ def emit_fcidump(m: MolecularIntegrals) -> str:
     n = m.n_orbitals
     out = [f"&FCI NORB={n},NELEC={m.n_electrons},MS2=0,", " ISYM=1,", "&END"]
 
-    reps = set()
-    for p in range(n):
-        for q in range(p + 1):
-            for r in range(n):
-                for s in range(r + 1):
-                    if (p, q) < (r, s):
+    # Representatives (pq|rs) with q <= p, s <= r and (p, q) >= (r, s), in
+    # descending lexicographic order.
+    for p in range(n - 1, -1, -1):
+        for q in range(p, -1, -1):
+            for r in range(p, -1, -1):
+                for s in range(q if r == p else r, -1, -1):
+                    val = m.eri[p, q, r, s]
+                    if abs(val) < 1e-14:
                         continue
-                    reps.add((p, q, r, s))
-    for p, q, r, s in sorted(reps, reverse=True):
-        val = m.eri[p, q, r, s]
-        if abs(val) < 1e-14:
-            continue
-        out.append(f"{val:24.16E} {p + 1} {q + 1} {r + 1} {s + 1}")
+                    out.append(f"{val:24.16E} {p + 1} {q + 1} {r + 1} {s + 1}")
     for p in range(n - 1, -1, -1):
         for q in range(p, -1, -1):
             val = m.h_core[p, q]
@@ -350,6 +348,59 @@ def emit_fcidump(m: MolecularIntegrals) -> str:
 # Dataset manifests and feature tables
 # ---------------------------------------------------------------------------
 
+def read_json(path: str):
+    """The JSON value in the UTF-8 file at path; a ValueError naming the file
+    when the file cannot be read, decoded or parsed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ValueError(f"{path}: cannot read JSON: {exc}") from exc
+
+
+def _finite(text: str, where: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: {text!r} is not a finite number")
+    return value
+
+
+def read_table(path: str):
+    """(columns, ids, values) of a CSV table headed `molecule_id,<column>,...`:
+    the columns after molecule_id, the ids and a (len(ids), len(columns))
+    array.  Skips blank lines; raises ValueError `{path}: line {n}: ...` on a
+    bad header, a row of the wrong width, a repeated id or a cell that is not
+    a finite number."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: cannot read table: {exc}") from exc
+    header = lines[0].rstrip("\n").split(",") if lines else [""]
+    if header[0] != "molecule_id":
+        raise ValueError(f"{path}: line 1: header must start with `molecule_id`")
+    ids, rows, seen = [], [], set()
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\n").split(",")
+        if len(parts) != len(header):
+            raise ValueError(f"{path}: line {ln}: expected {len(header)} fields, "
+                             f"got {len(parts)}")
+        if parts[0] in seen:
+            raise ValueError(f"{path}: line {ln}: repeated molecule id {parts[0]!r}")
+        seen.add(parts[0])
+        ids.append(parts[0])
+        rows.append([_finite(v, f"{path}: line {ln}") for v in parts[1:]])
+    values = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
+    return header[1:], ids, values
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     molecule_id: str
@@ -358,25 +409,17 @@ class ManifestEntry:
     label: str
 
 
-@dataclass
-class DatasetManifest:
-    entries: list = field(default_factory=list)
-    format_version: int = 1
-
-
-def load_manifest(path: str) -> DatasetManifest:
-    """Load and validate a dataset manifest JSON file."""
+def load_manifest(path: str) -> list:
+    """Load and validate a dataset manifest JSON file: its ManifestEntry list."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ManifestError(f"{path}: JSON nested too deeply to read") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ManifestError(f"{path}: cannot read manifest: {exc}") from exc
+        raw = read_json(path)
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
         raise ManifestError(f"{path}: manifest must be an object with an `entries` list")
+    version = raw.get("format_version", 1)
+    if version != 1 or type(version) is not int:  # not true, 1.0 or "1" either
+        raise ManifestError(f"{path}: `format_version` must be 1 or absent, got {version!r}")
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     seen = set()
@@ -415,8 +458,7 @@ def load_manifest(path: str) -> DatasetManifest:
                 label=str(e.get("label", "")),
             )
         )
-    version = _manifest_value((int,), raw.get("format_version", 1), path, "`format_version`")
-    return DatasetManifest(entries=entries, format_version=version)
+    return entries
 
 
 def _manifest_value(types, value, path, what):
@@ -430,9 +472,10 @@ def _manifest_value(types, value, path, what):
     raise ManifestError(f"{path}: {what}: bad value {value!r}")
 
 
-def save_manifest(manifest: DatasetManifest, path: str) -> None:
+def save_manifest(entries, path: str) -> None:
+    """Write a list of ManifestEntry as a format-version 1 manifest."""
     raw = {
-        "format_version": manifest.format_version,
+        "format_version": 1,
         "entries": [
             {
                 "id": e.molecule_id,
@@ -440,7 +483,7 @@ def save_manifest(manifest: DatasetManifest, path: str) -> None:
                 "target": e.target,
                 "label": e.label,
             }
-            for e in manifest.entries
+            for e in entries
         ],
     }
     with open(path, "w") as fh:
@@ -462,30 +505,13 @@ def save_features(ids, time_grid, values, path) -> None:
 def load_features(path):
     """Inverse of save_features; returns (ids, time_grid, values).
 
-    Raises ValueError unless the times t=<v> form a non-empty, finite,
-    strictly increasing grid, no molecule id repeats and every value is a
-    finite number.
+    A read_table table whose columns t=<v> form a non-empty, strictly
+    increasing grid of finite times; raises ValueError otherwise.
     """
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header[0] != "molecule_id" or not all(c.startswith("t=") for c in header[1:]):
-            raise ValueError(f"{path}: not a feature table (bad header)")
-        grid = np.array([float(c[2:]) for c in header[1:]])
-        if not (grid.size and np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
-            raise ValueError(f"{path}: times must be finite and strictly increasing")
-        ids, rows, seen = [], [], set()
-        for ln, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(header):
-                raise ValueError(f"{path}: line {ln}: expected {len(header)} fields")
-            if parts[0] in seen:
-                raise ValueError(f"{path}: line {ln}: repeated molecule id {parts[0]!r}")
-            seen.add(parts[0])
-            ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
-            if not np.all(np.isfinite(rows[-1])):
-                raise ValueError(f"{path}: line {ln}: non-finite value")
-    values = np.array(rows) if rows else np.zeros((0, len(grid)))
+    columns, ids, values = read_table(path)
+    if not all(c.startswith("t=") for c in columns):
+        raise ValueError(f"{path}: line 1: not a feature table (bad header)")
+    grid = np.array([_finite(c[2:], f"{path}: line 1") for c in columns])
+    if not (grid.size and np.all(np.diff(grid) > 0)):
+        raise ValueError(f"{path}: line 1: times must be non-empty and strictly increasing")
     return ids, grid, values

@@ -31,14 +31,9 @@ def _load_config(path: str) -> PipelineConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ConfigError(f"{path}: JSON nested too deeply to read") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+        raw = chem_io.read_json(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return PipelineConfig.from_dict(raw)
 
 
@@ -70,39 +65,17 @@ def _provenance(out_dir: str, command: str, args: dict, config: dict | None):
 
 
 def _read_targets(path: str) -> dict:
-    if not os.path.exists(path):
-        raise DataError(f"targets file not found: {path}")
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: cannot read targets: {exc}") from exc
-    header = lines[0].rstrip("\n").split(",") if lines else []
-    if header != ["molecule_id", "target"]:
-        raise DataError(f"{path}: expected header `molecule_id,target`")
-    targets = {}
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split(",")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{ln}: expected two columns")
-        if parts[0] in targets:
-            raise DataError(f"{path}:{ln}: repeated molecule id {parts[0]!r}")
-        try:
-            target = float(parts[1])
-        except ValueError as exc:
-            raise DataError(f"{path}:{ln}: bad target {parts[1]!r}") from exc
-        if not math.isfinite(target):
-            raise DataError(f"{path}:{ln}: non-finite target {parts[1]!r}")
-        targets[parts[0]] = target
-    return targets
+    columns, ids, values = chem_io.read_table(path)
+    if columns != ["target"]:
+        raise ValueError(f"{path}: line 1: expected header `molecule_id,target`")
+    return dict(zip(ids, values[:, 0]))
 
 
-def _load_features(path: str):
+def _load_table(read, path: str):
+    """read(path), with an unreadable file or a bad table as a data error."""
     try:
-        return chem_io.load_features(path)
-    except (OSError, ValueError) as exc:  # unreadable file or bad table
+        return read(path)
+    except (OSError, ValueError) as exc:
         raise DataError(str(exc)) from exc
 
 
@@ -154,8 +127,8 @@ def cmd_train(args) -> int:
         _check_flag("length-scale", args.length_scale, *fingerprint_ml.LENGTH_SCALE_RANGE)
         _check_flag("ridge", args.ridge, 0.0)
         spec = {"kind": "krr", "length_scale": args.length_scale, "ridge": args.ridge}
-    ids, grid, X = _load_features(args.features)
-    y = _align_targets(ids, _read_targets(args.targets))
+    ids, grid, X = _load_table(chem_io.load_features, args.features)
+    y = _align_targets(ids, _load_table(_read_targets, args.targets))
     _make_out_dir(args.out)
     try:
         report = fingerprint_ml.kfold_cv(X, y, spec, k=args.folds,
@@ -250,7 +223,7 @@ def cmd_sweep(args) -> int:
 def cmd_cluster(args) -> int:
     _check_flag("seed", args.seed, 0)
     _check_flag("pca-dims", args.pca_dims, 1)
-    ids, grid, X = _load_features(args.features)
+    ids, grid, X = _load_table(chem_io.load_features, args.features)
     if len(ids) == 0:
         raise DataError(f"{args.features}: empty feature table")
     _check_flag("k", args.k, 1, len(ids))
@@ -293,13 +266,13 @@ def cmd_optimize_measurement(args) -> int:
         raise ConfigError("optimize-measurement requires a krr model spec")
     if cfg.noise is not None:
         raise ConfigError("noise: optimize-measurement measures noiseless RDM trajectories")
-    manifest = pipeline.load_dataset(cfg, base)
-    y = np.array([e.target for e in manifest.entries])
+    entries = pipeline.load_dataset(cfg, base)
+    y = np.array([e.target for e in entries])
     if len(y) < 5 or not np.all(np.isfinite(y)):
         raise DataError("measurement optimization needs >= 5 molecules with targets")
     grid = cfg.grid()
     trajs = []
-    for e in manifest.entries:
+    for e in entries:
         m = pipeline.build_molecule(e)
         with pipeline.molecule_errors(e.molecule_id):
             eh = pipeline.embed_molecule(m, cfg.embedding)

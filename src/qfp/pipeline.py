@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from qfp import chem_io, embedding, fingerprint_ml, mean_field
-from qfp.chem_io import DatasetManifest, ManifestEntry, MolecularIntegrals
+from qfp.chem_io import ManifestEntry, MolecularIntegrals
 
 __all__ = [
     "ConfigError",
@@ -379,7 +379,7 @@ def embed_molecule(m: MolecularIntegrals, emb: dict) -> embedding.EmbeddedHamilt
     return eh
 
 
-def load_dataset(cfg: PipelineConfig, base_dir: str = ".") -> DatasetManifest:
+def load_dataset(cfg: PipelineConfig, base_dir: str = ".") -> list:
     ds = cfg.dataset
     if ds["kind"] == "manifest":
         path = ds["path"]
@@ -394,10 +394,10 @@ def load_dataset(cfg: PipelineConfig, base_dir: str = ".") -> DatasetManifest:
     return _h2_scan(ds["rmin"], ds["rmax"], ds["count"])
 
 
-def _h2_scan(rmin, rmax, count) -> DatasetManifest:
+def _h2_scan(rmin, rmax, count) -> list:
     """Uniform H2 separation scan: ids h2_000.., geometry generators, z targets."""
     width = max(3, len(str(count - 1)))
-    return DatasetManifest(entries=[
+    return [
         ManifestEntry(
             molecule_id=f"h2_{i:0{width}d}",
             source={"generator": {"kind": "h2", "separation": float(z)}},
@@ -405,7 +405,7 @@ def _h2_scan(rmin, rmax, count) -> DatasetManifest:
             label=f"H2 z={z:.6f} bohr",
         )
         for i, z in enumerate(np.linspace(rmin, rmax, count))
-    ])
+    ]
 
 
 @contextmanager
@@ -438,13 +438,13 @@ def run_fingerprints(cfg: PipelineConfig, base_dir: str = "."):
     Returns (ids, targets, grid, values) with values of shape
     (n_molecules, n_times), rows in manifest order.
     """
-    manifest = load_dataset(cfg, base_dir)
+    entries = load_dataset(cfg, base_dir)
     grid = cfg.grid()
-    ids = [e.molecule_id for e in manifest.entries]
-    targets = np.array([e.target for e in manifest.entries])
-    if not manifest.entries:
+    ids = [e.molecule_id for e in entries]
+    targets = np.array([e.target for e in entries])
+    if not entries:
         return ids, targets, grid, np.zeros((0, len(grid)))
-    rows = [_one_fingerprint(e, cfg, grid) for e in manifest.entries]
+    rows = [_one_fingerprint(e, cfg, grid) for e in entries]
     return ids, targets, grid, np.stack(rows)
 
 
@@ -458,8 +458,8 @@ def generate_h2_dataset(rmin: float, rmax: float, count: int, out_dir: str):
     if not rmin < rmax < math.inf:
         raise ConfigError(f"--rmax: expected a finite separation above --rmin, got {rmax}")
     os.makedirs(out_dir, exist_ok=True)
-    manifest = _h2_scan(rmin, rmax, count)
-    for i, e in enumerate(manifest.entries):
+    entries = _h2_scan(rmin, rmax, count)
+    for i, e in enumerate(entries):
         with molecule_errors(e.molecule_id):
             m = build_molecule(e)
             mf = mean_field.scf_solve(m)
@@ -468,10 +468,10 @@ def generate_h2_dataset(rmin: float, rmax: float, count: int, out_dir: str):
         fname = f"{e.molecule_id}.fcidump"
         with open(os.path.join(out_dir, fname), "w") as fh:
             fh.write(chem_io.emit_fcidump(embedding.localize_integrals(m, mf.C)))
-        manifest.entries[i] = replace(e, source={"fcidump": fname})
-    chem_io.save_manifest(manifest, os.path.join(out_dir, "manifest.json"))
+        entries[i] = replace(e, source={"fcidump": fname})
+    chem_io.save_manifest(entries, os.path.join(out_dir, "manifest.json"))
     with open(os.path.join(out_dir, "targets.csv"), "w") as fh:
         fh.write("molecule_id,target\n")
-        for e in manifest.entries:
+        for e in entries:
             fh.write(f"{e.molecule_id},{e.target:.17g}\n")
-    return [e.molecule_id for e in manifest.entries]
+    return [e.molecule_id for e in entries]

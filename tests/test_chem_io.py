@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from qfp import chem_io
 from qfp.chem_io import (
-    DatasetManifest,
     FcidumpError,
     ManifestEntry,
     ManifestError,
@@ -114,6 +113,12 @@ def test_fcidump_fortran_d_exponent():
     assert m.h_core[0, 0] == pytest.approx(-2.0)
 
 
+def test_fcidump_padded_header_values():
+    # Writers such as PySCF pad header values: NORB=   1.
+    m = chem_io.parse_fcidump("&FCI NORB=   1,NELEC= 2,MS2=0,\n&END\n -1.0 1 1 0 0\n")
+    assert (m.n_orbitals, m.n_electrons) == (1, 2)
+
+
 def test_fcidump_parse_errors_carry_line_numbers():
     good_header = "&FCI NORB=1,NELEC=2,MS2=0,\n&END\n"
     with pytest.raises(FcidumpError, match="NORB"):
@@ -125,15 +130,13 @@ def test_fcidump_parse_errors_carry_line_numbers():
 
 
 def test_manifest_round_trip(tmp_path):
-    man = DatasetManifest(entries=[
+    entries = [
         ManifestEntry("a", {"generator": {"kind": "h2", "separation": 1.0}}, 1.0, "x"),
         ManifestEntry("b", {"generator": {"kind": "h2", "separation": 2.0}}, 2.0, "y"),
-    ])
+    ]
     path = tmp_path / "manifest.json"
-    chem_io.save_manifest(man, str(path))
-    back = chem_io.load_manifest(str(path))
-    assert [e.molecule_id for e in back.entries] == ["a", "b"]
-    assert back.entries[1].target == 2.0
+    chem_io.save_manifest(entries, str(path))
+    assert chem_io.load_manifest(str(path)) == entries
 
 
 def test_manifest_duplicate_id_rejected(tmp_path):

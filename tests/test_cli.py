@@ -51,8 +51,8 @@ def test_gen_h2_endpoints_and_determinism(tmp_path):
     out = tmp_path / "d1"
     assert run("gen-h2", "--rmin", "1.0", "--rmax", "3.0", "--count", "2",
                "--out", str(out)) == 0
-    man = chem_io.load_manifest(str(out / "manifest.json"))
-    assert [e.target for e in man.entries] == [1.0, 3.0]
+    entries = chem_io.load_manifest(str(out / "manifest.json"))
+    assert [e.target for e in entries] == [1.0, 3.0]
     out2 = tmp_path / "d2"
     run("gen-h2", "--rmin", "1.0", "--rmax", "3.0", "--count", "2",
         "--out", str(out2))
@@ -350,10 +350,12 @@ def test_bad_feature_table_exit_3(tmp_path, monkeypatch, capsys, row, col, text,
 
 @pytest.mark.parametrize("table,col,text,message", [
     ("f.csv", 0, "m2", "f.csv: line 5: repeated molecule id 'm2'"),
-    ("t.csv", 0, "m2", "t.csv:5: repeated molecule id 'm2'"),
-    ("t.csv", 1, "nan", "t.csv:5: non-finite target 'nan'"),
-    ("t.csv", 1, "-inf", "t.csv:5: non-finite target '-inf'"),
-], ids=["repeated_feature_id", "repeated_target_id", "nan_target", "inf_target"])
+    ("t.csv", 0, "m2", "t.csv: line 5: repeated molecule id 'm2'"),
+    ("t.csv", 1, "nan", "t.csv: line 5: 'nan' is not a finite number"),
+    ("t.csv", 1, "-inf", "t.csv: line 5: '-inf' is not a finite number"),
+    ("t.csv", 1, "1.0,2.0", "t.csv: line 5: expected 2 fields, got 3"),
+], ids=["repeated_feature_id", "repeated_target_id", "nan_target", "inf_target",
+        "three_field_target_row"])
 def test_repeated_id_or_non_finite_target_exit_3(tmp_path, monkeypatch, capsys,
                                                  table, col, text, message):
     # A repeated id used to train on one of its targets and drop the other.
@@ -362,6 +364,13 @@ def test_repeated_id_or_non_finite_target_exit_3(tmp_path, monkeypatch, capsys,
     assert run(*TABLE_COMMANDS["train_krr"], "--folds", "2", "--out", "o") == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_targets_with_wrong_header_exit_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _edit_table(tmp_path, 0, 1, "y", "t.csv")
+    assert run(*TABLE_COMMANDS["train_krr"], "--out", "o") == 3
+    assert "t.csv: line 1: expected header `molecule_id,target`" in capsys.readouterr().err
 
 
 def test_feature_table_without_times_exit_3(tmp_path, monkeypatch):
@@ -403,10 +412,12 @@ H2_ENTRY = {"id": "h2_000", "generator": {"kind": "h2", "separation": 1.4}, "tar
     {"entries": [H2_ENTRY], "format_version": 3.7},
     {"entries": [H2_ENTRY], "format_version": True},
     {"entries": [H2_ENTRY], "format_version": "1"},
+    {"entries": [H2_ENTRY], "format_version": 2},
 ], ids=["entries", "target", "format_version", "generator", "fcidump",
         "separation", "z_positions", "z_position_item", "id_comma", "id_newline",
         "id_carriage_return", "id_true", "id_number", "target_true", "target_string",
-        "format_version_float", "format_version_true", "format_version_string"])
+        "format_version_float", "format_version_true", "format_version_string",
+        "format_version_2"])
 def test_malformed_manifest_value_exit_3(tmp_path, manifest):
     (tmp_path / "data").mkdir()
     (tmp_path / "data" / "manifest.json").write_text(json.dumps(manifest))
@@ -490,14 +501,16 @@ def test_manifest_values_fuzz_exit_codes(fuzz_manifest_dir, target, value):
     event(f"{key} exit {code}")
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in stderr.getvalue()
-    # id is a string, target a number and format_version an integer; a boolean
-    # or a numeric string is neither.
-    json_types = {"id": str, "target": (int, float), "format_version": int}
+    # id is a string and target a number; a boolean or a numeric string is
+    # neither.  format_version is the integer 1 or absent.
+    json_types = {"id": str, "target": (int, float)}
     if key in json_types and (isinstance(value, bool) or not isinstance(value, json_types[key])):
+        assert code == 3
+    if key == "format_version" and (value != 1 or type(value) is not int):
         assert code == 3
     if code == 0:
         ids, _, values = chem_io.load_features(os.path.join(out, "features.csv"))
-        assert ids == [e.molecule_id for e in chem_io.load_manifest(str(path)).entries]
+        assert ids == [e.molecule_id for e in chem_io.load_manifest(str(path))]
         assert values.shape == (2, 2)
 
 
@@ -557,6 +570,25 @@ def test_fcidump_values_fuzz_exit_codes(fuzz_manifest_dir, norb, nelec, record, 
         assert "'fuzzed'" in stderr.getvalue()
     else:
         assert code in (0, 4), stderr.getvalue()
+
+
+@pytest.mark.parametrize("header", [
+    "&FCI NORB=,NELEC=2,MS2=0,",
+    "&FCI NORB=2,NELEC=,MS2=0,",
+    "&FCI NORB=2,MS2=0,NELEC=",
+    "&FCI NORB=2,MS2=0,",
+    "&FCI NORB=2.5,NELEC=2,MS2=0,",
+], ids=["empty_norb", "empty_nelec", "trailing_nelec", "missing_nelec", "fractional_norb"])
+def test_bad_fcidump_header_value_exit_3(fuzz_manifest_dir, capsys, header):
+    # An empty NORB or NELEC value used to end in an IndexError traceback.
+    lines = FCIDUMP_BASES[2].splitlines()
+    (fuzz_manifest_dir / "header.fcidump").write_text("\n".join([header, *lines[1:]]) + "\n")
+    (fuzz_manifest_dir / "manifest.json").write_text(json.dumps({"entries": [
+        {"id": "header", "fcidump": "header.fcidump", "target": 1.0}]}))
+    out = tempfile.mkdtemp(dir=fuzz_manifest_dir)
+    assert main(["fingerprint", "--config", str(fuzz_manifest_dir / "config.json"),
+                 "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("data error: molecule 'header': line 1: ")
 
 
 @pytest.mark.filterwarnings("error")
@@ -645,6 +677,16 @@ def test_manifest_nested_too_deeply_exit_3(tmp_path):
     (tmp_path / "data" / "manifest.json").write_text(DEEP_JSON)
     cfg = write_config(tmp_path)
     assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+
+
+@pytest.mark.parametrize("name,code", [("config.json", 2), ("data/manifest.json", 3)])
+def test_json_integer_too_long_to_read_exit_2_or_3(tmp_path, name, code):
+    # Python refuses integers of more than 4300 digits with a plain ValueError,
+    # which used to end in a traceback.
+    cfg = write_config(tmp_path)
+    (tmp_path / "data").mkdir()
+    (tmp_path / name).write_text('{"entries": ' + "1" * 5000 + "}")
+    assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == code
 
 
 FEATURES_CSV = "molecule_id,t=0,t=1\nm0,0.1,0.2\nm1,0.3,0.4\n"
