@@ -4,7 +4,7 @@ Hydrogen systems (H2, hydrogen chains) are generated internally from
 closed-form formulas for s-type Gaussians; everything else enters through
 FCIDUMP interchange files.  Dataset manifests round-trip through JSON and
 feature tables through CSV; read_json and read_table are the one reader of
-each format.
+each format, and write_table is the one CSV writer.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "emit_fcidump",
     "read_json",
     "read_table",
+    "write_table",
     "load_manifest",
     "save_manifest",
     "save_features",
@@ -401,6 +402,15 @@ def read_table(path: str):
     return header[1:], ids, values
 
 
+def write_table(path: str, header, rows) -> None:
+    """Write a CSV table: the header fields, then one line per row, with text
+    as is and numbers as %.17g, which read_table reads back exactly."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     molecule_id: str
@@ -496,10 +506,8 @@ def save_features(ids, time_grid, values, path) -> None:
     values = np.asarray(values, dtype=float)
     if values.shape != (len(ids), len(time_grid)):
         raise ValueError("feature table shape does not match ids x time grid")
-    with open(path, "w") as fh:
-        fh.write("molecule_id," + ",".join(f"t={t:.17g}" for t in time_grid) + "\n")
-        for mid, row in zip(ids, values):
-            fh.write(str(mid) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(path, ["molecule_id", *(f"t={t:.17g}" for t in time_grid)],
+                ([mid, *row] for mid, row in zip(ids, values)))
 
 
 def load_features(path):

@@ -16,15 +16,8 @@ import sys
 
 import numpy as np
 
-from qfp import chem_io, fingerprint_ml, pipeline
+from qfp import __version__, chem_io, fingerprint_ml, pipeline
 from qfp.pipeline import ConfigError, DataError, NumericalError, PipelineConfig
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("qfp")
-except Exception:  # pragma: no cover - metadata missing in odd installs
-    VERSION = "unknown"
 
 
 def _load_config(path: str) -> PipelineConfig:
@@ -59,7 +52,7 @@ def _check_flag(name: str, value, lo, hi=math.inf) -> None:
 
 def _provenance(out_dir: str, command: str, args: dict, config: dict | None):
     _write_json(
-        {"command": command, "args": args, "config": config, "version": VERSION},
+        {"command": command, "args": args, "config": config, "version": __version__},
         os.path.join(out_dir, "provenance.json"),
     )
 
@@ -137,19 +130,19 @@ def cmd_train(args) -> int:
         raise NumericalError(str(exc)) from exc
     except ValueError as exc:  # more folds than molecules, or PLS components than a fold has
         raise ConfigError(f"{exc} (--folds {args.folds}, {len(ids)} molecules)") from exc
-    if not (math.isfinite(report.r2) and math.isfinite(report.rmse)):
+    if not (math.isfinite(report["r2"]) and math.isfinite(report["rmse"])):
         raise NumericalError("cross-validation gave a non-finite R2 or RMSE")
-    _write_json(report.to_json_dict(), os.path.join(args.out, "cv_report.json"))
-    pred = {i: p for _, va, preds in report.folds for i, p in zip(va, preds)}
-    with open(os.path.join(args.out, "predictions.csv"), "w") as fh:
-        fh.write("molecule_id,actual,predicted\n")
-        for i, yi in zip(ids, y):
-            fh.write(f"{i},{yi:.17g},{pred[i]:.17g}\n")
+    _write_json(report, os.path.join(args.out, "cv_report.json"))
+    pred = {i: p for fold in report["folds"]
+            for i, p in zip(fold["validation_ids"], fold["predictions"])}
+    chem_io.write_table(os.path.join(args.out, "predictions.csv"),
+                        ["molecule_id", "actual", "predicted"],
+                        ([i, yi, pred[i]] for i, yi in zip(ids, y)))
     _provenance(args.out, "train",
                 {"features": os.path.basename(args.features),
                  "targets": os.path.basename(args.targets),
                  "model": spec, "folds": args.folds, "seed": args.seed}, None)
-    print(f"cv R2={report.r2:.4f} rmse={report.rmse:.4g}")
+    print(f"cv R2={report['r2']:.4f} rmse={report['rmse']:.4g}")
     return 0
 
 
@@ -200,18 +193,14 @@ def cmd_sweep(args) -> int:
                 raise DataError("dataset is missing finite targets")
             report = fingerprint_ml.kfold_cv(
                 X, y, sub.model, k=sub.cv["k"], seed=sub.cv.get("seed", 0), ids=ids)
-            _write_json(report.to_json_dict(),
-                        os.path.join(args.out, f"cv_report_{args.axis}_{value}.json"))
-            rows.append((value, report.r2, report.rmse))
+            _write_json(report, os.path.join(args.out, f"cv_report_{args.axis}_{value}.json"))
+            rows.append((value, report["r2"], report["rmse"]))
         except ConfigError:
             raise
         except (DataError, NumericalError, ValueError) as exc:
             errors[value] = str(exc)
             rows.append((value, float("nan"), float("nan")))
-    with open(os.path.join(args.out, "summary.csv"), "w") as fh:
-        fh.write(f"{args.axis},r2,rmse\n")
-        for value, r2, rmse in rows:
-            fh.write(f"{value},{r2:.17g},{rmse:.17g}\n")
+    chem_io.write_table(os.path.join(args.out, "summary.csv"), [args.axis, "r2", "rmse"], rows)
     _provenance(args.out, "sweep",
                 {"axis": args.axis, "values": list(args.values),
                  "errors": errors}, cfg.to_dict())
@@ -238,15 +227,13 @@ def cmd_cluster(args) -> int:
         raise NumericalError(f"time-series features overflow in PCA: {exc}") from exc
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    with open(os.path.join(args.out, "labels.csv"), "w") as fh:
-        fh.write("molecule_id,cluster\n")
-        for i, lab in zip(ids, labels):
-            fh.write(f"{i},{lab}\n")
-    with open(os.path.join(args.out, "cluster_means.csv"), "w") as fh:
-        fh.write("cluster," + ",".join(f"t={t:.17g}" for t in grid) + "\n")
-        for j in range(args.k):
-            mean = X[labels == j].mean(axis=0) if np.any(labels == j) else 0 * grid
-            fh.write(f"{j}," + ",".join(f"{v:.17g}" for v in mean) + "\n")
+    chem_io.write_table(os.path.join(args.out, "labels.csv"), ["molecule_id", "cluster"],
+                        zip(ids, labels))
+    chem_io.write_table(
+        os.path.join(args.out, "cluster_means.csv"),
+        ["cluster", *(f"t={t:.17g}" for t in grid)],
+        ([j, *(X[labels == j].mean(axis=0) if np.any(labels == j) else 0 * grid)]
+         for j in range(args.k)))
     _provenance(args.out, "cluster",
                 {"features": os.path.basename(args.features), "k": args.k,
                  "pca_dims": args.pca_dims, "seed": args.seed,

@@ -21,7 +21,6 @@ __all__ = [
     "Fingerprint",
     "PLSModel",
     "KRRModel",
-    "CVReport",
     "GPState",
     "compute_fingerprint",
     "rdm_trajectory",
@@ -248,33 +247,6 @@ def krr_predict(model: KRRModel, X: np.ndarray) -> np.ndarray:
 # Cross-validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CVReport:
-    model_spec: dict
-    k: int
-    seed: int
-    r2: float
-    rmse: float
-    folds: list  # [(train ids, validation ids, predictions)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model_spec": self.model_spec,
-            "k": self.k,
-            "seed": self.seed,
-            "r2": self.r2,
-            "rmse": self.rmse,
-            "folds": [
-                {
-                    "train_ids": list(tr),
-                    "validation_ids": list(va),
-                    "predictions": [float(p) for p in pred],
-                }
-                for tr, va, pred in self.folds
-            ],
-        }
-
-
 def _fit_model(spec: dict, X, y):
     kind = spec["kind"]
     if kind == "pls":
@@ -290,8 +262,12 @@ def _fit_model(spec: dict, X, y):
 # Features near 1e154 or above overflow the fits to inf or nan without a
 # warning; the caller rejects a non-finite R2 or RMSE.
 @np.errstate(over="ignore", invalid="ignore")
-def kfold_cv(X, y, model_spec: dict, k: int = 5, seed: int = 0, ids=None) -> CVReport:
-    """Seeded shuffle + contiguous folds; pooled out-of-fold metrics."""
+def kfold_cv(X, y, model_spec: dict, k: int = 5, seed: int = 0, ids=None) -> dict:
+    """Seeded shuffle + contiguous folds; pooled out-of-fold metrics.
+
+    Returns the cv_report.json object: model_spec, k, seed, r2, rmse and
+    folds, one {train_ids, validation_ids, predictions} per fold.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n = len(y)
@@ -312,16 +288,16 @@ def kfold_cv(X, y, model_spec: dict, k: int = 5, seed: int = 0, ids=None) -> CVR
         predict = _fit_model(model_spec, X[tr], y[tr])
         pv = predict(X[va])
         pred[va] = pv
-        folds.append((
-            [ids[i] for i in tr], [ids[i] for i in va], pv.tolist(),
-        ))
+        folds.append({"train_ids": [ids[i] for i in tr],
+                      "validation_ids": [ids[i] for i in va],
+                      "predictions": pv.tolist()})
 
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     rmse = math.sqrt(ss_res / n)
-    return CVReport(model_spec=dict(model_spec), k=k, seed=seed, r2=r2,
-                    rmse=rmse, folds=folds)
+    return {"model_spec": dict(model_spec), "k": k, "seed": seed, "r2": r2,
+            "rmse": rmse, "folds": folds}
 
 
 def train_val_test_split(n: int, seed: int):

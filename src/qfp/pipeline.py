@@ -313,7 +313,7 @@ def build_molecule(entry: ManifestEntry) -> MolecularIntegrals:
         try:
             with open(entry.source["fcidump"]) as fh:
                 return chem_io.parse_fcidump(fh.read())
-        except (OSError, ValueError) as exc:  # unreadable file or bad FCIDUMP
+        except (OSError, ValueError, MemoryError) as exc:  # unreadable, bad or too large
             raise DataError(f"molecule {entry.molecule_id!r}: {exc}") from exc
     gen = dict(entry.source["generator"])
     kind = gen.pop("kind", None)
@@ -336,7 +336,7 @@ def build_molecule(entry: ManifestEntry) -> MolecularIntegrals:
         raise DataError(f"molecule {entry.molecule_id!r}: unknown generator kind {kind!r}")
     try:
         return chem_io.s_orbital_integrals(chem_io.hydrogen_chain(zs))
-    except ValueError as exc:  # coincident nuclei, or integrals that overflow
+    except (ValueError, MemoryError) as exc:  # coincident nuclei, overflow, too many atoms
         raise DataError(f"molecule {entry.molecule_id!r}: {exc}") from exc
 
 
@@ -410,12 +410,13 @@ def _h2_scan(rmin, rmax, count) -> list:
 
 @contextmanager
 def molecule_errors(molecule_id: str):
-    """Name the molecule in its ConfigError (exit 2) or numerical failure (exit 4)."""
+    """Name the molecule in its ConfigError (exit 2) or numerical failure (exit 4);
+    running out of memory is a numerical failure."""
     try:
         yield
     except ConfigError as exc:
         raise ConfigError(f"molecule {molecule_id!r}: {exc}") from exc
-    except (NumericalError, ValueError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, ValueError, np.linalg.LinAlgError, MemoryError) as exc:
         raise NumericalError(f"molecule {molecule_id!r}: {exc}") from exc
 
 
@@ -470,8 +471,6 @@ def generate_h2_dataset(rmin: float, rmax: float, count: int, out_dir: str):
             fh.write(chem_io.emit_fcidump(embedding.localize_integrals(m, mf.C)))
         entries[i] = replace(e, source={"fcidump": fname})
     chem_io.save_manifest(entries, os.path.join(out_dir, "manifest.json"))
-    with open(os.path.join(out_dir, "targets.csv"), "w") as fh:
-        fh.write("molecule_id,target\n")
-        for e in entries:
-            fh.write(f"{e.molecule_id},{e.target:.17g}\n")
+    chem_io.write_table(os.path.join(out_dir, "targets.csv"), ["molecule_id", "target"],
+                        ([e.molecule_id, e.target] for e in entries))
     return [e.molecule_id for e in entries]

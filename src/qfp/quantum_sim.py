@@ -70,11 +70,20 @@ def _parity_vector(mask: int, n_qubits: int) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(b & mask) & 1).astype(np.int64)
 
 
+@functools.lru_cache(maxsize=1024)
 def _pauli_action(string: str):
-    """(perm, pv) with P|b> = pv[b] |b ^ x>, so (P psi)[j] = (pv * psi)[perm[j]]."""
+    """(perm, pv) with P|b> = pv[b] |b ^ x>, so (P psi)[j] = (pv * psi)[perm[j]].
+
+    Built once per string and kept for the 1,024 strings used last: every
+    string on up to 5 qubits, at most 24 MB at 10 qubits.  The arrays are
+    read-only because every caller shares them.
+    """
     n = len(string)
     x, z, ny = _masks_from_string(string)
-    return np.arange(1 << n) ^ x, 1j ** ny * _parity_vector(z, n)
+    action = np.arange(1 << n) ^ x, 1j ** ny * _parity_vector(z, n)
+    for a in action:
+        a.flags.writeable = False
+    return action
 
 
 @dataclass
@@ -218,17 +227,11 @@ def prepare_initial(kind: str, n_qubits: int, n_electrons: int):
     return gs, run_sequence(gs, basis_state(0, n_qubits))
 
 
-def _apply_gate(psi, gate, actions: dict):
+def _apply_gate(psi, gate):
     """Apply gate (theta, P) to a state or to every row of a (..., 2^n) batch:
-    cos(theta/2) psi - i sin(theta/2) P psi, or P psi when theta is None.
-
-    actions caches each string's _pauli_action for one circuit run.
-    """
+    cos(theta/2) psi - i sin(theta/2) P psi, or P psi when theta is None."""
     theta, string = gate
-    action = actions.get(string)
-    if action is None:
-        action = actions[string] = _pauli_action(string)
-    perm, pv = action
+    perm, pv = _pauli_action(string)
     p_psi = (pv * psi).take(perm, axis=-1)
     if theta is None:
         return p_psi
@@ -241,9 +244,8 @@ def run_sequence(gs: GateSequence, psi0: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape[-1] != 1 << gs.n_qubits:
         raise ValueError("state dimension does not match sequence qubit count")
-    actions = {}
     for gate in gs.gates:
-        psi = _apply_gate(psi, gate, actions)
+        psi = _apply_gate(psi, gate)
     if gs.global_phase:
         psi = psi * np.exp(-1j * gs.global_phase)
     return psi
@@ -616,13 +618,12 @@ def noisy_expectation(
             s[q] = _SYMBOLS[code >> 2 * j & 3]
         drawn[g].setdefault("".join(s), []).append(k)
 
-    actions = {}
     psi = np.repeat(basis_state(0, n)[None, :], n_trajectories, axis=0)
     # No global phase: it cannot change a measured value.
     for gate, errors in zip(folded.gates, drawn):
-        psi = _apply_gate(psi, gate, actions)
+        psi = _apply_gate(psi, gate)
         for s, rows in errors.items():
-            psi[rows] = _apply_gate(psi[rows], (None, s), actions)
+            psi[rows] = _apply_gate(psi[rows], (None, s))
 
     vals = expval_O(O, rdm1(psi))
     mean = float(vals.mean())

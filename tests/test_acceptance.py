@@ -263,7 +263,7 @@ def test_criterion_10_h6_pls_stand_in():
         for nc in range(1, min(14, int(cols.sum())) + 1):
             rep = ml.kfold_cv(X[:, cols], y,
                               {"kind": "pls", "n_components": nc}, k=5, seed=11)
-            best = max(best, rep.r2)
+            best = max(best, rep["r2"])
         return best
 
     r2s = [best_cv_r2(tm) for tm in range(2, 15, 2)]

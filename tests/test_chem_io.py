@@ -167,6 +167,21 @@ def test_feature_table_round_trip(tmp_path):
     assert np.array_equal(vals2, vals)  # 17 significant digits is lossless
 
 
+def test_write_table_formats_and_round_trips(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [["m0", 0.1, np.int64(3)], ["m1", -2.5e-300, 7], ["m2", np.float64(1e17), -0.0]]
+    chem_io.write_table(str(path), ["molecule_id", "a", "b"], rows)
+    assert path.read_text() == ("molecule_id,a,b\n"
+                                "m0,0.10000000000000001,3\n"
+                                "m1,-2.5e-300,7\n"
+                                "m2,1e+17,-0\n")
+    columns, ids, values = chem_io.read_table(str(path))
+    assert (columns, ids) == (["a", "b"], ["m0", "m1", "m2"])
+    assert np.array_equal(values, np.array([r[1:] for r in rows], dtype=float))
+    chem_io.write_table(str(path), ["axis", "r2"], [("x", float("nan"))])
+    assert path.read_text() == "axis,r2\nx,nan\n"
+
+
 def test_validate_raises_value_error():
     m = h2_molecule(1.4)
     h = m.h_core.copy()

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from qfp import chem_io, embedding, mean_field, pipeline
+import qfp
+from qfp import chem_io, embedding, mean_field, pipeline, quantum_sim
 from qfp.cli import main
 from qfp.pipeline import PipelineConfig
 
@@ -76,6 +77,7 @@ def test_fingerprint_writes_feature_table(h2_dataset):
     assert np.array_equal(grid, np.arange(0, 2.001, 0.5))
     prov = json.loads((out / "provenance.json").read_text())
     assert prov["args"] == {"workers": 1}
+    assert prov["version"] == qfp.__version__
     # provenance config round-trips through validation
     assert PipelineConfig.from_dict(prov["config"]).to_dict() == prov["config"]
 
@@ -589,6 +591,37 @@ def test_bad_fcidump_header_value_exit_3(fuzz_manifest_dir, capsys, header):
     assert main(["fingerprint", "--config", str(fuzz_manifest_dir / "config.json"),
                  "--out", out]) == 3
     assert capsys.readouterr().err.startswith("data error: molecule 'header': line 1: ")
+
+
+def test_fcidump_too_large_to_allocate_exit_3(fuzz_manifest_dir, capsys):
+    # 10^5 orbitals need an 80 GB h_core and far more for the ERIs: the
+    # allocation fails before any integral record is read.
+    lines = FCIDUMP_BASES[2].splitlines()
+    (fuzz_manifest_dir / "big.fcidump").write_text(
+        "\n".join(["&FCI NORB=100000,NELEC=2,MS2=0,", *lines[1:]]) + "\n")
+    (fuzz_manifest_dir / "manifest.json").write_text(json.dumps({"entries": [
+        {"id": "big", "fcidump": "big.fcidump", "target": 1.0}]}))
+    out = tempfile.mkdtemp(dir=fuzz_manifest_dir)
+    assert main(["fingerprint", "--config", str(fuzz_manifest_dir / "config.json"),
+                 "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("data error: molecule 'big': ")
+
+
+def test_out_of_memory_in_evolution_names_the_molecule(h2_dataset, monkeypatch, capsys):
+    def evolve(self, psi0, t):
+        raise MemoryError("Unable to allocate 61.0 GiB for an array")
+
+    monkeypatch.setattr(quantum_sim.ExactEvolver, "evolve", evolve)
+    cfg = write_config(h2_dataset)
+    assert run("fingerprint", "--config", cfg, "--out", str(h2_dataset / "fp")) == 4
+    assert capsys.readouterr().err == ("numerical failure: molecule 'h2_000': "
+                                       "Unable to allocate 61.0 GiB for an array\n")
+    # sweep records the value as failed and goes on.
+    out = h2_dataset / "sw"
+    assert run("sweep", "--config", cfg, "--axis", "time_max", "--values", "1",
+               "--out", str(out)) == 0
+    prov = json.loads((out / "provenance.json").read_text())
+    assert list(prov["args"]["errors"]) == ["1"]
 
 
 @pytest.mark.filterwarnings("error")

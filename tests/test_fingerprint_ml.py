@@ -191,7 +191,7 @@ def test_krr_interpolates_with_small_ridge():
 def test_kfold_constant_target_r2_zero():
     X = np.random.default_rng(6).normal(size=(12, 2))
     rep = ml.kfold_cv(X, np.full(12, 3.0), {"kind": "krr"}, k=3, seed=0)
-    assert rep.r2 == 0.0
+    assert rep["r2"] == 0.0
 
 
 def test_kfold_perfect_predictions():
@@ -199,8 +199,8 @@ def test_kfold_perfect_predictions():
     y = X[:, 0].copy()
     rep = ml.kfold_cv(X, y, {"kind": "krr", "ridge": 1e-9,
                              "length_scale": 1.0}, k=4, seed=1)
-    assert rep.r2 > 0.999
-    assert rep.rmse < 0.01
+    assert rep["r2"] > 0.999
+    assert rep["rmse"] < 0.01
 
 
 def test_kfold_deterministic_given_seed():
@@ -208,14 +208,14 @@ def test_kfold_deterministic_given_seed():
     y = X @ np.array([1.0, 0.5, -1.0])
     a = ml.kfold_cv(X, y, {"kind": "pls", "n_components": 2}, k=5, seed=42)
     b = ml.kfold_cv(X, y, {"kind": "pls", "n_components": 2}, k=5, seed=42)
-    assert a.to_json_dict() == b.to_json_dict()
+    assert a == b
 
 
 def test_kfold_folds_partition():
     ids = [f"m{i}" for i in range(11)]
     X = np.random.default_rng(8).normal(size=(11, 2))
     rep = ml.kfold_cv(X, X[:, 0], {"kind": "krr"}, k=3, seed=2, ids=ids)
-    seen = [i for _, va, _ in rep.folds for i in va]
+    seen = [i for fold in rep["folds"] for i in fold["validation_ids"]]
     assert sorted(seen) == sorted(ids)
 
 

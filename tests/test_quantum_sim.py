@@ -447,12 +447,12 @@ def test_noisy_expectation_draws_uniform_non_identity_paulis(monkeypatch):
     events, folded = [], [-1]
     apply_gate = qs._apply_gate
 
-    def spy(psi, gate, actions):
+    def spy(psi, gate):
         if gate[0] is None:
             events.append((folded[0], gate[1], len(psi)))
         else:
             folded[0] += 1
-        return apply_gate(psi, gate, actions)
+        return apply_gate(psi, gate)
 
     monkeypatch.setattr(qs, "_apply_gate", spy)
     qs.noisy_expectation(gs, np.eye(1), NoiseSpec(p=p, scale=3), K, seed=11)
