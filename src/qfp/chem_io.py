@@ -16,7 +16,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "MolecularIntegrals",
@@ -107,6 +106,42 @@ class MolecularIntegrals:
                 f"electron count must be even, positive and at most {2 * n}")
 
 
+# Rational forms of Cephes ndtr.c (S. L. Moshier): erf(s) = s T(s^2) / U(s^2)
+# for s <= 1, and erfc(s) = exp(-s^2) P(s) / Q(s) for 1 < s < 8.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _horner(x, coefs):
+    """Polynomial with the given coefficients, highest power first, at x."""
+    y = coefs[0]
+    for c in coefs[1:]:
+        y = y * x + c
+    return y
+
+
+def _erf(s: np.ndarray) -> np.ndarray:
+    """erf(s) for s >= 0, within 1 ulp of scipy.special.erf.  From s = 6 on,
+    erfc(s) < 2.2e-17 and erf(s) rounds to 1."""
+    out = np.ones_like(s)
+    low = s <= 1.0
+    sl = s[low]
+    z = sl * sl
+    out[low] = sl * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+    mid = ~low & (s < 6.0)
+    sm = s[mid]
+    out[mid] = 1.0 - np.exp(-sm * sm) * _horner(sm, _ERFC_P) / _horner(sm, _ERFC_Q)
+    return out
+
+
 def _boys_f0(x: np.ndarray) -> np.ndarray:
     """Boys function F0(x), stable at x -> 0 via the Taylor branch."""
     x = np.asarray(x, dtype=float)
@@ -115,7 +150,7 @@ def _boys_f0(x: np.ndarray) -> np.ndarray:
     xs = x[small]
     out[small] = 1.0 - xs / 3.0 + xs * xs / 10.0
     xl = x[~small]
-    out[~small] = 0.5 * np.sqrt(np.pi / xl) * erf(np.sqrt(xl))
+    out[~small] = 0.5 * np.sqrt(np.pi / xl) * _erf(np.sqrt(xl))
     return out
 
 
@@ -187,19 +222,27 @@ def s_orbital_integrals(centres, n_electrons: int | None = None) -> MolecularInt
     # of _ERI_BLOCK bra pairs.  Not under (ab) <-> (cd): Kab * Kcd rounds in
     # order.  The values are then gathered back and added with np.add.at in
     # (a, b, c, d) order, skipping bra pairs below 1e-18, which gives the
-    # sums of a loop over a, b with one (c, d) table each.
+    # sums of a loop over a, b with one (c, d) table each.  The Boys
+    # argument is bitwise symmetric under (ab) <-> (cd), so a first pass
+    # fills V with F0 from the block's first row on and copies the columns
+    # before it from the rows above; a second pass turns F0 into the values
+    # in place (a second pair-pair table cost a page fault per 4 KB per call).
     ua, ub = np.triu_indices(m)
     pair = np.empty((m, m), dtype=np.int64)
     pair[ua, ub] = pair[ub, ua] = np.arange(ua.size)
     q, Kq, Pq, ccq = p[ua, ub], K[ua, ub], P[ua, ub], cc[ua, ub]
     V = np.empty((ua.size, ua.size))
+    for start in range(0, ua.size, _ERI_BLOCK):
+        rows = slice(start, start + _ERI_BLOCK)
+        pab, qr = q[rows, None], q[start:]
+        pq2 = np.sum((Pq[rows, None, :] - Pq[start:]) ** 2, axis=-1)
+        V[rows, :start] = V[:start, rows].T
+        V[rows, start:] = _boys_f0(pab * qr / (pab + qr) * pq2)
     pref = 2.0 * np.pi ** 2.5
     for start in range(0, ua.size, _ERI_BLOCK):
         rows = slice(start, start + _ERI_BLOCK)
         pab = q[rows, None]
-        pq2 = np.sum((Pq[rows, None, :] - Pq) ** 2, axis=-1)
-        val = (pref / (pab * q * np.sqrt(pab + q)) * Kq[rows, None] * Kq
-               * _boys_f0(pab * q / (pab + q) * pq2))
+        val = pref / (pab * q * np.sqrt(pab + q)) * Kq[rows, None] * Kq * V[rows]
         V[rows] = ccq[rows, None] * ccq * val
     eri = np.zeros((n, n, n, n))
     ket = (fn[:, None] * n + fn).ravel()

@@ -192,7 +192,7 @@ def dmet_cluster_basis(D_loc: np.ndarray, fragment) -> ClusterBasis:
     frag_idx = np.asarray(fragment, dtype=int)
     if frag_idx.size and (frag_idx.min() < 0 or frag_idx.max() >= n):
         raise EmbeddingError("fragment index out of range")
-    if np.unique(frag_idx).size != frag_idx.size:
+    if len(set(frag_idx.tolist())) != frag_idx.size:
         raise EmbeddingError("fragment indices must be unique")
     occs = np.linalg.eigvalsh(D_loc)
     if occs.min() < -tol or occs.max() > 2.0 + tol:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from qfp.chem_io import MolecularIntegrals
 
@@ -74,6 +73,19 @@ def _density(C: np.ndarray, n_occ: int) -> np.ndarray:
     return 2.0 * Cocc @ Cocc.T
 
 
+def _roothaan_eigh(S: np.ndarray):
+    """The solver F -> (eps, C) of F C = S C diag(eps), ascending eps, as
+    LAPACK's sygvd runs it: with S = L L^T, (eps, V) = eigh(L^-1 F L^-T) and
+    C = L^-T V.  The MO signs are those of scipy.linalg.eigh(F, S)."""
+    Linv = np.linalg.inv(np.linalg.cholesky(S))
+
+    def eigh(F):
+        eps, V = np.linalg.eigh(Linv @ F @ Linv.T)
+        return eps, Linv.T @ V
+
+    return eigh
+
+
 def scf_solve(m: MolecularIntegrals, max_iter: int = 200) -> MeanFieldSolution:
     """Iterate the Roothaan equations to self-consistency.
 
@@ -93,15 +105,16 @@ def scf_solve(m: MolecularIntegrals, max_iter: int = 200) -> MeanFieldSolution:
             raise SCFOverflowError(f"SCF overflow: non-finite {what}")
         return value
 
+    eigh = _roothaan_eigh(m.S)
     # Overflow is reported by the checks, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        eps, C = scipy.linalg.eigh(m.h_core, m.S)
+        eps, C = eigh(m.h_core)
         D = _density(C, n_occ)
         converged = False
         n_iter = 0
         F = finite(fock_build(D, m), "Fock matrix")
         for n_iter in range(1, max_iter + 1):
-            eps, C = scipy.linalg.eigh(F, m.S)
+            eps, C = eigh(F)
             if n_occ < m.n_orbitals and abs(eps[n_occ] - eps[n_occ - 1]) < 1e-9:
                 raise DegeneracyError(
                     f"HOMO/LUMO degenerate at eps={eps[n_occ - 1]:.10f}; "

@@ -353,7 +353,7 @@ class ExactEvolver:
             raise ValueError("state dimension does not match Hamiltonian qubit count")
         times = np.asarray(t, dtype=float)
         out = np.zeros((times.size, psi0.size), dtype=complex)
-        for key in np.unique(self._sector[psi0 != 0]):
+        for key in sorted(set(self._sector[psi0 != 0].tolist())):
             idx, H = self.sector_matrix(np.argmax(self._sector == key))
             w, V = np.linalg.eigh(H)
             c = V.conj().T @ psi0[idx]

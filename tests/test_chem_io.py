@@ -78,6 +78,20 @@ def test_boys_function_branches_agree():
     assert np.all(np.diff(dense) < 0)  # F0 is strictly decreasing
 
 
+def test_boys_f0_matches_scipy_erf():
+    # chem_io's numpy erf against scipy's, through F0 = sqrt(pi/x) erf(sqrt(x)) / 2,
+    # on both sides of the branch points at 1e-6 (Taylor), 1 (s = 1) and 36 (s = 6).
+    from scipy.special import erf
+
+    x = np.concatenate([np.geomspace(1e-300, 1e-6, 2001), np.linspace(0.0, 1e4, 200001)[1:],
+                        np.geomspace(1e-6, 1e4, 20001)]
+                       + [[np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)]
+                          for b in (1e-6, 1.0, 36.0)])
+    ref = 0.5 * np.sqrt(np.pi / x) * erf(np.sqrt(x))
+    assert np.max(np.abs(chem_io._boys_f0(x) - ref) / np.spacing(ref)) <= 4
+    assert chem_io._boys_f0(np.zeros(1))[0] == 1.0
+
+
 def _random_integrals(rng, n):
     h = rng.normal(size=(n, n))
     h = 0.5 * (h + h.T)
@@ -193,17 +207,10 @@ def test_validate_raises_value_error():
 
 def _s_orbital_integrals_loop(centres):
     """The per-bra-pair ERI loop that s_orbital_integrals replaced, kept as its
-    reference: (S, h_core, eri, e_nuclear, bra pairs skipped below 1e-18)."""
-    from scipy.special import erf
-
-    def boys_f0(x):
-        out = np.empty_like(x)
-        small = x < 1e-6
-        xs, xl = x[small], x[~small]
-        out[small] = 1.0 - xs / 3.0 + xs * xs / 10.0
-        out[~small] = 0.5 * np.sqrt(np.pi / xl) * erf(np.sqrt(xl))
-        return out
-
+    reference: (S, h_core, eri, e_nuclear, bra pairs skipped below 1e-18).
+    It takes F0 from chem_io._boys_f0, which test_boys_f0_matches_scipy_erf
+    checks, so that the comparison pins the assembly of the integrals."""
+    boys_f0 = chem_io._boys_f0
     centers = np.asarray(centres, dtype=float)
     charges = np.ones(len(centers))
     n = len(centers)

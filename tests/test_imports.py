@@ -1,10 +1,12 @@
 """Package structure: fci is the tests' oracle, not a production dependency,
 pipeline reaches the simulator only through fingerprint_ml, the package needs
-nothing beyond the standard library, numpy and scipy at run time,
-importing the CLI loads only what it runs, importing the package loads
-no module of it, and no check rests on an `assert`, which `python -O` strips."""
+nothing beyond the standard library and numpy at run time (scipy is a test
+dependency), importing the CLI and running a fingerprint load no scipy module
+and no numpy.ma, importing the package loads no module of it, and no check
+rests on an `assert`, which `python -O` strips."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -56,7 +58,8 @@ def test_pipeline_imports_no_quantum_sim():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_runtime_imports_are_stdlib_numpy_scipy_or_qfp(module):
-    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "qfp"}
+    # Standard library, numpy and qfp only: scipy is a test dependency.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "qfp"}
     assert {name.split(".")[0] for name in imported_names(module)} <= allowed
 
 
@@ -77,9 +80,40 @@ def fresh_python(code: str) -> str:
 
 
 def test_cli_import_skips_scipy_stats():
-    # scipy.stats costs about 0.3 s of start-up in every process; nothing needs it.
-    out = fresh_python("import sys, qfp.cli; print('scipy.stats' in sys.modules)")
-    assert out.strip() == "False"
+    # Importing scipy costs about 0.4 s of start-up in every process; nothing
+    # at run time needs any of it.
+    out = fresh_python("import sys, qfp.cli; "
+                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
+
+
+def test_fingerprints_load_no_scipy_or_numpy_ma(tmp_path):
+    # One exact and one DMET mu-fit fingerprint in a fresh process.  np.unique
+    # without return_* arguments imports numpy.ma (10-16 ms) on first use.
+    chain = {"kind": "chain", "z_positions": [0.0, 1.6, 3.2, 4.8]}
+    (tmp_path / "manifest.json").write_text(json.dumps({"format_version": 1, "entries": [
+        {"id": "h4", "generator": chain, "target": 1.6}]}))
+    embeddings = {
+        "exact": {"mode": "active_space", "n_active_electrons": 2, "n_active_orbitals": 2},
+        "dmet": {"mode": "dmet", "fragment": [0, 1], "fit_mu": True},
+    }
+    argvs = []
+    for name, embedding in embeddings.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({
+            "dataset": {"kind": "manifest", "path": str(tmp_path / "manifest.json")},
+            "embedding": embedding, "initial_state": "hf_ground",
+            "time_grid": {"start": 0, "stop": 1, "step": 0.5}, "evolver": {"kind": "exact"}}))
+        argvs.append(["fingerprint", "--config", str(tmp_path / f"{name}.json"),
+                      "--out", str(tmp_path / name)])
+    out = fresh_python(
+        "import sys, numpy\n"
+        "ma_before = 'numpy.ma' in sys.modules\n"
+        "from qfp import cli\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+        "      'numpy.ma' in sys.modules and not ma_before)")
+    assert out.splitlines()[-1] == "[0, 0] [] False"
+    assert (tmp_path / "dmet" / "features.csv").exists()
 
 
 def test_package_import_loads_no_submodule():
