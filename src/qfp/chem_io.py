@@ -24,6 +24,7 @@ __all__ = [
     "hydrogen_chain",
     "h2_geometry",
     "s_orbital_integrals",
+    "erfc",
     "parse_fcidump",
     "emit_fcidump",
     "read_json",
@@ -107,7 +108,8 @@ class MolecularIntegrals:
 
 
 # Rational forms of Cephes ndtr.c (S. L. Moshier): erf(s) = s T(s^2) / U(s^2)
-# for s <= 1, and erfc(s) = exp(-s^2) P(s) / Q(s) for 1 < s < 8.
+# for |s| <= 1, erfc(s) = exp(-s^2) P(s) / Q(s) for 1 < s < 8, and
+# erfc(s) = exp(-s^2) R(s) / S(s) from s = 8 on.
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
           7.00332514112805075473e3, 5.55923013010394962768e4)
 _ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
@@ -118,14 +120,30 @@ _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.463210564422
 _ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 
 
-def _horner(x, coefs):
+def _horner(x: np.ndarray, coefs) -> np.ndarray:
     """Polynomial with the given coefficients, highest power first, at x."""
-    y = coefs[0]
-    for c in coefs[1:]:
-        y = y * x + c
+    y = coefs[0] * x + coefs[1]
+    for c in coefs[2:]:
+        y *= x
+        y += c
     return y
+
+
+def _erf_near_0(s: np.ndarray) -> np.ndarray:
+    """erf(s) for |s| <= 1."""
+    z = s * s
+    return s * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+
+
+def _erfc_1_to_8(s: np.ndarray) -> np.ndarray:
+    """erfc(s) for 1 < s < 8."""
+    return np.exp(-s * s) * _horner(s, _ERFC_P) / _horner(s, _ERFC_Q)
 
 
 def _erf(s: np.ndarray) -> np.ndarray:
@@ -133,12 +151,29 @@ def _erf(s: np.ndarray) -> np.ndarray:
     erfc(s) < 2.2e-17 and erf(s) rounds to 1."""
     out = np.ones_like(s)
     low = s <= 1.0
-    sl = s[low]
-    z = sl * sl
-    out[low] = sl * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+    out[low] = _erf_near_0(s[low])
     mid = ~low & (s < 6.0)
-    sm = s[mid]
-    out[mid] = 1.0 - np.exp(-sm * sm) * _horner(sm, _ERFC_P) / _horner(sm, _ERFC_Q)
+    out[mid] = 1.0 - _erfc_1_to_8(s[mid])
+    return out
+
+
+def erfc(s) -> np.ndarray:
+    """erfc(s) for every real s, as Cephes ndtr.c computes it: 1 - erf(s)
+    for |s| <= 1, the rational forms above beyond (0 from s = 27.23 on), and
+    2 - erfc(|s|) for s < -1; NaN stays NaN.  The lower tail keeps its relative
+    accuracy, where 1 - erf(s) would cancel."""
+    s = np.asarray(s, dtype=float)
+    a = np.abs(s)
+    out = np.empty_like(a)
+    low = a <= 1.0
+    out[low] = 1.0 - _erf_near_0(s[low])
+    mid = ~low & (a < 8.0)
+    out[mid] = _erfc_1_to_8(a[mid])
+    far = ~(low | mid)
+    af = a[far]
+    out[far] = np.exp(-af * af) * _horner(af, _ERFC_R) / _horner(af, _ERFC_S)
+    neg = s < -1.0
+    out[neg] = 2.0 - out[neg]
     return out
 
 

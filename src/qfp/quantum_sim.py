@@ -14,6 +14,7 @@ with Y = i X Z, so products are bitwise operations.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -305,6 +306,15 @@ def _group_values(groups, sector: np.ndarray, idx: np.ndarray):
         yield x, np.where(inside, f, 0.0), src
 
 
+def _time_grid(times) -> np.ndarray:
+    """times as floats; ValueError naming the first time that is not finite."""
+    times = np.asarray(times, dtype=float)
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ValueError(f"time {bad[0]} is not finite")
+    return times
+
+
 class ExactEvolver:
     """Exact evolution exp(-iHt) psi0 on the (N_alpha, N_beta) sector blocks of H.
 
@@ -346,12 +356,13 @@ class ExactEvolver:
 
         Only the sectors where psi0 is nonzero are built and propagated.  Row
         k of a batch equals evolve(psi0, times[k]) up to the summation order
-        of one matrix product per sector (round-off, ~1e-16).
+        of one matrix product per sector (round-off, ~1e-16).  A time that
+        is not finite raises ValueError.
         """
         psi0 = np.asarray(psi0, dtype=complex)
         if psi0.shape != (1 << self.n_qubits,):
             raise ValueError("state dimension does not match Hamiltonian qubit count")
-        times = np.asarray(t, dtype=float)
+        times = _time_grid(t)
         out = np.zeros((times.size, psi0.size), dtype=complex)
         for key in sorted(set(self._sector[psi0 != 0].tolist())):
             idx, H = self.sector_matrix(np.argmax(self._sector == key))
@@ -384,6 +395,41 @@ def trotter_sequence(ph: PauliHamiltonian, t: float, order: int = 2,
     return GateSequence(gates=cycle * r, n_qubits=ph.n_qubits, global_phase=phase)
 
 
+# A grouped step on a block of m rows of d values costs about one numpy call
+# plus d*m element updates, and one call costs about as much as
+# _CALL_ELEMENTS updates.  An interval length used by n intervals either
+# steps the state n times, n * (C + d) per group step, or steps the d x d
+# identity once, C + d^2 per group step, and then costs one vector-matrix
+# product per interval.  C = 500 is fitted to the crossovers of the two
+# routes measured on homo_lumo_excited H chains at r = 2 (medians of six
+# runs; x86-64, one BLAS thread): d = 36 at 4.3 intervals, d = 100 at 12.4,
+# d = 225 at 51 and d = 400 at 186, where the rule switches at 3.4, 17.5,
+# 70.5 and 178.
+_CALL_ELEMENTS = 500
+
+
+def _builds_propagator(d: int, uses: int) -> bool:
+    """Whether an interval length that `uses` intervals share gets its own
+    d x d propagator on a sector block of d basis states."""
+    return uses * (_CALL_ELEMENTS + d) > _CALL_ELEMENTS + d * d
+
+
+def _step_rows(B, steps, r: int):
+    """Every row of B (a state, or a stack of them) after r passes of the
+    grouped steps (src, c, s): row <- c * row + s * row[src], or c * row
+    when src is None.  B is updated in place."""
+    for _ in range(r):
+        for src, c, s in steps:
+            if src is None:
+                B *= c
+            else:
+                moved = B.take(src, axis=-1)
+                moved *= s
+                B *= c
+                B += moved
+    return B
+
+
 def trotter_evolve(ph: PauliHamiltonian, psi0: np.ndarray, times, order: int = 2,
                    r: int = 1) -> np.ndarray:
     """Stroboscopic product-formula states: row k of the (T, 2^n) result is psi(times[k]).
@@ -396,12 +442,24 @@ def trotter_evolve(ph: PauliHamiltonian, psi0: np.ndarray, times, order: int = 2
     strings of a group commute, so this is trotter_sequence with the strings
     reordered by group and the identity folded into the Z-only group.  With
     f = f_x(b) real, a group step is cos(theta f) psi - i sin(theta f)
-    psi[b ^ x], and the Z-only group is one phase multiply; these vectors
-    are computed once per distinct interval length.  Only the basis indices
-    of the (N_alpha, N_beta) sectors where psi0 is nonzero are stepped, all
-    of them together.  Raises ValueError for a Hamiltonian with odd-Y
-    strings or one that couples sectors.  Memory: the T x 2^n complex128
-    result, 16 B per value: 119 KB for 29 times at 8 qubits.
+    psi[b ^ x], and the Z-only group is one phase multiply.  Only the basis
+    indices of the (N_alpha, N_beta) sectors where psi0 is nonzero are
+    stepped, all of them together: d of them.
+
+    Each distinct interval length takes one of two routes, chosen by
+    _builds_propagator from d and the number n of intervals of that length:
+    the state takes the r steps on every interval, or, when
+    n * (C + d) > C + d^2 with C = 500 (from 4 intervals at d = 36, 18 at
+    d = 100 and 179 at d = 400), the same steps are applied once to the rows
+    of the d x d identity, giving the interval's propagator, and each
+    interval is then one vector-matrix product.  A length used once is
+    always stepped.  The two routes differ by round-off.  Raises ValueError
+    for a time that is not finite, a Hamiltonian with odd-Y strings or one
+    that couples sectors.  Memory: the T x 2^n complex128 result, 16 B per
+    value (119 KB for 29 times at 8 qubits), and d^2 complex values per
+    distinct length that builds a propagator (21 KB at d = 36); each such
+    length serves more than (C + d^2) / (C + d) intervals, so all of them
+    together hold fewer than T * (C + d) values.
     """
     if order not in (1, 2):
         raise ValueError("only orders 1 and 2 supported")
@@ -410,7 +468,7 @@ def trotter_evolve(ph: PauliHamiltonian, psi0: np.ndarray, times, order: int = 2
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (1 << ph.n_qubits,):
         raise ValueError("state dimension does not match Hamiltonian qubit count")
-    times = np.asarray(times, dtype=float)
+    times = _time_grid(times)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D grid")
     groups, real = _compile_groups(ph)
@@ -426,16 +484,19 @@ def trotter_evolve(ph: PauliHamiltonian, psi0: np.ndarray, times, order: int = 2
                (src, np.cos(theta * f), -1j * np.sin(theta * f)) for x, f, src in acts]
         return fwd + fwd[::-1] if order == 2 else fwd
 
-    steps = {}
+    lengths = np.diff(times, prepend=0.0).tolist()
+    uses = collections.Counter(lengths)
+    steps, props = {}, {}
     out = np.zeros((times.size, psi0.size), dtype=complex)
     psi = psi0[idx]
-    for k, h in enumerate(np.diff(times, prepend=0.0)):
+    for k, h in enumerate(lengths):
         if h:
             if h not in steps:
                 steps[h] = step(h)
-            for _ in range(r):
-                for src, c, s in steps[h]:
-                    psi = c * psi if src is None else c * psi + s * psi.take(src)
+                if _builds_propagator(idx.size, uses[h]):
+                    # Row j becomes U e_j, so psi @ props[h] is U psi.
+                    props[h] = _step_rows(np.eye(idx.size, dtype=complex), steps[h], r)
+            psi = psi @ props[h] if h in props else _step_rows(psi, steps[h], r)
         out[k, idx] = psi
     return out
 

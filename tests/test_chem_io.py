@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,22 @@ def test_boys_f0_matches_scipy_erf():
     ref = 0.5 * np.sqrt(np.pi / x) * erf(np.sqrt(x))
     assert np.max(np.abs(chem_io._boys_f0(x) - ref) / np.spacing(ref)) <= 4
     assert chem_io._boys_f0(np.zeros(1))[0] == 1.0
+
+
+def test_erfc_matches_math_erfc():
+    # On z in [-40, 40], both sides of the branch points at |z| = 1 and 8.  Both
+    # sides round z^2 inside exp(-z^2), a relative error up to z^2 * 2^-53 each.
+    z = np.concatenate([np.linspace(-40.0, 40.0, 400001)]
+                       + [[np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf)]
+                          for b in (-8.0, -1.0, 1.0, 8.0)])
+    got = chem_io.erfc(z)
+    ref = np.array([math.erfc(v) for v in z.tolist()])
+    normal = ref >= np.finfo(float).tiny
+    rel = np.abs(got[normal] - ref[normal]) / ref[normal]
+    assert np.all(rel <= 1e-14 + 4e-16 * z[normal] ** 2)
+    assert np.all(np.abs(got[~normal] - ref[~normal]) <= np.finfo(float).tiny)
+    assert chem_io.erfc([-40.0, 0.0, 40.0]).tolist() == [2.0, 1.0, 0.0]
+    assert np.isnan(chem_io.erfc([np.nan])).all()
 
 
 def _random_integrals(rng, n):

@@ -88,21 +88,24 @@ def test_cli_import_skips_scipy_stats():
 
 
 def test_fingerprints_load_no_scipy_or_numpy_ma(tmp_path):
-    # One exact and one DMET mu-fit fingerprint in a fresh process.  np.unique
-    # without return_* arguments imports numpy.ma (10-16 ms) on first use.
+    # An exact, a DMET mu-fit and a Trotter fingerprint (whose grid builds an
+    # interval propagator) in a fresh process.  np.unique without return_*
+    # arguments imports numpy.ma (10-16 ms) on first use.
     chain = {"kind": "chain", "z_positions": [0.0, 1.6, 3.2, 4.8]}
     (tmp_path / "manifest.json").write_text(json.dumps({"format_version": 1, "entries": [
         {"id": "h4", "generator": chain, "target": 1.6}]}))
-    embeddings = {
-        "exact": {"mode": "active_space", "n_active_electrons": 2, "n_active_orbitals": 2},
-        "dmet": {"mode": "dmet", "fragment": [0, 1], "fit_mu": True},
+    active = {"mode": "active_space", "n_active_electrons": 2, "n_active_orbitals": 2}
+    runs = {
+        "exact": (active, {"kind": "exact"}),
+        "dmet": ({"mode": "dmet", "fragment": [0, 1], "fit_mu": True}, {"kind": "exact"}),
+        "trotter": (active, {"kind": "trotter", "order": 2, "r": 2}),
     }
     argvs = []
-    for name, embedding in embeddings.items():
+    for name, (embedding, evolver) in runs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({
             "dataset": {"kind": "manifest", "path": str(tmp_path / "manifest.json")},
             "embedding": embedding, "initial_state": "hf_ground",
-            "time_grid": {"start": 0, "stop": 1, "step": 0.5}, "evolver": {"kind": "exact"}}))
+            "time_grid": {"start": 0, "stop": 1, "step": 0.5}, "evolver": evolver}))
         argvs.append(["fingerprint", "--config", str(tmp_path / f"{name}.json"),
                       "--out", str(tmp_path / name)])
     out = fresh_python(
@@ -112,8 +115,9 @@ def test_fingerprints_load_no_scipy_or_numpy_ma(tmp_path):
         f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
         "      'numpy.ma' in sys.modules and not ma_before)")
-    assert out.splitlines()[-1] == "[0, 0] [] False"
+    assert out.splitlines()[-1] == "[0, 0, 0] [] False"
     assert (tmp_path / "dmet" / "features.csv").exists()
+    assert (tmp_path / "trotter" / "features.csv").exists()
 
 
 def test_package_import_loads_no_submodule():

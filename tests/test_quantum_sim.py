@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -214,6 +215,85 @@ def test_trotter_evolve_rejects_bad_input(h2_pauli):
         qs.trotter_evolve(PauliHamiltonian([(0.3, "XXII")], 4), psi0, [1.0])
     with pytest.raises(ValueError, match="real Hamiltonian"):
         qs.trotter_evolve(PauliHamiltonian([(0.3, "YIII")], 4), psi0, [1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_evolvers_reject_non_finite_times(h2_pauli, bad):
+    _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
+    message = f"time {bad} is not finite"
+    with pytest.raises(ValueError, match=message):
+        qs.trotter_evolve(h2_pauli, psi0, [0.0, bad, 1.0])
+    with pytest.raises(ValueError, match=message):
+        qs.ExactEvolver(h2_pauli).evolve(psi0, [0.0, bad])
+    with pytest.raises(ValueError, match=message):
+        qs.ExactEvolver(h2_pauli).evolve(psi0, bad)
+
+
+def test_propagator_rule_weighs_sector_size_against_shared_intervals():
+    build = qs._builds_propagator
+    # A length used once is always stepped, whatever the sector size.
+    assert not any(build(d, 1) for d in range(1, 5000))
+    # The benchmark's 29-point grid (28 intervals of one length) at H6 (4e,4o),
+    # d = 36, builds; at H8 (6e,6o), d = 400, it steps, as it measured faster.
+    assert build(36, 28) and not build(400, 28)
+    # At d = 36 the step-0.3 grid's lengths, used 16, 13, 8, 4, 2, 2 and 1 times,
+    # split 4 built / 3 stepped; the measured crossover there is about 4 intervals.
+    assert [build(36, n) for n in (16, 13, 8, 4, 2, 2, 1)] == [True] * 4 + [False] * 3
+    # More sharing never turns a build off, and a smaller sector builds sooner.
+    for d in (2, 9, 36, 100, 225, 400, 4900):
+        first = next(n for n in range(1, 10 ** 5) if build(d, n))
+        assert all(build(d, n) for n in range(first, first + 50))
+        assert build(d - 1, first)
+
+
+def _trotter_route_case(name):
+    """(ph, n_electrons, grid) of a route case."""
+    if name == "h8_66_d400":  # 12 qubits, (3,3) sector of 400 states
+        return qs.jordan_wigner(_chain_active(8, 6, 6)), 6, 0.5 * np.arange(4)
+    ph = qs.jordan_wigner(_h6_active_44())  # (2,2) sector of 36 states
+    if name == "step_0.3":  # the config grid 0..14 step 0.3: seven distinct lengths
+        return ph, 4, 0.3 * np.arange(47)
+    return ph, 4, np.array([0.3, 0.7, 1.9, 2.0, 5.5, 11.25])
+
+
+@functools.lru_cache(maxsize=None)
+def _trotter_route_reference(name, order):
+    """The case, its start state and the interval circuits composed one by one."""
+    ph, n_electrons, grid = _trotter_route_case(name)
+    _, psi0 = qs.prepare_initial("homo_lumo_excited", ph.n_qubits, n_electrons)
+    gph = _grouped(ph)
+    psi, prev, rows = psi0, 0.0, []
+    for t in grid:
+        if t != prev:
+            psi = qs.run_sequence(qs.trotter_sequence(gph, t - prev, order, 2), psi)
+        prev = t
+        rows.append(psi)
+    return ph, psi0, grid, np.array(rows)
+
+
+@pytest.mark.parametrize("route", ["rule", "propagator", "vector"])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("case, rule_builds", [("h8_66_d400", {False}),
+                                                ("step_0.3", {True, False}),
+                                                ("uneven", {False})])
+def test_trotter_evolve_routes_match_interval_circuits(monkeypatch, case, rule_builds, order,
+                                                       route):
+    # Both routes, forced and as the rule picks them per length, against r = 2
+    # steps per interval run as gates.  Order 1 also pins the propagator's
+    # orientation: a Strang step is a palindrome of complex symmetric
+    # factors, so its matrix equals its transpose.
+    ph, psi0, grid, ref = _trotter_route_reference(case, order)
+    rule, built = qs._builds_propagator, []
+
+    def choose(d, uses):
+        built.append({"rule": rule(d, uses), "propagator": True, "vector": False}[route])
+        return built[-1]
+
+    monkeypatch.setattr(qs, "_builds_propagator", choose)
+    batch = qs.trotter_evolve(ph, psi0, grid, order=order, r=2)
+    expected = {"rule": rule_builds, "propagator": {True}, "vector": {False}}[route]
+    assert set(built) == expected
+    assert np.max(np.abs(batch - ref)) < 1e-12
 
 
 def _parity_vector_bit_loop(mask, n_qubits):
