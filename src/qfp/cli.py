@@ -278,6 +278,9 @@ def cmd_optimize_measurement(args) -> int:
         O[iu] = vec
         return O + np.triu(O, k=1).T
 
+    # Targets near 1e154 or above overflow the squared error to inf without a
+    # warning; gp_optimize rejects the non-finite value.
+    @np.errstate(over="ignore", invalid="ignore")
     def objective(vec):
         X = fingerprint_ml.one_body_features(trajs, symmetric(vec))
         model = fingerprint_ml.krr_fit(
@@ -288,8 +291,11 @@ def cmd_optimize_measurement(args) -> int:
         return float(np.mean((pred - y[va]) ** 2))
 
     bounds = [(-1.0, 1.0)] * len(iu[0])
-    state = fingerprint_ml.gp_optimize(objective, bounds, budget=args.budget,
-                                       seed=args.seed)
+    try:
+        state = fingerprint_ml.gp_optimize(objective, bounds, budget=args.budget,
+                                           seed=args.seed)
+    except RuntimeError as exc:  # the objective raised or gave a non-finite MSE
+        raise NumericalError(str(exc)) from exc
     O_best = symmetric(state.best_point)
     _write_json(
         {"points": state.points.tolist(), "values": state.values.tolist(),

@@ -332,63 +332,104 @@ def _latin_hypercube(n, d, bounds, rng):
     return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
 
 
-def _gp_loglik(X, y, ls, nv):
-    """Log marginal likelihood (up to a constant) of y under a unit-signal RBF GP, at
-    each noise variance of the array nv: K = R + nv I shares R's eigenvectors Q, so
-    it is -1/2 sum b^2 / (lam + nv) - 1/2 sum log(lam + nv), b = Q^T y, or -inf
-    where some lam + nv <= 0 (K not positive definite)."""
-    lam, Q = np.linalg.eigh(_rbf(X, X, ls))
-    d = lam + nv[:, None]
-    ok = np.all(d > 0, axis=1)
-    d[~ok] = 1.0
-    ll = -0.5 * np.sum((Q.T @ y) ** 2 / d, axis=1) - 0.5 * np.sum(np.log(d), axis=1)
-    return np.where(ok, ll, -np.inf)
+class _GPFactors:
+    """Inverse Cholesky factors W_g = L_g^-1 of K_g = R(ls_g) + nv_g I, one per
+    (length scale, noise variance) grid point, grown with the design.
+
+    Adding a point borders each L_g with one row, l21 = W_g k and
+    l22 = sqrt(1 + nv_g - |l21|^2) (Golub & Van Loan, Matrix Computations, 4th
+    ed., sec. 4.2), so W_g gains the row [-l21^T W_g / l22, 1 / l22]: O(G n^2)
+    per point and G n^2 doubles held.  A pivot that is not positive and finite
+    marks K_g not positive definite; its factor scores -inf from then on, as
+    every larger leading block stays indefinite, and gains zero rows.
+    """
+
+    def __init__(self, ls, nv, d):
+        self.ls, self.nv = np.asarray(ls, dtype=float), np.asarray(nv, dtype=float)
+        self.X = np.empty((0, d))
+        self.W = np.empty((len(self.ls), 0, 0))
+        self.logdet = np.zeros(len(self.ls))  # sum log diag L_g = 1/2 log det K_g
+        self.ok = np.ones(len(self.ls), dtype=bool)
+
+    def add(self, x):
+        X, W = self.X, self.W
+        d2 = np.sum(X ** 2, axis=1) + np.sum(x ** 2) - 2 * X @ x  # as in _rbf
+        k = np.exp(-0.5 * np.maximum(d2, 0.0) / self.ls[:, None] ** 2)
+        l21 = (W @ k[:, :, None])[:, :, 0]
+        pivot = 1.0 + self.nv - np.sum(l21 ** 2, axis=1)
+        self.ok &= np.isfinite(pivot) & (pivot > 0)
+        l22 = np.sqrt(np.where(self.ok, pivot, 1.0))
+        n = len(X)
+        grown = np.zeros((len(W), n + 1, n + 1))
+        grown[:, :n, :n] = W
+        grown[:, n, :n] = -(l21[:, None, :] @ W)[:, 0, :] / l22[:, None]
+        grown[:, n, n] = 1.0 / l22
+        grown[~self.ok, n] = 0.0
+        self.W = grown
+        self.logdet += np.log(l22)
+        self.X = np.vstack([X, x])
+
+    def loglik(self, y):
+        """Log marginal likelihood (up to a constant) of y at every grid point,
+        -1/2 |W_g y|^2 - sum log diag L_g, or -inf where K_g is not positive definite."""
+        ll = -0.5 * np.sum((self.W @ y) ** 2, axis=1) - self.logdet
+        return np.where(self.ok, ll, -np.inf)
+
+    def posterior(self, g, y, Xs):
+        """Posterior mean and variance at Xs under grid point g."""
+        W = self.W[g]
+        Ks = _rbf(Xs, self.X, self.ls[g])
+        mean = Ks @ (W.T @ (W @ y))
+        var = np.maximum(1.0 + self.nv[g] - np.sum((W @ Ks.T) ** 2, axis=0), 1e-12)
+        return mean, var
 
 
-def _gp_hyperparameters(X, y, bounds):
-    """Standardized y and the (length scale, noise variance) of the fixed
-    log-grid with the highest marginal likelihood (the first on a tie)."""
+def _standardized(y):
     ym, ys = y.mean(), y.std()
-    ys = ys if ys > 1e-12 else 1.0
-    yn = (y - ym) / ys
-    ls_grid = np.geomspace(0.05, 5.0, 8) * float(np.mean(bounds[:, 1] - bounds[:, 0]))
-    nv_grid = np.geomspace(1e-8, 1e-2, 4)
-    ll = np.array([_gp_loglik(X, yn, ls, nv_grid) for ls in ls_grid])
-    i, j = np.unravel_index(np.argmax(ll), ll.shape)
-    return yn, ls_grid[i], nv_grid[j]
-
-
-def _gp_posterior(X, y, Xs, ls, nv):
-    K = _rbf(X, X, ls) + nv * np.eye(len(y))
-    Ks = _rbf(Xs, X, ls)
-    L = np.linalg.cholesky(K)
-    alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
-    mean = Ks @ alpha
-    v = np.linalg.solve(L, Ks.T)
-    var = np.maximum(1.0 + nv - np.sum(v ** 2, axis=0), 1e-12)
-    return mean, var
+    return (y - ym) / (ys if ys > 1e-12 else 1.0)
 
 
 def gp_optimize(objective, bounds, budget: int = 25, seed: int = 0) -> GPState:
     """Minimize a deterministic objective with a GP surrogate + EI acquisition.
 
-    5 Latin-hypercube points start the design; hyperparameters are refit on
-    a fixed log-grid by marginal likelihood before each acquisition step,
-    which picks the best of 1024 uniform random candidates.
+    5 Latin-hypercube points start the design.  Before each acquisition step
+    the (length scale, noise variance) of a fixed 8 x 4 log-grid with the
+    highest marginal likelihood of the standardized values is chosen (the
+    first on a tie); the step picks the best of 1024 uniform random candidates.
+    Each grid point keeps the inverse Cholesky factor of its kernel matrix,
+    bordered by one row per evaluated point (`_GPFactors`), so a step costs
+    O(32 n^2) for the likelihoods plus O(1024 n^2) for the posterior at n
+    design points, and the factors hold 32 n^2 doubles (0.9 MB at 60 points).
+    An objective that raises or returns a non-finite value raises RuntimeError
+    naming the point.
     """
     if budget < 5:
         raise ValueError("budget must allow the 5-point initial design")
     bounds = np.asarray(bounds, dtype=float)
     d = bounds.shape[0]
     rng = np.random.default_rng(seed)
+    ls_grid = np.geomspace(0.05, 5.0, 8) * float(np.mean(bounds[:, 1] - bounds[:, 0]))
+    nv_grid = np.geomspace(1e-8, 1e-2, 4)
+    factors = _GPFactors(np.repeat(ls_grid, 4), np.tile(nv_grid, 8), d)
 
-    X = _latin_hypercube(5, d, bounds, rng)
-    y = np.array([float(objective(x)) for x in X])
+    def evaluate(x):
+        try:
+            value = float(objective(x))
+        except Exception as exc:
+            raise RuntimeError(f"objective failed at point {x.tolist()}: {exc!r}") from exc
+        if not math.isfinite(value):
+            raise RuntimeError(f"objective is {value} at point {x.tolist()}")
+        factors.add(x)
+        return value
 
-    while len(y) < budget:
-        yn, ls, nv = _gp_hyperparameters(X, y, bounds)
+    y = np.array([evaluate(x) for x in _latin_hypercube(5, d, bounds, rng)])
+    while True:
+        yn = _standardized(y)
+        g = int(np.argmax(factors.loglik(yn)))
+        if len(y) == budget:
+            break
         cand = bounds[:, 0] + rng.random((1024, d)) * (bounds[:, 1] - bounds[:, 0])
-        mean, var = _gp_posterior(X, yn, cand, ls, nv)
+        mean, var = factors.posterior(g, yn, cand)
         sd = np.sqrt(var)
         fbest = yn.min()
         z = (fbest - mean) / sd
@@ -399,16 +440,10 @@ def gp_optimize(objective, bounds, budget: int = 25, seed: int = 0) -> GPState:
         cdf = 0.5 * chem_io.erfc(-z * math.sqrt(0.5))
         pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
         ei = (fbest - mean) * cdf + sd * pdf
-        x_next = cand[int(np.argmax(ei))]
-        try:
-            y_next = float(objective(x_next))
-        except Exception as exc:
-            raise RuntimeError(f"objective failed at point {x_next.tolist()}") from exc
-        X = np.vstack([X, x_next])
-        y = np.append(y, y_next)
+        y = np.append(y, evaluate(cand[int(np.argmax(ei))]))
 
-    _, ls, nv = _gp_hyperparameters(X, y, bounds)
-    return GPState(points=X, values=y, length_scale=ls, noise_variance=nv)
+    return GPState(points=factors.X, values=y, length_scale=factors.ls[g],
+                   noise_variance=factors.nv[g])
 
 
 # ---------------------------------------------------------------------------

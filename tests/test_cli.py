@@ -261,6 +261,20 @@ def test_optimize_measurement_h2(h2_dataset):
     assert min(hist["values"]) == best["validation_mse"]
 
 
+def test_optimize_measurement_non_finite_validation_mse_exit_4(tmp_path, capsys):
+    # Targets near 1e200 overflow every squared validation error to inf.
+    entries = [{"id": f"h2_{i}", "generator": {"kind": "h2", "separation": 1.0 + 0.25 * i},
+                "target": 1e200 * (1 + i)} for i in range(6)]
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": entries}))
+    cfg = write_config(tmp_path)
+    out = tmp_path / "opt"
+    assert run("optimize-measurement", "--config", cfg, "--budget", "8",
+               "--out", str(out)) == 4
+    assert "numerical failure: objective is inf at point" in capsys.readouterr().err
+    assert not (out / "best_operator.json").exists()
+
+
 def test_optimize_measurement_active_space_size_mismatch_exit_3(tmp_path, capsys):
     # A DMET cluster is the fragment and its bath: 2 orbitals for H2, 4 for H4.
     entries = [{"id": f"h2_{i}", "generator": {"kind": "h2", "separation": 1.2 + 0.2 * i},

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -254,24 +255,33 @@ def _cholesky_loglik(X, y, ls, nv):
     return float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))))
 
 
+def _grown(X, ls, nv):
+    """Factors of K = R(ls_g) + nv_g I grown point by point through X."""
+    factors = ml._GPFactors(ls, nv, X.shape[1])
+    for x in X:
+        factors.add(x)
+    return factors
+
+
 @pytest.mark.filterwarnings("error")
-def test_gp_loglik_eigh_form_matches_cholesky_on_the_grid():
+def test_gp_loglik_grown_factor_matches_cholesky_on_the_grid():
     # Both forms are backward stable, so each carries a relative error of about
     # n kappa(K) eps, kappa the condition number of K: 1e-10 where K is well
     # conditioned, and up to ~1e-6 at nv = 1e-8 with long length scales.
     rng = np.random.default_rng(5)
     eps = np.finfo(float).eps
+    ls_grid = np.geomspace(0.05, 5.0, 8) * 2.0
     nv_grid = np.geomspace(1e-8, 1e-2, 4)
     well = []  # relative differences where kappa(K) < 1e4
     for n in (5, 12, 30, 60):
         for d in (1, 3, 6):
             X = rng.uniform(-1.0, 1.0, (n, d))
             y = rng.normal(size=n)
-            yn, *_ = ml._gp_hyperparameters(X, y, np.array([[-1.0, 1.0]] * d))
-            for ls in np.geomspace(0.05, 5.0, 8) * 2.0:
+            yn = ml._standardized(y)
+            got = _grown(X, np.repeat(ls_grid, 4), np.tile(nv_grid, 8)).loglik(yn)
+            for ls, row in zip(ls_grid, got.reshape(8, 4)):
                 lam = np.linalg.eigvalsh(ml._rbf(X, X, ls))
-                got = ml._gp_loglik(X, yn, ls, nv_grid)
-                for nv, value in zip(nv_grid, got):
+                for nv, value in zip(nv_grid, row):
                     ref = _cholesky_loglik(X, yn, ls, nv)
                     kappa = (lam[-1] + nv) / (lam[0] + nv)
                     rel = abs(value - ref) / abs(ref)
@@ -279,11 +289,99 @@ def test_gp_loglik_eigh_form_matches_cholesky_on_the_grid():
                     if kappa < 1e4:
                         well.append(rel)
     assert len(well) > 50 and max(well) <= 1e-10
-    # A non-positive lam + nv, where no Cholesky factor exists, gives -inf.
-    X = rng.uniform(-1.0, 1.0, (8, 2))
-    lam = np.linalg.eigh(ml._rbf(X, X, 0.5))[0]  # the eigenvalues _gp_loglik uses
-    got = ml._gp_loglik(X, rng.normal(size=8), 0.5, np.array([-lam[0], -1.0, 1e-2]))
+    # At nv = -lam_min, K of the 8 points is singular and its last pivot is
+    # round-off of either sign.  A ninth point makes K indefinite (R's smallest
+    # eigenvalue drops below lam_min by interlacing), so no Cholesky factor
+    # exists and the pivot is negative: -inf, as at nv = -1, where the first
+    # pivot is 0.  A factor stays at -inf, with finite rows, once extended.
+    X = rng.uniform(-1.0, 1.0, (10, 2))
+    lam = np.linalg.eigvalsh(ml._rbf(X[:8], X[:8], 0.5))
+    factors = _grown(X[:9], np.full(3, 0.5), np.array([-lam[0], -1.0, 1e-2]))
+    y = rng.normal(size=10)
+    got = factors.loglik(y[:9])
     assert got[0] == got[1] == -np.inf and np.isfinite(got[2])
+    assert _cholesky_loglik(X[:9], y[:9], 0.5, -lam[0]) == -np.inf
+    factors.add(X[9])
+    got = factors.loglik(y)
+    assert got[0] == got[1] == -np.inf and np.isfinite(got[2])
+    assert np.all(np.isfinite(factors.W))
+
+
+def _reference_gp_optimize(objective, bounds, budget, seed):
+    """gp_optimize with the hyperparameters refit from scratch at every step: an
+    eigh of each length scale's kernel gives the log likelihood at every noise
+    variance, and a Cholesky factor of the winner's kernel the posterior."""
+    bounds = np.asarray(bounds, dtype=float)
+    d = bounds.shape[0]
+    rng = np.random.default_rng(seed)
+    ls_grid = np.geomspace(0.05, 5.0, 8) * float(np.mean(bounds[:, 1] - bounds[:, 0]))
+    nv_grid = np.geomspace(1e-8, 1e-2, 4)
+
+    def hyperparameters(X, y):
+        ym, ys = y.mean(), y.std()
+        yn = (y - ym) / (ys if ys > 1e-12 else 1.0)
+        ll = np.empty((8, 4))
+        for i, ls in enumerate(ls_grid):
+            lam, Q = np.linalg.eigh(ml._rbf(X, X, ls))
+            dd = lam + nv_grid[:, None]
+            ll[i] = -0.5 * np.sum((Q.T @ yn) ** 2 / dd, axis=1) - 0.5 * np.sum(np.log(dd), axis=1)
+        i, j = np.unravel_index(np.argmax(ll), ll.shape)
+        return yn, ls_grid[i], nv_grid[j]
+
+    X = ml._latin_hypercube(5, d, bounds, rng)
+    y = np.array([float(objective(x)) for x in X])
+    while len(y) < budget:
+        yn, ls, nv = hyperparameters(X, y)
+        cand = bounds[:, 0] + rng.random((1024, d)) * (bounds[:, 1] - bounds[:, 0])
+        L = np.linalg.cholesky(ml._rbf(X, X, ls) + nv * np.eye(len(y)))
+        Ks = ml._rbf(cand, X, ls)
+        mean = Ks @ np.linalg.solve(L.T, np.linalg.solve(L, yn))
+        sd = np.sqrt(np.maximum(1.0 + nv - np.sum(np.linalg.solve(L, Ks.T) ** 2, axis=0), 1e-12))
+        fbest = yn.min()
+        z = (fbest - mean) / sd
+        cdf = 0.5 * chem_io.erfc(-z * math.sqrt(0.5))
+        pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
+        x_next = cand[int(np.argmax((fbest - mean) * cdf + sd * pdf))]
+        X = np.vstack([X, x_next])
+        y = np.append(y, float(objective(x_next)))
+    _, ls, nv = hyperparameters(X, y)
+    return X, ls, nv
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("bounds, objective", [
+    ([(0.0, 1.0)], lambda x: math.sin(9.0 * x[0]) + (x[0] - 0.3) ** 2),
+    ([(-1.0, 1.0)] * 3,
+     lambda x: float(np.sum((x - [0.4, 0.2, -0.5]) ** 2) + 0.3 * np.cos(4.0 * x[0] * x[1]))),
+], ids=["1d", "3d"])
+def test_gp_optimize_acquires_the_points_of_a_from_scratch_refit(seed, bounds, objective):
+    state = ml.gp_optimize(objective, bounds, budget=40, seed=seed)
+    X, ls, nv = _reference_gp_optimize(objective, bounds, 40, seed)
+    assert np.array_equal(state.points, X)
+    assert state.length_scale == ls and state.noise_variance == nv
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("at", [2, 7])  # in the initial design, in an acquisition step
+def test_gp_optimize_rejects_non_finite_objective(bad, at):
+    calls = []
+
+    def objective(x):
+        calls.append(x)
+        return bad if len(calls) == at else float(x[0] ** 2)
+
+    with pytest.raises(RuntimeError, match="at point") as info:
+        ml.gp_optimize(objective, [(-1.0, 1.0)], budget=10, seed=0)
+    assert str(calls[-1].tolist()) in str(info.value) and len(calls) == at
+
+
+def test_gp_optimize_names_the_point_an_objective_fails_at():
+    def objective(x):
+        raise ZeroDivisionError("boom")
+
+    with pytest.raises(RuntimeError, match="objective failed at point") as info:
+        ml.gp_optimize(objective, [(-1.0, 1.0)], budget=10, seed=0)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 def test_gp_optimize_budget_floor():
