@@ -10,7 +10,7 @@ import numpy as np
 from qfp import chem_io, embedding, fci, fingerprint_ml as ml, mean_field, quantum_sim as qs
 
 z = 1.4  # bohr
-m = chem_io.s_orbital_integrals(chem_io.h2_geometry(z))
+m = chem_io.s_orbital_integrals(chem_io.hydrogen_chain([0.0, z]))
 print(f"H2 at {z} bohr: {m.n_orbitals} orbitals, {m.n_electrons} electrons")
 print(f"overlap S01 = {m.S[0, 1]:.4f}, nuclear repulsion = {m.e_nuclear:.4f} Ha")
 
@@ -21,7 +21,8 @@ print(f"orbital energies: {np.round(mf.eps, 4)}")
 
 eh = embedding.homo_lumo_active_space(m, mf, 2, 2)
 e_fci, _ = fci.fci_ground_state(eh.h_eff, eh.eri_active, eh.e_core, 2)
-print(f"\n(2e, 2o) active space, HOMO-LUMO gap = {eh.homo_lumo_gap:.4f} Ha")
+w = np.linalg.eigvalsh(eh.h_eff)
+print(f"\n(2e, 2o) active space, HOMO-LUMO gap = {w[1] - w[0]:.4f} Ha")
 print(f"E_FCI = {e_fci:.6f} Ha (correlation {e_fci - mf.e_total:.6f} Ha)")
 
 H = qs.jordan_wigner(eh)

@@ -11,7 +11,7 @@ from qfp import chem_io, embedding, fingerprint_ml as ml, mean_field
 
 
 def dmet_h2(z):
-    m = chem_io.s_orbital_integrals(chem_io.h2_geometry(z))
+    m = chem_io.s_orbital_integrals(chem_io.hydrogen_chain([0.0, z]))
     m_loc, D_loc = embedding.dmet_setup(m, mean_field.scf_solve(m))
     cb = embedding.dmet_cluster_basis(D_loc, [0])
     return embedding.dmet_hamiltonian(m_loc, cb)

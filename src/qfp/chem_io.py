@@ -17,27 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "MolecularIntegrals",
-    "ManifestEntry",
-    "STO3G_HYDROGEN",
-    "hydrogen_chain",
-    "h2_geometry",
-    "s_orbital_integrals",
-    "erfc",
-    "parse_fcidump",
-    "emit_fcidump",
-    "read_json",
-    "read_table",
-    "write_table",
-    "load_manifest",
-    "save_manifest",
-    "save_features",
-    "load_features",
-    "FcidumpError",
-    "ManifestError",
-]
-
 # STO-3G 1s contraction for hydrogen: (exponent / bohr^-2, coefficient).
 STO3G_HYDROGEN = (
     (3.42525091, 0.15432897),
@@ -59,11 +38,6 @@ class FcidumpError(ValueError):
 
 class ManifestError(ValueError):
     """Raised for malformed or inconsistent dataset manifests."""
-
-
-def h2_geometry(separation: float) -> np.ndarray:
-    """H2 along z at the given bond length (bohr): its (2, 3) nuclear centres."""
-    return hydrogen_chain([0.0, separation])
 
 
 def hydrogen_chain(z_positions) -> np.ndarray:

@@ -20,21 +20,6 @@ from qfp import quantum_sim
 from qfp.chem_io import MolecularIntegrals
 from qfp.mean_field import MeanFieldSolution, lowdin_orthonormalize
 
-__all__ = [
-    "ClusterBasis",
-    "EmbeddedHamiltonian",
-    "transform_integrals",
-    "localize_integrals",
-    "dmet_setup",
-    "homo_lumo_active_space",
-    "dmet_cluster_basis",
-    "dmet_hamiltonian",
-    "shift_chemical_potential",
-    "fit_chemical_potential",
-    "fragment_count_builder",
-    "EmbeddingError",
-]
-
 
 class EmbeddingError(ValueError):
     pass
@@ -78,13 +63,6 @@ class EmbeddedHamiltonian:
             raise EmbeddingError("active electron count must be even")
         if self.n_active_electrons > 2 * self.n_active_orbitals:
             raise EmbeddingError("more electrons than spin orbitals in active space")
-
-    @property
-    def homo_lumo_gap(self) -> float:
-        """Gap between effective orbitals around the active Fermi level."""
-        w = np.linalg.eigvalsh(self.h_eff)
-        occ = self.n_active_electrons // 2
-        return w[occ] - w[occ - 1]
 
 
 def transform_integrals(h, eri, C):

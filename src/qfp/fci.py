@@ -13,14 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "spin_orbital_integrals",
-    "fock_space_hamiltonian",
-    "sector_indices",
-    "fci_ground_state",
-    "determinant_rdm1",
-]
-
 
 def spin_orbital_integrals(h: np.ndarray, eri: np.ndarray):
     """Expand spatial-orbital h, (pq|rs) to interleaved spin-orbital tensors."""

@@ -16,27 +16,6 @@ import numpy as np
 from qfp import chem_io, quantum_sim
 from qfp.embedding import EmbeddedHamiltonian
 
-__all__ = [
-    "Fingerprint",
-    "PLSModel",
-    "KRRModel",
-    "GPState",
-    "compute_fingerprint",
-    "rdm_trajectory",
-    "one_body_features",
-    "pls_fit",
-    "pls_predict",
-    "kfold_cv",
-    "krr_fit",
-    "krr_predict",
-    "gp_optimize",
-    "ts_feature_matrix",
-    "TS_FEATURE_NAMES",
-    "pca_project",
-    "kmeans_cluster",
-    "train_val_test_split",
-]
-
 
 @dataclass
 class Fingerprint:

@@ -14,16 +14,6 @@ import numpy as np
 
 from qfp.chem_io import MolecularIntegrals
 
-__all__ = [
-    "MeanFieldSolution",
-    "lowdin_orthonormalize",
-    "fock_build",
-    "scf_solve",
-    "LinearDependenceError",
-    "DegeneracyError",
-    "SCFOverflowError",
-]
-
 
 class LinearDependenceError(ValueError):
     """Overlap matrix has a near-zero eigenvalue; basis is linearly dependent."""

@@ -12,24 +12,12 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from qfp import chem_io, embedding, fingerprint_ml, mean_field
 from qfp.chem_io import ManifestEntry, MolecularIntegrals
-
-__all__ = [
-    "ConfigError",
-    "DataError",
-    "NumericalError",
-    "PipelineConfig",
-    "build_molecule",
-    "embed_molecule",
-    "molecule_errors",
-    "run_fingerprints",
-    "generate_h2_dataset",
-]
 
 INITIAL_KINDS = ("hf_ground", "homo_lumo_excited", "half_occupied")
 
@@ -37,6 +25,10 @@ INITIAL_KINDS = ("hf_ground", "homo_lumo_excited", "half_occupied")
 # values of all its times, are held in memory at once; a grid far past this
 # fails to allocate instead of being rejected as a config error.
 MAX_GRID_POINTS = 10**6
+# Largest H2 scan a config or gen-h2 may ask for.  The scan's entries, about
+# 0.7 KB each, are built at once; a count far past this fails to allocate
+# instead of being rejected as a config error.
+MAX_H2_MOLECULES = 10**5
 # Round-off slack, in steps, when a time grid counts its points: a stop that
 # is a multiple of the step up to round-off (0.3 with step 0.1) ends the grid.
 _GRID_SLACK = 1e-9
@@ -82,12 +74,14 @@ def _number(d, key, where, lo=None, hi=None):
     return float(v)
 
 
-def _integer(d, key, where, lo=None):
+def _integer(d, key, where, lo=None, hi=None):
     v = d[key]
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
     if lo is not None and v < lo:
         raise ConfigError(f"{where}.{key}: {v} below minimum {lo}")
+    if hi is not None and v > hi:
+        raise ConfigError(f"{where}.{key}: {v} above maximum {hi}")
     return v
 
 
@@ -104,7 +98,7 @@ def _validate_dataset(d):
         rmax = _number(d, "rmax", "dataset")
         if rmax <= rmin:
             raise ConfigError("dataset: rmax must exceed rmin")
-        _integer(d, "count", "dataset", lo=2)
+        _integer(d, "count", "dataset", lo=2, hi=MAX_H2_MOLECULES)
     else:
         raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
     return dict(d)
@@ -168,7 +162,6 @@ def _validate_evolver(d):
     if d["kind"] == "exact":
         _check_keys(d, "evolver", ("kind",))
     elif d["kind"] == "trotter":
-        _check_keys(d, "evolver", ("kind",), ("order", "r"))
         if _integer({"order": d.get("order", 2)}, "order", "evolver") not in (1, 2):
             raise ConfigError("evolver.order: must be 1 or 2")
         _integer({"r": d.get("r", 1)}, "r", "evolver", lo=1)
@@ -287,18 +280,9 @@ class PipelineConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        out = {
-            "dataset": self.dataset,
-            "embedding": self.embedding,
-            "initial_state": self.initial_state,
-            "time_grid": self.time_grid,
-            "evolver": self.evolver,
-            "observable": self.observable,
-            "model": self.model,
-            "cv": self.cv,
-        }
-        if self.noise is not None:
-            out["noise"] = self.noise
+        out = asdict(self)
+        if self.noise is None:
+            del out["noise"]
         return out
 
     def grid(self) -> np.ndarray:
@@ -454,8 +438,8 @@ def generate_h2_dataset(rmin: float, rmax: float, count: int, out_dir: str):
     # Written so that NaN fails every check.
     if not 0.2 <= rmin < math.inf:
         raise ConfigError(f"--rmin: expected a finite separation >= 0.2 bohr, got {rmin}")
-    if count < 2:
-        raise ConfigError("--count: need at least 2 molecules")
+    if not 2 <= count <= MAX_H2_MOLECULES:
+        raise ConfigError(f"--count: expected 2 to {MAX_H2_MOLECULES} molecules, got {count}")
     if not rmin < rmax < math.inf:
         raise ConfigError(f"--rmax: expected a finite separation above --rmin, got {rmax}")
     os.makedirs(out_dir, exist_ok=True)

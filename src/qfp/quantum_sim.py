@@ -21,24 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "PauliHamiltonian",
-    "GateSequence",
-    "NoiseSpec",
-    "ExactEvolver",
-    "jordan_wigner",
-    "prepare_initial",
-    "trotter_sequence",
-    "trotter_evolve",
-    "run_sequence",
-    "fold_sequence",
-    "rdm1",
-    "expval_O",
-    "number_expectation",
-    "noisy_expectation",
-    "zne_extrapolate",
-]
-
 _SYMBOLS = "IXYZ"
 _DROP_TOL = 1e-12  # |coefficient| at or below which from_dict drops a term
 
@@ -580,15 +562,6 @@ def expval_O(O: np.ndarray, rdm: np.ndarray):
     if not residue < 1e-10:
         raise ValueError(f"imaginary residue {residue:.2e}")
     return float(val.real) if rdm.ndim == 2 else val.real
-
-
-def number_expectation(psi: np.ndarray) -> float:
-    n = int(round(math.log2(psi.shape[0])))
-    b = np.arange(psi.shape[0])
-    counts = np.zeros(psi.shape[0])
-    for q in range(n):
-        counts += (b >> q) & 1
-    return float(np.sum(counts * np.abs(psi) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,16 @@ def hamiltonian_matrix(ph):
     return pauli_matrix(ph.terms, ph.n_qubits)
 
 
+def number_expectation(psi):
+    """<N> of a statevector: each basis state's probability times its number of
+    set bits, the occupied spin orbitals.  The tests' reference for particle
+    number and for the trace of quantum_sim.rdm1."""
+    counts = [bin(b).count("1") for b in range(psi.shape[0])]
+    return float(np.sum(np.array(counts) * np.abs(psi) ** 2))
+
+
 def h2_molecule(z=1.4):
-    return chem_io.s_orbital_integrals(chem_io.h2_geometry(z))
+    return chem_io.s_orbital_integrals(chem_io.hydrogen_chain([0.0, z]))
 
 
 def h4_molecule(spacing=1.4):

@@ -51,7 +51,7 @@ def test_bad_centres_rejected(centres, match):
 def test_hydrogen_chain_centres():
     assert chem_io.hydrogen_chain([0, 1.4, 2.8]).tolist() == [
         [0.0, 0.0, 0.0], [0.0, 0.0, 1.4], [0.0, 0.0, 2.8]]
-    assert chem_io.h2_geometry(1.4).shape == (2, 3)
+    assert chem_io.hydrogen_chain([0.0, 1.4]).shape == (2, 3)
 
 
 def test_coincident_nuclei_rejected():

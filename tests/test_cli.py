@@ -854,6 +854,8 @@ TRAIN_10 = ["train", "--features", "f.csv", "--targets", "t.csv"]
     ["cluster", "--features", "f.csv", "--k", "3", "--pca-dims", "0"],
     ["gen-h2", "--rmin", "nan", "--rmax", "3", "--count", "2"],
     ["gen-h2", "--rmin", "1", "--rmax", "inf", "--count", "2"],
+    # np.linspace fails on a scan this long: the count is rejected first.
+    ["gen-h2", "--rmin", "1", "--rmax", "2", "--count", str(10**20)],
     *[["optimize-measurement", "--config", "config.json", f"--budget={b}"]
       for b in (0, 1, 3, -1)],
     ["fingerprint", "--config", "config.json", "--workers", "0"],
@@ -1001,12 +1003,13 @@ def test_feature_table_fuzz_exit_codes(ten_molecule_dir, row, col, text):
     ({"embedding": {"mode": "dmet", "fragment": [True, 0]}}, "fragment"),
     *[({"embedding": {"mode": "dmet", "fragment": [0], "target_filling": 0.3, **fit}},
        "target_filling") for fit in ({}, {"fit_mu": False})],
+    ({"dataset": {**H2_SCAN, "count": 10**20}}, "dataset.count"),
 ], ids=["exchange_factor_active_space", "exchange_factor_dmet", "rdm_observable",
         "target_filling_nan", "target_filling_infinity", "target_filling_1e400",
         "target_filling_above_2n", "target_filling_negative", "fragment_bool",
-        "target_filling_without_fit_mu", "target_filling_fit_mu_false"])
+        "target_filling_without_fit_mu", "target_filling_fit_mu_false", "h2_count_1e20"])
 def test_invalid_config_value_exit_2(tmp_path, capsys, overrides, key):
-    cfg = write_config(tmp_path, dataset=H2_SCAN, **overrides)
+    cfg = write_config(tmp_path, **{"dataset": H2_SCAN, **overrides})
     with open(cfg) as fh:
         text = fh.read().replace('"__RAW__"', "1e400")
     with open(cfg, "w") as fh:

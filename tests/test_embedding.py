@@ -80,13 +80,6 @@ def test_active_space_matches_slicing_reference_bitwise(n_atoms, spacing):
     assert checked >= 1
 
 
-def test_homo_lumo_gap_positive():
-    m = h4_molecule(1.6)
-    mf = mean_field.scf_solve(m)
-    eh = embedding.homo_lumo_active_space(m, mf, 4, 4)
-    assert eh.homo_lumo_gap > 0
-
-
 def test_cluster_basis_orthonormal_and_complete():
     m = h4_molecule(1.4)
     _, m_loc, D_loc = _localized(m)

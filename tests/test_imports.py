@@ -2,8 +2,9 @@
 pipeline reaches the simulator only through fingerprint_ml, the package needs
 nothing beyond the standard library and numpy at run time (scipy is a test
 dependency), importing the CLI and running a fingerprint load no scipy module
-and no numpy.ma, importing the package loads no module of it, and no check
-rests on an `assert`, which `python -O` strips."""
+and no numpy.ma, importing the package loads no module of it, no check rests
+on an `assert`, which `python -O` strips, and the package holds no name that
+only the tests use."""
 
 import ast
 import json
@@ -69,6 +70,41 @@ def test_no_assert_statements(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+def referenced_names(paths) -> set:
+    """Every name the Python files at `paths` load, import or read as an attribute."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_all_list(module):
+    # Modules are imported by name and nothing star-imports them.
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    targets = [t.id for node in tree.body if isinstance(node, ast.Assign)
+               for t in node.targets if isinstance(t, ast.Name)]
+    assert "__all__" not in targets
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "fci"])
+def test_public_names_serve_a_run(module):
+    # A public function or class that only tests use belongs in the tests.
+    root = SRC.parent.parent
+    used = referenced_names([*SRC.glob("*.py"), *(root / "demos").glob("*.py"),
+                             *(root / "perfbench").glob("*.py")])
+    public = [node.name for node in ast.parse((SRC / f"{module}.py").read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    assert [name for name in public if name not in used] == []
 
 
 def fresh_python(code: str) -> str:

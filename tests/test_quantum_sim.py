@@ -12,7 +12,7 @@ from qfp import chem_io, embedding, fci, mean_field, pipeline, quantum_sim as qs
 from qfp.quantum_sim import GateSequence, NoiseSpec, PauliHamiltonian
 
 from conftest import (PAULI_2X2, dmet_h2, h4_molecule, hamiltonian_matrix, kron_string,
-                      pauli_matrix)
+                      number_expectation, pauli_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -63,13 +63,13 @@ def test_jw_spectrum_matches_determinant_oracle_h4():
 
 def test_prepare_initial_occupations():
     gs, psi = qs.prepare_initial("hf_ground", 4, 2)
-    assert qs.number_expectation(psi) == pytest.approx(2.0)
+    assert number_expectation(psi) == pytest.approx(2.0)
     assert psi[0b0011] == 1.0  # lowest two spin orbitals filled
     gs, psi = qs.prepare_initial("homo_lumo_excited", 8, 4)
     assert psi[0b00110011] == 1.0  # HOMO pair promoted to the LUMO
     gs, psi = qs.prepare_initial("half_occupied", 4, 2)
     probs = np.abs(psi) ** 2
-    assert qs.number_expectation(psi) == pytest.approx(2.0)
+    assert number_expectation(psi) == pytest.approx(2.0)
     assert np.allclose(probs, 1.0 / 16)  # Ry(pi/2) on every qubit
     with pytest.raises(ValueError):
         qs.prepare_initial("hf_ground", 4, 3)
@@ -94,7 +94,7 @@ def test_exact_evolution_conserves_everything(h2_active, h2_pauli):
     for t in np.arange(0, 14.01, 0.5):
         psi = ev.evolve(psi0, t)
         assert abs(np.linalg.norm(psi) - 1) < 1e-10
-        assert abs(qs.number_expectation(psi) - 2.0) < 1e-10
+        assert abs(number_expectation(psi) - 2.0) < 1e-10
         assert abs(np.vdot(psi, hamiltonian_matrix(h2_pauli) @ psi).real - e0) < 1e-10
 
 
@@ -122,7 +122,7 @@ def test_trotter_preserves_norm_and_number(h2_pauli):
     _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
     psi = qs.run_sequence(qs.trotter_sequence(h2_pauli, 6.0, order=2, r=3), psi0)
     assert abs(np.linalg.norm(psi) - 1) < 1e-12
-    assert abs(qs.number_expectation(psi) - 2.0) < 1e-10
+    assert abs(number_expectation(psi) - 2.0) < 1e-10
 
 
 def test_trotter_t_zero_is_identity_with_phase(h2_pauli):
@@ -326,7 +326,7 @@ def test_rdm1_properties(h2_pauli):
     psi = qs.ExactEvolver(h2_pauli).evolve(psi0, 1.5)
     rho = qs.rdm1(psi)
     assert np.allclose(rho, rho.conj().T, atol=1e-12)
-    assert np.trace(rho).real == pytest.approx(qs.number_expectation(psi), abs=1e-10)
+    assert np.trace(rho).real == pytest.approx(number_expectation(psi), abs=1e-10)
     w = np.linalg.eigvalsh(rho)
     assert w.min() > -1e-10 and w.max() < 2 + 1e-10
 
