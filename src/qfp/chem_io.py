@@ -47,6 +47,34 @@ def hydrogen_chain(z_positions) -> np.ndarray:
     return np.stack([np.zeros_like(z), np.zeros_like(z), z], axis=-1)
 
 
+def generator_centres(gen: dict) -> np.ndarray:
+    """The (n, 3) centres of a generator {"kind": "h2", "separation": z} or
+    {"kind": "chain", "z_positions": [z, ...]} (bohr), every z a finite JSON
+    number; a ValueError naming the field otherwise."""
+    kind = gen.get("kind")
+    if kind not in ("h2", "chain"):  # a list or object kind is unknown too
+        raise ValueError(f"unknown generator kind {kind!r}")
+    key = "separation" if kind == "h2" else "z_positions"
+    if set(gen) != {"kind", key}:
+        raise ValueError(f"{kind} generator takes `{key}`")
+    zs = [0.0, gen[key]] if kind == "h2" else gen[key]
+    if not isinstance(zs, list):
+        raise ValueError("`z_positions` must be a list")
+    for z in zs:
+        if not finite_number(z):
+            raise ValueError(f"bad `{key}` value {z!r}: expected a finite number")
+    return hydrogen_chain(zs)
+
+
+def finite_number(v) -> bool:
+    """True for a finite JSON number: an int or float, not a boolean, that a
+    float can hold."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 @dataclass
 class MolecularIntegrals:
     """AO-basis integrals: overlap, core Hamiltonian, ERIs (chemist (pq|rs))."""
@@ -512,14 +540,16 @@ def load_manifest(path: str) -> list:
             raise ManifestError(f"{path}: id {mid!r} has neither `fcidump` nor `generator`")
         target = _manifest_value((float, int), e.get("target", math.nan), path,
                                  f"id {mid!r}: `target`")
-        entries.append(
-            ManifestEntry(
-                molecule_id=mid,
-                source=source,
-                target=target,
-                label=str(e.get("label", "")),
-            )
-        )
+        entries.append(ManifestEntry(molecule_id=mid, source=source, target=target,
+                                     label=str(e.get("label", ""))))
+    # Generator formats are checked once every id and source has passed, and
+    # before any molecule runs; a geometry error waits for that molecule's integrals.
+    for entry in entries:
+        if "generator" in entry.source:
+            try:
+                generator_centres(entry.source["generator"])
+            except ValueError as exc:
+                raise ManifestError(f"{path}: molecule {entry.molecule_id!r}: {exc}") from exc
     return entries
 
 

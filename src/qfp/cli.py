@@ -36,14 +36,6 @@ def _write_json(obj, path: str) -> None:
         fh.write("\n")
 
 
-def _make_out_dir(path: str) -> None:
-    """Create the --out directory; a path that cannot be one is a data error."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"--out {path}: cannot create output directory: {exc}") from exc
-
-
 def _check_flag(name: str, value, lo, hi=math.inf) -> None:
     """A numeric flag that is NaN, infinite or outside [lo, hi] is a config error."""
     if not lo <= value <= hi or value == math.inf:
@@ -88,7 +80,6 @@ def _align_targets(ids, targets: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_h2(args) -> int:
-    _make_out_dir(args.out)
     ids = pipeline.generate_h2_dataset(args.rmin, args.rmax, args.count, args.out)
     _provenance(args.out, "gen-h2",
                 {"rmin": args.rmin, "rmax": args.rmax, "count": args.count}, None)
@@ -100,9 +91,9 @@ def cmd_fingerprint(args) -> int:
     # Molecules run one after another; 1 is the only value --workers takes.
     _check_flag("workers", args.workers, 1, 1)
     cfg = _load_config(args.config)
-    _make_out_dir(args.out)
     base = os.path.dirname(os.path.abspath(args.config))
     ids, _, grid, values = pipeline.run_fingerprints(cfg, base)
+    pipeline.make_out_dir(args.out)
     chem_io.save_features(ids, grid, values,
                           os.path.join(args.out, "features.csv"))
     _provenance(args.out, "fingerprint", {"workers": args.workers}, cfg.to_dict())
@@ -122,7 +113,6 @@ def cmd_train(args) -> int:
         spec = {"kind": "krr", "length_scale": args.length_scale, "ridge": args.ridge}
     ids, grid, X = _load_table(chem_io.load_features, args.features)
     y = _align_targets(ids, _load_table(_read_targets, args.targets))
-    _make_out_dir(args.out)
     try:
         report = fingerprint_ml.kfold_cv(X, y, spec, k=args.folds,
                                          seed=args.seed, ids=ids)
@@ -132,6 +122,7 @@ def cmd_train(args) -> int:
         raise ConfigError(f"{exc} (--folds {args.folds}, {len(ids)} molecules)") from exc
     if not (math.isfinite(report["r2"]) and math.isfinite(report["rmse"])):
         raise NumericalError("cross-validation gave a non-finite R2 or RMSE")
+    pipeline.make_out_dir(args.out)
     _write_json(report, os.path.join(args.out, "cv_report.json"))
     pred = {i: p for fold in report["folds"]
             for i, p in zip(fold["validation_ids"], fold["predictions"])}
@@ -181,10 +172,10 @@ def _sweep_config(cfg: PipelineConfig, axis: str, value: str) -> PipelineConfig:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    _make_out_dir(args.out)
     base = os.path.dirname(os.path.abspath(args.config))
     # Every value is checked before any is run: a malformed one is a config error.
     subs = [_sweep_config(cfg, args.axis, value) for value in args.values]
+    pipeline.make_out_dir(args.out)
     rows, errors = [], {}
     for value, sub in zip(args.values, subs):
         try:
@@ -216,7 +207,6 @@ def cmd_cluster(args) -> int:
     if len(ids) == 0:
         raise DataError(f"{args.features}: empty feature table")
     _check_flag("k", args.k, 1, len(ids))
-    _make_out_dir(args.out)
     try:
         feats = fingerprint_ml.ts_feature_matrix(X, grid)
         if not np.all(np.isfinite(feats)):
@@ -227,6 +217,7 @@ def cmd_cluster(args) -> int:
         raise NumericalError(f"time-series features overflow in PCA: {exc}") from exc
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+    pipeline.make_out_dir(args.out)
     chem_io.write_table(os.path.join(args.out, "labels.csv"), ["molecule_id", "cluster"],
                         zip(ids, labels))
     chem_io.write_table(
@@ -247,7 +238,6 @@ def cmd_optimize_measurement(args) -> int:
     _check_flag("budget", args.budget, 5)
     _check_flag("seed", args.seed, 0)
     cfg = _load_config(args.config)
-    _make_out_dir(args.out)
     base = os.path.dirname(os.path.abspath(args.config))
     if cfg.model["kind"] != "krr":
         raise ConfigError("optimize-measurement requires a krr model spec")
@@ -283,12 +273,8 @@ def cmd_optimize_measurement(args) -> int:
     @np.errstate(over="ignore", invalid="ignore")
     def objective(vec):
         X = fingerprint_ml.one_body_features(trajs, symmetric(vec))
-        model = fingerprint_ml.krr_fit(
-            X[tr], y[tr],
-            length_scale=cfg.model.get("length_scale", 1.0),
-            ridge=cfg.model.get("ridge", 1e-6))
-        pred = fingerprint_ml.krr_predict(model, X[va])
-        return float(np.mean((pred - y[va]) ** 2))
+        predict = fingerprint_ml.fit_model(cfg.model, X[tr], y[tr])
+        return float(np.mean((predict(X[va]) - y[va]) ** 2))
 
     bounds = [(-1.0, 1.0)] * len(iu[0])
     try:
@@ -297,6 +283,7 @@ def cmd_optimize_measurement(args) -> int:
     except RuntimeError as exc:  # the objective raised or gave a non-finite MSE
         raise NumericalError(str(exc)) from exc
     O_best = symmetric(state.best_point)
+    pipeline.make_out_dir(args.out)
     _write_json(
         {"points": state.points.tolist(), "values": state.values.tolist(),
          "length_scale": state.length_scale,
@@ -376,6 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Here, before any work: each command makes --out just before its first output.
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise DataError(f"--out {args.out}: exists and is not a directory")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

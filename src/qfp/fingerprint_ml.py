@@ -225,7 +225,8 @@ def krr_predict(model: KRRModel, X: np.ndarray) -> np.ndarray:
 # Cross-validation
 # ---------------------------------------------------------------------------
 
-def _fit_model(spec: dict, X, y):
+def fit_model(spec: dict, X, y):
+    """The predict(Z) function of a model spec (pls or krr) fitted to X, y."""
     kind = spec["kind"]
     if kind == "pls":
         m = pls_fit(X, y, int(spec["n_components"]))
@@ -263,7 +264,7 @@ def kfold_cv(X, y, model_spec: dict, k: int = 5, seed: int = 0, ids=None) -> dic
     for f in range(k):
         va = order[bounds[f]:bounds[f + 1]]
         tr = np.concatenate([order[:bounds[f]], order[bounds[f + 1]:]])
-        predict = _fit_model(model_spec, X[tr], y[tr])
+        predict = fit_model(model_spec, X[tr], y[tr])
         pv = predict(X[va])
         pred[va] = pv
         folds.append({"train_ids": [ids[i] for i in tr],

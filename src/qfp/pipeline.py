@@ -9,7 +9,6 @@ that the CLI translates into exit codes.
 
 from __future__ import annotations
 
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -59,13 +58,7 @@ def _check_keys(d: dict, where: str, required: tuple, optional: tuple = ()):
 
 def _number(d, key, where, lo=None, hi=None):
     v = d[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
-    try:
-        finite = math.isfinite(v)
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
+    if not chem_io.finite_number(v):
         raise ConfigError(f"{where}.{key}: expected a finite number, got {v!r}")
     if lo is not None and v < lo:
         raise ConfigError(f"{where}.{key}: {v} below minimum {lo}")
@@ -293,48 +286,14 @@ class PipelineConfig:
 
 def build_molecule(entry: ManifestEntry) -> MolecularIntegrals:
     """Integrals for a manifest entry (FCIDUMP file or geometry generator)."""
-    if "fcidump" in entry.source:
-        try:
+    try:
+        if "fcidump" in entry.source:
             with open(entry.source["fcidump"]) as fh:
                 return chem_io.parse_fcidump(fh.read())
-        except (OSError, ValueError, MemoryError) as exc:  # unreadable, bad or too large
-            raise DataError(f"molecule {entry.molecule_id!r}: {exc}") from exc
-    gen = dict(entry.source["generator"])
-    kind = gen.pop("kind", None)
-    if kind == "h2":
-        if set(gen) != {"separation"}:
-            raise DataError(
-                f"molecule {entry.molecule_id!r}: h2 generator takes `separation`"
-            )
-        zs = [0.0, _generator_number(gen["separation"], entry, "separation")]
-    elif kind == "chain":
-        if set(gen) != {"z_positions"}:
-            raise DataError(
-                f"molecule {entry.molecule_id!r}: chain generator takes `z_positions`"
-            )
-        zs = gen["z_positions"]
-        if not isinstance(zs, (list, tuple)):
-            raise DataError(f"molecule {entry.molecule_id!r}: `z_positions` must be a list")
-        zs = [_generator_number(z, entry, "z_positions") for z in zs]
-    else:
-        raise DataError(f"molecule {entry.molecule_id!r}: unknown generator kind {kind!r}")
-    try:
-        return chem_io.s_orbital_integrals(chem_io.hydrogen_chain(zs))
-    except (ValueError, MemoryError) as exc:  # coincident nuclei, overflow, too many atoms
+        return chem_io.s_orbital_integrals(
+            chem_io.generator_centres(entry.source["generator"]))
+    except (OSError, ValueError, MemoryError) as exc:  # bad file or geometry, or too large
         raise DataError(f"molecule {entry.molecule_id!r}: {exc}") from exc
-
-
-def _generator_number(v, entry: ManifestEntry, key: str) -> float:
-    """A coordinate in bohr: a finite JSON number, not a boolean or a string."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise DataError(f"molecule {entry.molecule_id!r}: bad `{key}` value {v!r}")
-    try:
-        z = float(v)
-    except OverflowError as exc:  # an integer too large for a float
-        raise DataError(f"molecule {entry.molecule_id!r}: bad `{key}` value {v!r}") from exc
-    if not math.isfinite(z):
-        raise DataError(f"molecule {entry.molecule_id!r}: non-finite `{key}` value {v!r}")
-    return z
 
 
 def embed_molecule(m: MolecularIntegrals, emb: dict) -> embedding.EmbeddedHamiltonian:
@@ -433,16 +392,19 @@ def run_fingerprints(cfg: PipelineConfig, base_dir: str = "."):
     return ids, targets, grid, np.stack(rows)
 
 
+def make_out_dir(path: str) -> None:
+    """Create the --out directory; a path that cannot be one is a data error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"--out {path}: cannot create output directory: {exc}") from exc
+
+
 def generate_h2_dataset(rmin: float, rmax: float, count: int, out_dir: str):
-    """FCIDUMP files + manifest + targets for a uniform H2 separation scan."""
-    # Written so that NaN fails every check.
-    if not 0.2 <= rmin < math.inf:
-        raise ConfigError(f"--rmin: expected a finite separation >= 0.2 bohr, got {rmin}")
-    if not 2 <= count <= MAX_H2_MOLECULES:
-        raise ConfigError(f"--count: expected 2 to {MAX_H2_MOLECULES} molecules, got {count}")
-    if not rmin < rmax < math.inf:
-        raise ConfigError(f"--rmax: expected a finite separation above --rmin, got {rmax}")
-    os.makedirs(out_dir, exist_ok=True)
+    """FCIDUMP files + manifest + targets for a uniform H2 separation scan.
+    The bounds are an h2 dataset config's, checked before out_dir is made."""
+    _validate_dataset({"kind": "h2", "rmin": rmin, "rmax": rmax, "count": count})
+    make_out_dir(out_dir)
     entries = _h2_scan(rmin, rmax, count)
     for i, e in enumerate(entries):
         with molecule_errors(e.molecule_id):

@@ -66,6 +66,7 @@ def test_gen_h2_validates_range(tmp_path):
                "--out", str(tmp_path / "x")) == 2
     assert run("gen-h2", "--rmin", "2.0", "--rmax", "1.0", "--count", "5",
                "--out", str(tmp_path / "x")) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_fingerprint_writes_feature_table(h2_dataset):
@@ -866,7 +867,7 @@ def test_bad_numeric_flag_exit_2(tmp_path, monkeypatch, capsys, argv):
     write_config(tmp_path, dataset={**H2_SCAN, "count": 6})
     assert run(*argv, "--out", "o") == 2
     assert "Traceback" not in capsys.readouterr().err
-    assert not (tmp_path / "o" / "cv_report.json").exists()
+    assert not (tmp_path / "o").exists()
 
 
 # Each flag is often in range, so that valid runs are drawn too.
@@ -1047,6 +1048,27 @@ def test_bad_generator_geometry_exit_3(tmp_path, capsys, generator, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fingerprint"], ["optimize-measurement", "--budget", "5"],
+], ids=lambda argv: argv[0])
+def test_malformed_last_generator_exit_3_before_any_scf(tmp_path, capsys, monkeypatch, argv):
+    # The manifest's format is checked when it is read: the four good
+    # molecules before the bad one run no SCF.
+    calls, scf_solve = [], mean_field.scf_solve
+    monkeypatch.setattr(mean_field, "scf_solve", lambda m: calls.append(m) or scf_solve(m))
+    entries = [{"id": f"h2_{i}", "generator": {"kind": "h2", "separation": 1.0 + 0.3 * i},
+                "target": 1.0 + 0.3 * i} for i in range(4)]
+    entries.append({"id": "bad", "generator": {"kind": "h2", "separation": "x"},
+                    "target": 1.0})
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": entries}))
+    cfg = write_config(tmp_path)
+    assert run(*argv, "--config", cfg, "--out", str(tmp_path / "o")) == 3
+    assert "molecule 'bad'" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_huge_separation_exits_3_without_warnings(tmp_path, capsys):
     # Overflowing integrals are rejected by validation, with numpy's
@@ -1094,7 +1116,7 @@ def test_optimize_measurement_rejects_noise_exit_2_before_any_scf(tmp_path, caps
     assert run("optimize-measurement", "--config", cfg, "--budget", "5",
                "--out", str(tmp_path / "o")) == 2
     assert "noiseless" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "best_operator.json").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("axis,values,overrides", [
@@ -1124,7 +1146,7 @@ def test_sweep_malformed_value_exit_2(tmp_path, capsys, axis, value):
     assert run("sweep", "--config", cfg, "--axis", axis, "--values", "1", value,
                "--out", str(out)) == 2
     assert repr(value) in capsys.readouterr().err
-    assert not (out / "summary.csv").exists()
+    assert not out.exists()
 
 
 def _is_int(v):
