@@ -91,10 +91,11 @@ def cmd_fingerprint(args) -> int:
     # Molecules run one after another; 1 is the only value --workers takes.
     _check_flag("workers", args.workers, 1, 1)
     cfg = _load_config(args.config)
-    base = os.path.dirname(os.path.abspath(args.config))
-    ids, _, grid, values = pipeline.run_fingerprints(cfg, base)
+    entries = pipeline.load_dataset(cfg, args.config)
+    values = pipeline.run_fingerprints(cfg, entries)
+    ids = [e.molecule_id for e in entries]
     pipeline.make_out_dir(args.out)
-    chem_io.save_features(ids, grid, values,
+    chem_io.save_features(ids, cfg.grid(), values,
                           os.path.join(args.out, "features.csv"))
     _provenance(args.out, "fingerprint", {"workers": args.workers}, cfg.to_dict())
     print(f"wrote {len(ids)}x{values.shape[1] if len(ids) else 0} feature table")
@@ -102,15 +103,13 @@ def cmd_fingerprint(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_flag("folds", args.folds, 2)
-    _check_flag("seed", args.seed, 0)
+    # The flags are checked as a config's model and cv blocks would be.
     if args.model == "pls":
-        _check_flag("components", args.components, 1)
         spec = {"kind": "pls", "n_components": args.components}
     else:
-        _check_flag("length-scale", args.length_scale, *fingerprint_ml.LENGTH_SCALE_RANGE)
-        _check_flag("ridge", args.ridge, 0.0)
         spec = {"kind": "krr", "length_scale": args.length_scale, "ridge": args.ridge}
+    pipeline._validate_model(spec)
+    pipeline._validate_cv({"k": args.folds, "seed": args.seed})
     ids, grid, X = _load_table(chem_io.load_features, args.features)
     y = _align_targets(ids, _load_table(_read_targets, args.targets))
     try:
@@ -172,16 +171,19 @@ def _sweep_config(cfg: PipelineConfig, axis: str, value: str) -> PipelineConfig:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    base = os.path.dirname(os.path.abspath(args.config))
     # Every value is checked before any is run: a malformed one is a config error.
     subs = [_sweep_config(cfg, args.axis, value) for value in args.values]
+    # No axis changes the dataset: it is read, and its targets checked, once.
+    entries = pipeline.load_dataset(cfg, args.config)
+    ids = [e.molecule_id for e in entries]
+    y = np.array([e.target for e in entries])
+    if not np.all(np.isfinite(y)):
+        raise DataError("dataset is missing finite targets")
     pipeline.make_out_dir(args.out)
     rows, errors = [], {}
     for value, sub in zip(args.values, subs):
         try:
-            ids, y, grid, X = pipeline.run_fingerprints(sub, base)
-            if not np.all(np.isfinite(y)):
-                raise DataError("dataset is missing finite targets")
+            X = pipeline.run_fingerprints(sub, entries)
             report = fingerprint_ml.kfold_cv(
                 X, y, sub.model, k=sub.cv["k"], seed=sub.cv.get("seed", 0), ids=ids)
             _write_json(report, os.path.join(args.out, f"cv_report_{args.axis}_{value}.json"))
@@ -238,25 +240,20 @@ def cmd_optimize_measurement(args) -> int:
     _check_flag("budget", args.budget, 5)
     _check_flag("seed", args.seed, 0)
     cfg = _load_config(args.config)
-    base = os.path.dirname(os.path.abspath(args.config))
     if cfg.model["kind"] != "krr":
         raise ConfigError("optimize-measurement requires a krr model spec")
     if cfg.noise is not None:
         raise ConfigError("noise: optimize-measurement measures noiseless RDM trajectories")
-    entries = pipeline.load_dataset(cfg, base)
+    entries = pipeline.load_dataset(cfg, args.config)
     y = np.array([e.target for e in entries])
     if len(y) < 5 or not np.all(np.isfinite(y)):
         raise DataError("measurement optimization needs >= 5 molecules with targets")
     grid = cfg.grid()
-    trajs = []
-    for e in entries:
-        m = pipeline.build_molecule(e)
-        with pipeline.molecule_errors(e.molecule_id):
-            eh = pipeline.embed_molecule(m, cfg.embedding)
-            trajs.append(fingerprint_ml.rdm_trajectory(
-                eh, cfg.initial_state, grid, evolver=cfg.evolver))
-        if trajs[-1].shape != trajs[0].shape:  # one operator must fit every molecule
-            raise DataError(f"molecule {e.molecule_id!r}: {eh.n_active_orbitals} active "
+    trajs = pipeline.molecule_results(entries, cfg.embedding, lambda eh: (
+        fingerprint_ml.rdm_trajectory(eh, cfg.initial_state, grid, evolver=cfg.evolver)))
+    for e, traj in zip(entries, trajs):  # one operator must fit every molecule
+        if traj.shape != trajs[0].shape:
+            raise DataError(f"molecule {e.molecule_id!r}: {traj.shape[-1]} active "
                             f"orbitals, not the {trajs[0].shape[-1]} of the first molecule")
     trajs = np.real(np.array(trajs))
     n_orb = trajs.shape[-1]

@@ -1,7 +1,8 @@
 """Restricted Hartree-Fock via the Roothaan equations.
 
-Plain damped fixed-point SCF (no DIIS): the systems handled here are small
-enough that simplicity wins.  Also provides Lowdin symmetric
+Plain damped fixed-point SCF (no DIIS): stretched chains, such as H8 at 3.4
+bohr and H12 at 3.0 bohr, end unconverged after 200 iterations and the CLI
+exits 4; DIIS is ROADMAP direction 5.  Also provides Lowdin symmetric
 orthonormalization, which defines the localized orbital basis used by the
 embedding layer.
 """

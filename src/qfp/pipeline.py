@@ -322,12 +322,12 @@ def embed_molecule(m: MolecularIntegrals, emb: dict) -> embedding.EmbeddedHamilt
     return eh
 
 
-def load_dataset(cfg: PipelineConfig, base_dir: str = ".") -> list:
+def load_dataset(cfg: PipelineConfig, config_path: str) -> list:
+    """The config's dataset entries; a relative manifest path is taken from
+    the directory of the config file at config_path."""
     ds = cfg.dataset
     if ds["kind"] == "manifest":
-        path = ds["path"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
+        path = os.path.join(os.path.dirname(os.path.abspath(config_path)), ds["path"])
         if not os.path.exists(path):
             raise DataError(f"manifest not found: {path}")
         try:
@@ -363,10 +363,23 @@ def molecule_errors(molecule_id: str):
         raise NumericalError(f"molecule {molecule_id!r}: {exc}") from exc
 
 
-def _one_fingerprint(entry, cfg, grid):
-    m = build_molecule(entry)
-    with molecule_errors(entry.molecule_id):
-        eh = embed_molecule(m, cfg.embedding)
+def molecule_results(entries: list, emb: dict, measure) -> list:
+    """measure(eh) for each entry's embedded Hamiltonian eh, in entry order.  A molecule
+    that cannot be built is a DataError; molecule_errors names it in any later failure."""
+    results = []
+    for entry in entries:
+        m = build_molecule(entry)
+        with molecule_errors(entry.molecule_id):
+            results.append(measure(embed_molecule(m, emb)))
+    return results
+
+
+def run_fingerprints(cfg: PipelineConfig, entries: list) -> np.ndarray:
+    """Fingerprints of the entries on cfg.grid(): (n_molecules, n_times), rows
+    in entry order."""
+    grid = cfg.grid()
+
+    def measure(eh):
         n = eh.n_active_orbitals
         if cfg.observable["kind"] == "O" and np.shape(cfg.observable["matrix"]) != (n, n):
             raise ConfigError(f"observable.matrix: expected {n}x{n} for the active space")
@@ -375,21 +388,8 @@ def _one_fingerprint(entry, cfg, grid):
             evolver=cfg.evolver, noise=cfg.noise,
         ).values
 
-
-def run_fingerprints(cfg: PipelineConfig, base_dir: str = "."):
-    """Fingerprints for every molecule in the dataset, one after another.
-
-    Returns (ids, targets, grid, values) with values of shape
-    (n_molecules, n_times), rows in manifest order.
-    """
-    entries = load_dataset(cfg, base_dir)
-    grid = cfg.grid()
-    ids = [e.molecule_id for e in entries]
-    targets = np.array([e.target for e in entries])
-    if not entries:
-        return ids, targets, grid, np.zeros((0, len(grid)))
-    rows = [_one_fingerprint(e, cfg, grid) for e in entries]
-    return ids, targets, grid, np.stack(rows)
+    rows = molecule_results(entries, cfg.embedding, measure)
+    return np.stack(rows) if rows else np.zeros((0, len(grid)))
 
 
 def make_out_dir(path: str) -> None:

@@ -239,23 +239,28 @@ def run_sequence(gs: GateSequence, psi0: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _compile_groups(ph: PauliHamiltonian):
-    """([(x, zs, cs)], real): the Pauli strings grouped by x mask.
+    """[(x, zs, cs)]: the Pauli strings grouped by x mask.
 
     Groups keep the order in which their x masks first appear in ph.terms;
-    zs holds each string's z mask and cs its coefficient times i^nY, so that
-    a group acts as A_x|b> = f_x(b)|b ^ x>.  Without odd-Y strings (a real
-    Hamiltonian) every cs is real and returned as floats, and the strings of
-    a group commute.
+    zs holds each string's z mask and cs its coefficient times i^nY, as
+    floats, so that a group acts as A_x|b> = f_x(b)|b ^ x> and its strings
+    commute.  Raises ValueError for an imaginary coefficient or an odd-Y
+    string, which jordan_wigner never gives: without them every term is a
+    real symmetric matrix, so H is too (to round-off) and no block needs a
+    Hermiticity check.
     """
     groups: dict = {}
     for coeff, s in ph.terms:
         x, z, ny = _masks_from_string(s)
+        if coeff.imag or ny % 2:
+            raise ValueError(f"evolution needs a real Hamiltonian matrix: term {coeff} {s}")
         zs, cs = groups.setdefault(x, ([], []))
         zs.append(z)
         cs.append(coeff * 1j ** ny)
-    real = not any(c.imag for _, cs in groups.values() for c in cs)
-    return [(x, np.array(zs), np.array(cs).real if real else np.array(cs))
-            for x, (zs, cs) in groups.items()], real
+    # cs is the strided real view of the complex products: cs @ signs sums a
+    # strided vector in another order than a contiguous copy (round-off), and
+    # the features are pinned to this order.
+    return [(x, np.array(zs), np.array(cs).real) for x, (zs, cs) in groups.items()]
 
 
 def _sector_labels(n_qubits: int) -> np.ndarray:
@@ -288,13 +293,25 @@ def _group_values(groups, sector: np.ndarray, idx: np.ndarray):
         yield x, np.where(inside, f, 0.0), src
 
 
-def _time_grid(times) -> np.ndarray:
-    """times as floats; ValueError naming the first time that is not finite."""
+def _state_and_times(psi0, n_qubits: int, times):
+    """(psi0 as complex, times as floats); ValueError for a state that is not
+    2^n_qubits long, or naming the first time that is not finite."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (1 << n_qubits,):
+        raise ValueError("state dimension does not match Hamiltonian qubit count")
     times = np.asarray(times, dtype=float)
     bad = times[~np.isfinite(times)]
     if bad.size:
         raise ValueError(f"time {bad[0]} is not finite")
-    return times
+    return psi0, times
+
+
+def _check_steps(order: int, r: int) -> None:
+    """ValueError unless the product formula is of order 1 or 2 with r >= 1."""
+    if order not in (1, 2):
+        raise ValueError("only orders 1 and 2 supported")
+    if r < 1:
+        raise ValueError("repetition count must be >= 1")
 
 
 class ExactEvolver:
@@ -304,33 +321,28 @@ class ExactEvolver:
     a Jordan-Wigner molecular Hamiltonian conserves both.  The Pauli strings
     are grouped by x mask (_compile_groups), and sector_matrix builds a
     block from f_x on that sector's indices only (_group_values).  It
-    raises ValueError if the block is not Hermitian or if a group maps an
-    index out of the sector (H couples sectors).  Each evolve call builds and
-    diagonalizes the block of every sector where the state has amplitude.
-    Memory: d^2 per sector block, 8 B per element for a real H (16 B
-    complex), e.g. d = 100 for (4e,5o) at 10 qubits; no 2^n x 2^n matrix is
-    formed.
+    raises ValueError if H is not real (_compile_groups) or if a group maps
+    an index out of the sector (H couples sectors).  Each evolve call builds and diagonalizes the block of every
+    sector where the state has amplitude.  Memory: d^2 per sector block, 8 B
+    per element, e.g. d = 100 for (4e,5o) at 10 qubits; no 2^n x 2^n matrix
+    is formed.
     """
 
     def __init__(self, ph: PauliHamiltonian):
         if ph.n_qubits > 16:
             raise ValueError("dense evolution capped at 16 qubits")
         self.n_qubits = ph.n_qubits
-        self._groups, real = _compile_groups(ph)
-        # Real coefficients (no odd-Y strings) give real symmetric blocks.
-        self._dtype = float if real else complex
+        self._groups = _compile_groups(ph)
         self._sector = _sector_labels(ph.n_qubits)
 
     def sector_matrix(self, index: int):
         """(indices, H): the sorted basis indices of the sector holding `index`, and
-        the block H[i, j] = <indices[i]|H|indices[j]> (real without odd-Y strings)."""
+        the real block H[i, j] = <indices[i]|H|indices[j]>."""
         idx = np.flatnonzero(self._sector == self._sector[index])
-        H = np.zeros((idx.size, idx.size), dtype=self._dtype)
+        H = np.zeros((idx.size, idx.size))
         cols = np.arange(idx.size)
         for _, f, src in _group_values(self._groups, self._sector, idx):
             H[src, cols] += f
-        if np.max(np.abs(H - H.conj().T)) > 1e-10:
-            raise ValueError("Hamiltonian matrix is not Hermitian")
         return idx, H
 
     def evolve(self, psi0: np.ndarray, t) -> np.ndarray:
@@ -341,15 +353,12 @@ class ExactEvolver:
         of one matrix product per sector (round-off, ~1e-16).  A time that
         is not finite raises ValueError.
         """
-        psi0 = np.asarray(psi0, dtype=complex)
-        if psi0.shape != (1 << self.n_qubits,):
-            raise ValueError("state dimension does not match Hamiltonian qubit count")
-        times = _time_grid(t)
+        psi0, times = _state_and_times(psi0, self.n_qubits, t)
         out = np.zeros((times.size, psi0.size), dtype=complex)
         for key in sorted(set(self._sector[psi0 != 0].tolist())):
             idx, H = self.sector_matrix(np.argmax(self._sector == key))
             w, V = np.linalg.eigh(H)
-            c = V.conj().T @ psi0[idx]
+            c = V.T @ psi0[idx]
             out[:, idx] = (np.exp(-1j * np.outer(times, w)) * c) @ V.T
         return out.reshape(times.shape + psi0.shape)
 
@@ -363,10 +372,7 @@ def trotter_sequence(ph: PauliHamiltonian, t: float, order: int = 2,
     symmetric (Strang) steps built from half-steps of t/(2r). For a fixed
     step size on a time grid, scale r with t, or use trotter_evolve.
     """
-    if order not in (1, 2):
-        raise ValueError("only orders 1 and 2 supported")
-    if r < 1:
-        raise ValueError("repetition count must be >= 1")
+    _check_steps(order, r)
     ident = "I" * ph.n_qubits
     body = [(c, s) for c, s in ph.terms if s != ident]
     phase = ph.identity_coefficient * t
@@ -436,26 +442,18 @@ def trotter_evolve(ph: PauliHamiltonian, psi0: np.ndarray, times, order: int = 2
     of the d x d identity, giving the interval's propagator, and each
     interval is then one vector-matrix product.  A length used once is
     always stepped.  The two routes differ by round-off.  Raises ValueError
-    for a time that is not finite, a Hamiltonian with odd-Y strings or one
-    that couples sectors.  Memory: the T x 2^n complex128 result, 16 B per
+    for a time that is not finite, a Hamiltonian that is not real
+    (_compile_groups) or one that couples sectors.  Memory: the T x 2^n complex128 result, 16 B per
     value (119 KB for 29 times at 8 qubits), and d^2 complex values per
     distinct length that builds a propagator (21 KB at d = 36); each such
     length serves more than (C + d^2) / (C + d) intervals, so all of them
     together hold fewer than T * (C + d) values.
     """
-    if order not in (1, 2):
-        raise ValueError("only orders 1 and 2 supported")
-    if r < 1:
-        raise ValueError("repetition count must be >= 1")
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (1 << ph.n_qubits,):
-        raise ValueError("state dimension does not match Hamiltonian qubit count")
-    times = _time_grid(times)
+    _check_steps(order, r)
+    psi0, times = _state_and_times(psi0, ph.n_qubits, times)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D grid")
-    groups, real = _compile_groups(ph)
-    if not real:
-        raise ValueError("grouped Trotter steps need a real Hamiltonian (no odd-Y strings)")
+    groups = _compile_groups(ph)
     sector = _sector_labels(ph.n_qubits)
     idx = np.flatnonzero(np.isin(sector, sector[psi0 != 0]))
     acts = list(_group_values(groups, sector, idx))

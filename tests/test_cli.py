@@ -92,14 +92,15 @@ def test_fingerprint_deterministic(h2_dataset):
 
 
 def test_run_fingerprints_on_calling_thread(h2_dataset, monkeypatch):
-    path = pathlib.Path(write_config(h2_dataset))
-    cfg = PipelineConfig.from_dict(json.loads(path.read_text()))
+    path = write_config(h2_dataset)
+    cfg = PipelineConfig.from_dict(json.loads(pathlib.Path(path).read_text()))
+    entries = pipeline.load_dataset(cfg, path)
     seen = []
     build = pipeline.build_molecule
     monkeypatch.setattr(pipeline, "build_molecule", lambda e: seen.append(
         (e.molecule_id, threading.current_thread())) or build(e))
-    ids, _, _, values = pipeline.run_fingerprints(cfg, str(h2_dataset))
-    assert seen == [(i, threading.current_thread()) for i in ids]
+    values = pipeline.run_fingerprints(cfg, entries)
+    assert seen == [(e.molecule_id, threading.current_thread()) for e in entries]
     assert values.shape == (6, 5)
 
 
@@ -280,18 +281,18 @@ def test_optimize_measurement_active_space_size_mismatch_exit_3(tmp_path, capsys
     # A DMET cluster is the fragment and its bath: 2 orbitals for H2, 4 for H4.
     entries = [{"id": f"h2_{i}", "generator": {"kind": "h2", "separation": 1.2 + 0.2 * i},
                 "target": 1.0 * i} for i in range(4)]
-    entries += [{"id": f"h4_{i}", "generator": {"kind": "chain",
-                                                "z_positions": [0.0, 1.4, 2.8, 4.2 + i]},
-                 "target": 5.0 + i} for i in range(2)]
+    entries.append({"id": "h4", "generator": {"kind": "chain",
+                                              "z_positions": [0.0, 1.4, 2.8, 4.2]},
+                    "target": 5.0})
     (tmp_path / "data").mkdir()
     (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": entries}))
     cfg = write_config(tmp_path, embedding={"mode": "dmet", "fragment": [0, 1]})
     assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "fp")) == 0
     assert run("optimize-measurement", "--config", cfg, "--budget", "5",
                "--out", str(tmp_path / "opt")) == 3
-    err = capsys.readouterr().err
-    assert "molecule 'h4_0'" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == ("data error: molecule 'h4': 4 active orbitals, "
+                                       "not the 2 of the first molecule\n")
+    assert not (tmp_path / "opt").exists()
 
 
 def test_dmet_fragment_out_of_range_exit_2(h2_dataset):
@@ -1050,6 +1051,7 @@ def test_bad_generator_geometry_exit_3(tmp_path, capsys, generator, argv):
 
 @pytest.mark.parametrize("argv", [
     ["fingerprint"], ["optimize-measurement", "--budget", "5"],
+    ["sweep", "--axis", "time_max", "--values", "1", "2"],
 ], ids=lambda argv: argv[0])
 def test_malformed_last_generator_exit_3_before_any_scf(tmp_path, capsys, monkeypatch, argv):
     # The manifest's format is checked when it is read: the four good
@@ -1065,6 +1067,24 @@ def test_malformed_last_generator_exit_3_before_any_scf(tmp_path, capsys, monkey
     cfg = write_config(tmp_path)
     assert run(*argv, "--config", cfg, "--out", str(tmp_path / "o")) == 3
     assert "molecule 'bad'" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_dataset_without_targets_exit_3_before_any_scf(tmp_path, capsys, monkeypatch):
+    # sweep cross-validates every value on the dataset's targets, so a missing
+    # one fails the whole run, not each value.
+    calls, scf_solve = [], mean_field.scf_solve
+    monkeypatch.setattr(mean_field, "scf_solve", lambda m: calls.append(m) or scf_solve(m))
+    entries = [{"id": f"h2_{i}", "generator": {"kind": "h2", "separation": 1.0 + 0.3 * i},
+                "target": 1.0 + 0.3 * i} for i in range(4)]
+    entries.append({"id": "untargeted", "generator": {"kind": "h2", "separation": 2.5}})
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": entries}))
+    cfg = write_config(tmp_path)
+    assert run("sweep", "--config", cfg, "--axis", "time_max", "--values", "1", "2",
+               "--out", str(tmp_path / "o")) == 3
+    assert "missing finite targets" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "o").exists()
 

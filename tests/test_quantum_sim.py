@@ -213,8 +213,10 @@ def test_trotter_evolve_rejects_bad_input(h2_pauli):
         qs.trotter_evolve(h2_pauli, psi0, [1.0], r=0)
     with pytest.raises(ValueError, match="couples"):
         qs.trotter_evolve(PauliHamiltonian([(0.3, "XXII")], 4), psi0, [1.0])
-    with pytest.raises(ValueError, match="real Hamiltonian"):
-        qs.trotter_evolve(PauliHamiltonian([(0.3, "YIII")], 4), psi0, [1.0])
+    # An odd-Y string, or an imaginary coefficient (0.3j Y is real but not symmetric).
+    for term in [(0.3, "YIII"), (0.3j, "ZIII"), (0.3j, "YIII")]:
+        with pytest.raises(ValueError, match="real Hamiltonian matrix"):
+            qs.trotter_evolve(PauliHamiltonian([term], 4), psi0, [1.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -678,7 +680,7 @@ def test_sector_evolver_rejects_sector_coupling_and_non_hermitian():
     _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
     with pytest.raises(ValueError, match="couples"):
         qs.ExactEvolver(PauliHamiltonian([(0.3, "XXII")], 4)).evolve(psi0, 1.0)
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="real Hamiltonian matrix"):
         qs.ExactEvolver(PauliHamiltonian([(0.3j, "ZIII")], 4)).evolve(psi0, 1.0)
     with pytest.raises(ValueError, match="state dimension"):
         qs.ExactEvolver(PauliHamiltonian([(0.3, "ZIII")], 4)).evolve(psi0[:8], 1.0)
