@@ -22,8 +22,8 @@ hams = [dmet_h2(z) for z in zs]
 
 X = np.stack([ml.compute_fingerprint(eh, "hf_ground", grid).values for eh in hams])
 tr, va, te = ml.train_val_test_split(30, seed=7)
-model = ml.krr_fit(X[tr], zs[tr], length_scale=1.0, ridge=1e-6)
-pred = ml.krr_predict(model, X[va])
+predict = ml.krr_fit(X[tr], zs[tr], length_scale=1.0, ridge=1e-6)
+pred = predict(X[va])
 r2 = 1 - np.sum((pred - zs[va]) ** 2) / np.sum((zs[va] - zs[va].mean()) ** 2)
 print(f"F(t) fingerprints -> KRR: validation R^2 = {r2:.4f}")
 
@@ -34,8 +34,8 @@ rdms = np.real(np.stack([ml.rdm_trajectory(eh, "hf_ground", grid) for eh in hams
 def objective(vec):
     O = np.array([[vec[0], vec[2]], [vec[2], vec[1]]])
     feats = ml.one_body_features(rdms, O)
-    mdl = ml.krr_fit(feats[tr], zs[tr], length_scale=1.0, ridge=1e-3)
-    return float(np.mean((ml.krr_predict(mdl, feats[va]) - zs[va]) ** 2))
+    predict = ml.krr_fit(feats[tr], zs[tr], length_scale=1.0, ridge=1e-3)
+    return float(np.mean((predict(feats[va]) - zs[va]) ** 2))
 
 
 state = ml.gp_optimize(objective, [(-1, 1)] * 3, budget=60, seed=0)

@@ -36,12 +36,6 @@ def _write_json(obj, path: str) -> None:
         fh.write("\n")
 
 
-def _check_flag(name: str, value, lo, hi=math.inf) -> None:
-    """A numeric flag that is NaN, infinite or outside [lo, hi] is a config error."""
-    if not lo <= value <= hi or value == math.inf:
-        raise ConfigError(f"--{name}: expected a finite value in [{lo}, {hi}], got {value}")
-
-
 def _provenance(out_dir: str, command: str, args: dict, config: dict | None):
     _write_json(
         {"command": command, "args": args, "config": config, "version": __version__},
@@ -89,7 +83,7 @@ def cmd_gen_h2(args) -> int:
 
 def cmd_fingerprint(args) -> int:
     # Molecules run one after another; 1 is the only value --workers takes.
-    _check_flag("workers", args.workers, 1, 1)
+    pipeline.bounded(args.workers, "--workers", 1, 1, integer=True)
     cfg = _load_config(args.config)
     entries = pipeline.load_dataset(cfg, args.config)
     values = pipeline.run_fingerprints(cfg, entries)
@@ -103,13 +97,14 @@ def cmd_fingerprint(args) -> int:
 
 
 def cmd_train(args) -> int:
-    # The flags are checked as a config's model and cv blocks would be.
+    # The model flags are checked as a config's model block would be.
     if args.model == "pls":
         spec = {"kind": "pls", "n_components": args.components}
     else:
         spec = {"kind": "krr", "length_scale": args.length_scale, "ridge": args.ridge}
     pipeline._validate_model(spec)
-    pipeline._validate_cv({"k": args.folds, "seed": args.seed})
+    pipeline.bounded(args.folds, "--folds", lo=2, integer=True)
+    pipeline.bounded(args.seed, "--seed", lo=0, integer=True)
     ids, grid, X = _load_table(chem_io.load_features, args.features)
     y = _align_targets(ids, _load_table(_read_targets, args.targets))
     try:
@@ -203,12 +198,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    _check_flag("seed", args.seed, 0)
-    _check_flag("pca-dims", args.pca_dims, 1)
+    pipeline.bounded(args.seed, "--seed", lo=0, integer=True)
+    pipeline.bounded(args.pca_dims, "--pca-dims", lo=1, integer=True)
     ids, grid, X = _load_table(chem_io.load_features, args.features)
     if len(ids) == 0:
         raise DataError(f"{args.features}: empty feature table")
-    _check_flag("k", args.k, 1, len(ids))
+    pipeline.bounded(args.k, "--k", 1, len(ids), integer=True)
     try:
         feats = fingerprint_ml.ts_feature_matrix(X, grid)
         if not np.all(np.isfinite(feats)):
@@ -237,8 +232,8 @@ def cmd_cluster(args) -> int:
 
 def cmd_optimize_measurement(args) -> int:
     # Before the RDM trajectories: the GP needs its 5-point initial design.
-    _check_flag("budget", args.budget, 5)
-    _check_flag("seed", args.seed, 0)
+    pipeline.bounded(args.budget, "--budget", lo=5, integer=True)
+    pipeline.bounded(args.seed, "--seed", lo=0, integer=True)
     cfg = _load_config(args.config)
     if cfg.model["kind"] != "krr":
         raise ConfigError("optimize-measurement requires a krr model spec")
@@ -249,13 +244,16 @@ def cmd_optimize_measurement(args) -> int:
     if len(y) < 5 or not np.all(np.isfinite(y)):
         raise DataError("measurement optimization needs >= 5 molecules with targets")
     grid = cfg.grid()
-    trajs = pipeline.molecule_results(entries, cfg.embedding, lambda eh: (
-        fingerprint_ml.rdm_trajectory(eh, cfg.initial_state, grid, evolver=cfg.evolver)))
-    for e, traj in zip(entries, trajs):  # one operator must fit every molecule
-        if traj.shape != trajs[0].shape:
-            raise DataError(f"molecule {e.molecule_id!r}: {traj.shape[-1]} active "
-                            f"orbitals, not the {trajs[0].shape[-1]} of the first molecule")
-    trajs = np.real(np.array(trajs))
+    sizes = []
+
+    def measure(eh):  # one operator must fit every molecule
+        sizes.append(eh.n_active_orbitals)
+        if sizes[-1] != sizes[0]:
+            raise DataError(f"{sizes[-1]} active orbitals, not the {sizes[0]} "
+                            "of the first molecule")
+        return fingerprint_ml.rdm_trajectory(eh, cfg.initial_state, grid, evolver=cfg.evolver)
+
+    trajs = np.real(np.array(pipeline.molecule_results(entries, cfg.embedding, measure)))
     n_orb = trajs.shape[-1]
     tr, va, _ = fingerprint_ml.train_val_test_split(len(y), seed=args.seed)
     iu = np.triu_indices(n_orb)
@@ -360,9 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Here, before any work: each command makes --out just before its first output.
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise DataError(f"--out {args.out}: exists and is not a directory")
+        # Here, before any work: each command makes --out just before its first
+        # output, which fails if the nearest existing ancestor is not a directory.
+        path = os.path.abspath(args.out)
+        while not os.path.exists(path):
+            path = os.path.dirname(path)
+        if not os.path.isdir(path):
+            raise DataError(f"--out {args.out}: {path} is not a directory")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Temporal fingerprints and the data-driven layer on top of them.
 
-PLS (NIPALS), kernel ridge regression, GP-based measurement optimization,
-fixed time-series features, PCA and k-means.  Everything is deterministic
-given the data and seeds.
+PLS (NIPALS) and kernel ridge regression, whose fits return the fitted
+model as a predict(Z) function; GP-based measurement optimization, fixed
+time-series features, PCA and k-means.  Everything is deterministic given the
+data and seeds.
 """
 
 from __future__ import annotations
@@ -120,15 +121,9 @@ def one_body_features(rdm_traj: np.ndarray, O: np.ndarray) -> np.ndarray:
 # PLS regression (NIPALS)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PLSModel:
-    x_mean: np.ndarray
-    y_mean: float
-    coefficients: np.ndarray  # n_features, 0 on dropped zero-variance columns
-
-
-def pls_fit(X: np.ndarray, y: np.ndarray, n_components: int) -> PLSModel:
-    """PLS1 via NIPALS deflation."""
+def pls_fit(X: np.ndarray, y: np.ndarray, n_components: int):
+    """The predict(Z) function of PLS1, fitted by NIPALS deflation.  Zero-variance
+    columns of X are dropped: predictions do not depend on them."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n_samples, n_features_all = X.shape
@@ -177,25 +172,12 @@ def pls_fit(X: np.ndarray, y: np.ndarray, n_components: int) -> PLSModel:
     full_mean[mask] = x_mean
     full_coef = np.zeros(n_features_all)
     full_coef[mask] = coef
-    return PLSModel(x_mean=full_mean, y_mean=y_mean, coefficients=full_coef)
-
-
-def pls_predict(model: PLSModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    return (X - model.x_mean) @ model.coefficients + model.y_mean
+    return lambda Z: (np.asarray(Z, dtype=float) - full_mean) @ full_coef + y_mean
 
 
 # ---------------------------------------------------------------------------
 # Kernel ridge regression
 # ---------------------------------------------------------------------------
-
-@dataclass
-class KRRModel:
-    X_train: np.ndarray
-    dual_coef: np.ndarray
-    length_scale: float
-    ridge: float
-
 
 # RBF length scales a model accepts; above the maximum, length_scale ** 2 overflows.
 LENGTH_SCALE_RANGE = (1e-12, 1e150)
@@ -206,19 +188,14 @@ def _rbf(A, B, length_scale):
     return np.exp(-0.5 * np.maximum(d2, 0.0) / length_scale ** 2)
 
 
-def krr_fit(X: np.ndarray, y: np.ndarray, length_scale: float = 1.0,
-            ridge: float = 1e-6) -> KRRModel:
-    X = np.asarray(X, dtype=float)
+def krr_fit(X: np.ndarray, y: np.ndarray, length_scale: float = 1.0, ridge: float = 1e-6):
+    """The predict(Z) function of RBF kernel ridge regression fitted to X, y."""
+    X = np.array(X, dtype=float)  # a copy: predict keeps it
     y = np.asarray(y, dtype=float).ravel()
     ridge = max(ridge, 1e-10)  # conditioning floor
     K = _rbf(X, X, length_scale)
     alpha = np.linalg.solve(K + ridge * np.eye(len(y)), y)
-    return KRRModel(X_train=X.copy(), dual_coef=alpha, length_scale=length_scale, ridge=ridge)
-
-
-def krr_predict(model: KRRModel, X: np.ndarray) -> np.ndarray:
-    K = _rbf(np.asarray(X, dtype=float), model.X_train, model.length_scale)
-    return K @ model.dual_coef
+    return lambda Z: _rbf(np.asarray(Z, dtype=float), X, length_scale) @ alpha
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +206,10 @@ def fit_model(spec: dict, X, y):
     """The predict(Z) function of a model spec (pls or krr) fitted to X, y."""
     kind = spec["kind"]
     if kind == "pls":
-        m = pls_fit(X, y, int(spec["n_components"]))
-        return lambda Z: pls_predict(m, Z)
+        return pls_fit(X, y, int(spec["n_components"]))
     if kind == "krr":
-        m = krr_fit(X, y, length_scale=float(spec.get("length_scale", 1.0)),
-                    ridge=float(spec.get("ridge", 1e-6)))
-        return lambda Z: krr_predict(m, Z)
+        return krr_fit(X, y, length_scale=float(spec.get("length_scale", 1.0)),
+                       ridge=float(spec.get("ridge", 1e-6)))
     raise ValueError(f"unknown model kind {kind!r}")
 
 

@@ -9,6 +9,7 @@ that the CLI translates into exit codes.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -25,8 +26,9 @@ INITIAL_KINDS = ("hf_ground", "homo_lumo_excited", "half_occupied")
 # fails to allocate instead of being rejected as a config error.
 MAX_GRID_POINTS = 10**6
 # Largest H2 scan a config or gen-h2 may ask for.  The scan's entries, about
-# 0.7 KB each, are built at once; a count far past this fails to allocate
-# instead of being rejected as a config error.
+# 0.7 KB each, are built at once, and gen-h2 holds every FCIDUMP text, 321 B
+# each (32 MB at this cap), until the whole scan is solved; a count far past
+# this fails to allocate instead of being rejected as a config error.
 MAX_H2_MOLECULES = 10**5
 # Round-off slack, in steps, when a time grid counts its points: a stop that
 # is a multiple of the step up to round-off (0.3 with step 0.1) ends the grid.
@@ -56,25 +58,15 @@ def _check_keys(d: dict, where: str, required: tuple, optional: tuple = ()):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _number(d, key, where, lo=None, hi=None):
-    v = d[key]
-    if not chem_io.finite_number(v):
-        raise ConfigError(f"{where}.{key}: expected a finite number, got {v!r}")
-    if lo is not None and v < lo:
-        raise ConfigError(f"{where}.{key}: {v} below minimum {lo}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{where}.{key}: {v} above maximum {hi}")
-    return float(v)
-
-
-def _integer(d, key, where, lo=None, hi=None):
-    v = d[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
-    if lo is not None and v < lo:
-        raise ConfigError(f"{where}.{key}: {v} below minimum {lo}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{where}.{key}: {v} above maximum {hi}")
+def bounded(v, name: str, lo=-math.inf, hi=math.inf, integer=False):
+    """v, if it is a finite number (an integer, with integer) within [lo, hi];
+    otherwise a ConfigError naming name, a config key or a command-line flag."""
+    if integer and (not isinstance(v, int) or isinstance(v, bool)):
+        raise ConfigError(f"{name}: expected an integer, got {v!r}")
+    if not integer and not chem_io.finite_number(v):
+        raise ConfigError(f"{name}: expected a finite number, got {v!r}")
+    if not lo <= v <= hi:
+        raise ConfigError(f"{name}: {v} outside [{lo}, {hi}]")
     return v
 
 
@@ -87,11 +79,10 @@ def _validate_dataset(d):
             raise ConfigError("dataset.path: expected a string")
     elif kind == "h2":
         _check_keys(d, "dataset", ("kind", "rmin", "rmax", "count"))
-        rmin = _number(d, "rmin", "dataset", lo=0.2)
-        rmax = _number(d, "rmax", "dataset")
-        if rmax <= rmin:
+        rmin = bounded(d["rmin"], "dataset.rmin", lo=0.2)
+        if bounded(d["rmax"], "dataset.rmax") <= rmin:
             raise ConfigError("dataset: rmax must exceed rmin")
-        _integer(d, "count", "dataset", lo=2, hi=MAX_H2_MOLECULES)
+        bounded(d["count"], "dataset.count", 2, MAX_H2_MOLECULES, integer=True)
     else:
         raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
     return dict(d)
@@ -104,8 +95,8 @@ def _validate_embedding(d):
     mode = d["mode"]
     if mode == "active_space":
         _check_keys(d, "embedding", ("mode", "n_active_electrons", "n_active_orbitals"))
-        ne = _integer(d, "n_active_electrons", "embedding", lo=2)
-        no = _integer(d, "n_active_orbitals", "embedding", lo=1)
+        ne = bounded(d["n_active_electrons"], "embedding.n_active_electrons", lo=2, integer=True)
+        no = bounded(d["n_active_orbitals"], "embedding.n_active_orbitals", lo=1, integer=True)
         if ne % 2:
             raise ConfigError("embedding.n_active_electrons: must be even")
         if ne > 2 * no:
@@ -124,7 +115,7 @@ def _validate_embedding(d):
         if d.get("target_filling") is not None:
             if not d.get("fit_mu", False):
                 raise ConfigError("embedding.target_filling: applies only with fit_mu true")
-            _number(d, "target_filling", "embedding", lo=0.0, hi=2 * len(frag))
+            bounded(d["target_filling"], "embedding.target_filling", 0.0, 2 * len(frag))
     else:
         raise ConfigError(f"embedding.mode: unknown mode {mode!r}")
     return dict(d)
@@ -132,9 +123,9 @@ def _validate_embedding(d):
 
 def _validate_time_grid(d):
     _check_keys(d, "time_grid", ("start", "stop", "step"))
-    start = _number(d, "start", "time_grid", lo=0.0)
-    stop = _number(d, "stop", "time_grid")
-    step = _number(d, "step", "time_grid")
+    start = bounded(d["start"], "time_grid.start", lo=0.0)
+    stop = bounded(d["stop"], "time_grid.stop")
+    step = bounded(d["step"], "time_grid.step")
     if step <= 0:
         raise ConfigError("time_grid.step: must be positive")
     if stop < start:
@@ -155,9 +146,8 @@ def _validate_evolver(d):
     if d["kind"] == "exact":
         _check_keys(d, "evolver", ("kind",))
     elif d["kind"] == "trotter":
-        if _integer({"order": d.get("order", 2)}, "order", "evolver") not in (1, 2):
-            raise ConfigError("evolver.order: must be 1 or 2")
-        _integer({"r": d.get("r", 1)}, "r", "evolver", lo=1)
+        bounded(d.get("order", 2), "evolver.order", 1, 2, integer=True)
+        bounded(d.get("r", 1), "evolver.r", lo=1, integer=True)
     else:
         raise ConfigError(f"evolver.kind: unknown kind {d['kind']!r}")
     return dict(d)
@@ -187,13 +177,13 @@ def _validate_model(d):
     _check_keys(d, "model", ("kind",), ("n_components", "length_scale", "ridge"))
     if d["kind"] == "pls":
         _check_keys(d, "model", ("kind", "n_components"))
-        _integer(d, "n_components", "model", lo=1)
+        bounded(d["n_components"], "model.n_components", lo=1, integer=True)
     elif d["kind"] == "krr":
         _check_keys(d, "model", ("kind",), ("length_scale", "ridge"))
         if "length_scale" in d:
-            _number(d, "length_scale", "model", *fingerprint_ml.LENGTH_SCALE_RANGE)
+            bounded(d["length_scale"], "model.length_scale", *fingerprint_ml.LENGTH_SCALE_RANGE)
         if "ridge" in d:
-            _number(d, "ridge", "model", lo=0.0)
+            bounded(d["ridge"], "model.ridge", lo=0.0)
     else:
         raise ConfigError(f"model.kind: unknown kind {d['kind']!r}")
     return dict(d)
@@ -201,9 +191,9 @@ def _validate_model(d):
 
 def _validate_cv(d):
     _check_keys(d, "cv", ("k",), ("seed",))
-    _integer(d, "k", "cv", lo=2)
+    bounded(d["k"], "cv.k", lo=2, integer=True)
     if "seed" in d:
-        _integer(d, "seed", "cv", lo=0)
+        bounded(d["seed"], "cv.seed", lo=0, integer=True)
     return dict(d)
 
 
@@ -211,11 +201,9 @@ def _validate_noise(d):
     if d is None:
         return None
     _check_keys(d, "noise", ("p",), ("scale", "n_trajectories", "seed"))
-    _number(d, "p", "noise", lo=0.0, hi=0.999)
-    if "scale" in d:
-        v = d["scale"]
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1 or v % 2 == 0:
-            raise ConfigError("noise.scale: must be an odd integer >= 1")
+    bounded(d["p"], "noise.p", 0.0, 0.999)
+    if "scale" in d and bounded(d["scale"], "noise.scale", lo=1, integer=True) % 2 == 0:
+        raise ConfigError("noise.scale: must be odd")
     try:
         product = d["p"] * d.get("scale", 1)
     except OverflowError as exc:  # a scale too large for a float
@@ -223,9 +211,9 @@ def _validate_noise(d):
     if product >= 1.0:  # as NoiseSpec requires
         raise ConfigError(f"noise: p * scale = {product!r} must stay below 1")
     if "n_trajectories" in d:
-        _integer(d, "n_trajectories", "noise", lo=1)
+        bounded(d["n_trajectories"], "noise.n_trajectories", lo=1, integer=True)
     if "seed" in d:
-        _integer(d, "seed", "noise", lo=0)
+        bounded(d["seed"], "noise.seed", lo=0, integer=True)
     return dict(d)
 
 
@@ -285,7 +273,8 @@ class PipelineConfig:
 
 
 def build_molecule(entry: ManifestEntry) -> MolecularIntegrals:
-    """Integrals for a manifest entry (FCIDUMP file or geometry generator)."""
+    """Integrals for a manifest entry (FCIDUMP file or geometry generator); a bad
+    file or geometry is a DataError, which molecule_errors names."""
     try:
         if "fcidump" in entry.source:
             with open(entry.source["fcidump"]) as fh:
@@ -293,7 +282,7 @@ def build_molecule(entry: ManifestEntry) -> MolecularIntegrals:
         return chem_io.s_orbital_integrals(
             chem_io.generator_centres(entry.source["generator"]))
     except (OSError, ValueError, MemoryError) as exc:  # bad file or geometry, or too large
-        raise DataError(f"molecule {entry.molecule_id!r}: {exc}") from exc
+        raise DataError(str(exc)) from exc
 
 
 def embed_molecule(m: MolecularIntegrals, emb: dict) -> embedding.EmbeddedHamiltonian:
@@ -353,24 +342,24 @@ def _h2_scan(rmin, rmax, count) -> list:
 
 @contextmanager
 def molecule_errors(molecule_id: str):
-    """Name the molecule in its ConfigError (exit 2) or numerical failure (exit 4);
-    running out of memory is a numerical failure."""
+    """Name the molecule in a failure: a ConfigError (exit 2) or DataError (exit 3)
+    keeps its class, and any other error, running out of memory included, is a
+    numerical failure (exit 4)."""
     try:
         yield
-    except ConfigError as exc:
-        raise ConfigError(f"molecule {molecule_id!r}: {exc}") from exc
+    except (ConfigError, DataError) as exc:
+        raise type(exc)(f"molecule {molecule_id!r}: {exc}") from exc
     except (NumericalError, ValueError, np.linalg.LinAlgError, MemoryError) as exc:
         raise NumericalError(f"molecule {molecule_id!r}: {exc}") from exc
 
 
 def molecule_results(entries: list, emb: dict, measure) -> list:
-    """measure(eh) for each entry's embedded Hamiltonian eh, in entry order.  A molecule
-    that cannot be built is a DataError; molecule_errors names it in any later failure."""
+    """measure(eh) for each entry's embedded Hamiltonian eh, in entry order; the
+    first failure, named by molecule_errors, stops the loop."""
     results = []
     for entry in entries:
-        m = build_molecule(entry)
         with molecule_errors(entry.molecule_id):
-            results.append(measure(embed_molecule(m, emb)))
+            results.append(measure(embed_molecule(build_molecule(entry), emb)))
     return results
 
 
@@ -402,19 +391,23 @@ def make_out_dir(path: str) -> None:
 
 def generate_h2_dataset(rmin: float, rmax: float, count: int, out_dir: str):
     """FCIDUMP files + manifest + targets for a uniform H2 separation scan.
-    The bounds are an h2 dataset config's, checked before out_dir is made."""
+    The bounds are an h2 dataset config's; every molecule is solved before
+    out_dir is made, so a failed scan writes nothing."""
     _validate_dataset({"kind": "h2", "rmin": rmin, "rmax": rmax, "count": count})
-    make_out_dir(out_dir)
     entries = _h2_scan(rmin, rmax, count)
-    for i, e in enumerate(entries):
+    texts = []
+    for e in entries:
         with molecule_errors(e.molecule_id):
             m = build_molecule(e)
             mf = mean_field.scf_solve(m)
             if not mf.converged:
                 raise NumericalError(f"SCF did not converge for z={e.target:.6f}")
+        texts.append(chem_io.emit_fcidump(embedding.localize_integrals(m, mf.C)))
+    make_out_dir(out_dir)
+    for i, (e, text) in enumerate(zip(entries, texts)):
         fname = f"{e.molecule_id}.fcidump"
         with open(os.path.join(out_dir, fname), "w") as fh:
-            fh.write(chem_io.emit_fcidump(embedding.localize_integrals(m, mf.C)))
+            fh.write(text)
         entries[i] = replace(e, source={"fcidump": fname})
     chem_io.save_manifest(entries, os.path.join(out_dir, "manifest.json"))
     chem_io.write_table(os.path.join(out_dir, "targets.csv"), ["molecule_id", "target"],

@@ -153,8 +153,8 @@ def test_criterion_6_h2_pipeline_krr(h2_study):
     X = np.stack([ml.compute_fingerprint(eh, "hf_ground", grid).values
                   for eh in hams])
     tr, va, te = ml.train_val_test_split(30, seed=7)
-    model = ml.krr_fit(X[tr], zs[tr], length_scale=1.0, ridge=1e-6)
-    pred = ml.krr_predict(model, X[va])
+    predict = ml.krr_fit(X[tr], zs[tr], length_scale=1.0, ridge=1e-6)
+    pred = predict(X[va])
     r2 = 1 - np.sum((pred - zs[va]) ** 2) / np.sum((zs[va] - zs[va].mean()) ** 2)
     check(6, "30-molecule H2 study, KRR validation R2 > 0.9",
           r2 > 0.9, f"R2={r2:.4f} (split {len(tr)}/{len(va)}/{len(te)})")
@@ -167,8 +167,8 @@ def test_criterion_7_measurement_optimization(h2_study):
     def objective(vec):
         O = np.array([[vec[0], vec[2]], [vec[2], vec[1]]])
         X = ml.one_body_features(rdms, O)
-        model = ml.krr_fit(X[tr], zs[tr], length_scale=1.0, ridge=1e-3)
-        return float(np.mean((ml.krr_predict(model, X[va]) - zs[va]) ** 2))
+        predict = ml.krr_fit(X[tr], zs[tr], length_scale=1.0, ridge=1e-3)
+        return float(np.mean((predict(X[va]) - zs[va]) ** 2))
 
     gvals = np.linspace(-1.0, 1.0, 21)
     best_val = np.inf

@@ -69,6 +69,17 @@ def test_gen_h2_validates_range(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def test_gen_h2_bad_molecule_exit_3_and_no_out(tmp_path, capsys):
+    # h2_000 is solved; h2_001, 1e200 bohr apart, has overflowing integrals.
+    out = tmp_path / "data"
+    assert run("gen-h2", "--rmin", "1", "--rmax", "1e200", "--count", "2",
+               "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: molecule 'h2_001': ")
+    assert err.count("h2_001") == 1
+    assert not out.exists()
+
+
 def test_fingerprint_writes_feature_table(h2_dataset):
     cfg = write_config(h2_dataset)
     out = h2_dataset / "run"
@@ -277,7 +288,8 @@ def test_optimize_measurement_non_finite_validation_mse_exit_4(tmp_path, capsys)
     assert not (out / "best_operator.json").exists()
 
 
-def test_optimize_measurement_active_space_size_mismatch_exit_3(tmp_path, capsys):
+def test_optimize_measurement_active_space_size_mismatch_exit_3(tmp_path, capsys,
+                                                               monkeypatch):
     # A DMET cluster is the fragment and its bath: 2 orbitals for H2, 4 for H4.
     entries = [{"id": f"h2_{i}", "generator": {"kind": "h2", "separation": 1.2 + 0.2 * i},
                 "target": 1.0 * i} for i in range(4)]
@@ -288,10 +300,19 @@ def test_optimize_measurement_active_space_size_mismatch_exit_3(tmp_path, capsys
     (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": entries}))
     cfg = write_config(tmp_path, embedding={"mode": "dmet", "fragment": [0, 1]})
     assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "fp")) == 0
+    # h8_far's SCF does not converge (exit 4), but the mismatch at h4 stops
+    # the run before h8_far is solved.
+    entries.append({"id": "h8_far", "target": 3.6,
+                    "generator": {"kind": "chain", "z_positions": [3.6 * i for i in range(8)]}})
+    (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": entries}))
+    calls, scf_solve = [], mean_field.scf_solve
+    monkeypatch.setattr(mean_field, "scf_solve",
+                        lambda m: calls.append(m.n_orbitals) or scf_solve(m))
     assert run("optimize-measurement", "--config", cfg, "--budget", "5",
                "--out", str(tmp_path / "opt")) == 3
     assert capsys.readouterr().err == ("data error: molecule 'h4': 4 active orbitals, "
                                        "not the 2 of the first molecule\n")
+    assert calls == [2, 2, 2, 2, 4]
     assert not (tmp_path / "opt").exists()
 
 
@@ -802,6 +823,20 @@ def test_out_path_is_a_file_exit_3(tmp_path, monkeypatch, capsys, argv):
     assert "--out afile" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    FINGERPRINT, ["optimize-measurement", "--config", "config.json", "--budget", "5"],
+], ids=lambda argv: argv[0])
+def test_out_path_below_a_file_exit_3_before_any_scf(tmp_path, monkeypatch, capsys, argv):
+    calls, scf_solve = [], mean_field.scf_solve
+    monkeypatch.setattr(mean_field, "scf_solve", lambda m: calls.append(m) or scf_solve(m))
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, dataset={**H2_SCAN, "count": 5})
+    (tmp_path / "afile").write_text("not a directory\n")
+    assert run(*argv, "--out", "afile/sub") == 3
+    assert "--out afile/sub" in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("output,argv", [
     ("labels.csv", ["cluster", "--features", "f.csv", "--k", "2"]),
     ("cv_report.json", ["train", "--features", "f.csv", "--targets", "t.csv",
@@ -845,29 +880,39 @@ def _ten_molecule_table(directory):
 TRAIN_10 = ["train", "--features", "f.csv", "--targets", "t.csv"]
 
 
-@pytest.mark.parametrize("argv", [
-    [*TRAIN_10, "--model", "krr", "--folds", "1"],
-    [*TRAIN_10, "--model", "krr", "--folds", "0"],
-    [*TRAIN_10, "--model", "krr", "--folds", "50"],
-    [*TRAIN_10, "--model", "pls", "--components", "99"],
-    [*TRAIN_10, "--model", "krr", "--length-scale", "0"],
-    [*TRAIN_10, "--model", "krr", "--length-scale", "nan"],
-    [*TRAIN_10, "--model", "krr", "--ridge=-1"],
-    ["cluster", "--features", "f.csv", "--k", "3", "--pca-dims", "0"],
-    ["gen-h2", "--rmin", "nan", "--rmax", "3", "--count", "2"],
-    ["gen-h2", "--rmin", "1", "--rmax", "inf", "--count", "2"],
+# (the bad flag, argv).  gen-h2's flags and train's model flags are checked as
+# the config keys they fill, which carry the flag's name: dataset.rmin,
+# model.length_scale.
+BAD_FLAGS = [
+    ("folds", [*TRAIN_10, "--model", "krr", "--folds", "1"]),
+    ("folds", [*TRAIN_10, "--model", "krr", "--folds", "0"]),
+    ("folds", [*TRAIN_10, "--model", "krr", "--folds", "50"]),
+    ("components", [*TRAIN_10, "--model", "pls", "--components", "99"]),
+    ("length_scale", [*TRAIN_10, "--model", "krr", "--length-scale", "0"]),
+    ("length_scale", [*TRAIN_10, "--model", "krr", "--length-scale", "nan"]),
+    ("ridge", [*TRAIN_10, "--model", "krr", "--ridge=-1"]),
+    ("--pca-dims", ["cluster", "--features", "f.csv", "--k", "3", "--pca-dims", "0"]),
+    ("rmin", ["gen-h2", "--rmin", "nan", "--rmax", "3", "--count", "2"]),
+    ("rmax", ["gen-h2", "--rmin", "1", "--rmax", "inf", "--count", "2"]),
     # np.linspace fails on a scan this long: the count is rejected first.
-    ["gen-h2", "--rmin", "1", "--rmax", "2", "--count", str(10**20)],
-    *[["optimize-measurement", "--config", "config.json", f"--budget={b}"]
+    ("count", ["gen-h2", "--rmin", "1", "--rmax", "2", "--count", str(10**20)]),
+    *[("--budget", ["optimize-measurement", "--config", "config.json", f"--budget={b}"])
       for b in (0, 1, 3, -1)],
-    ["fingerprint", "--config", "config.json", "--workers", "0"],
-], ids=lambda argv: "_".join(a.lstrip("-") for a in argv if a not in TRAIN_10[1:]))
-def test_bad_numeric_flag_exit_2(tmp_path, monkeypatch, capsys, argv):
+    ("--workers", ["fingerprint", "--config", "config.json", "--workers", "0"]),
+]
+
+
+@pytest.mark.parametrize("flag,argv", [
+    pytest.param(flag, argv, id="_".join(a.lstrip("-") for a in argv if a not in TRAIN_10[1:]))
+    for flag, argv in BAD_FLAGS])
+def test_bad_numeric_flag_exit_2(tmp_path, monkeypatch, capsys, flag, argv):
     monkeypatch.chdir(tmp_path)
     _ten_molecule_table(tmp_path)
     write_config(tmp_path, dataset={**H2_SCAN, "count": 6})
     assert run(*argv, "--out", "o") == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert flag in err
     assert not (tmp_path / "o").exists()
 
 
