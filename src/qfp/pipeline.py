@@ -1,14 +1,16 @@
 """Configuration and orchestration shared by the command-line tools.
 
-Configs are plain JSON with exhaustive validation: every key is checked
-against a schema and unknown keys are rejected, since silent typos are the
-dominant failure mode in pipeline files.  The orchestration layer maps
-module-level exceptions onto three coarse classes (config, data, numerical)
-that the CLI translates into exit codes.
+Configs are plain JSON, checked in full before any work.  The block table
+_BLOCKS is the one place a config's keys are listed: each block's check names
+its keys (for a block with kinds, each kind's) and rejects unknown ones, since
+silent typos are the dominant failure mode in pipeline files.  The
+orchestration layer maps module-level exceptions onto three coarse classes
+(config, data, numerical) that the CLI translates into exit codes.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from contextlib import contextmanager
@@ -50,12 +52,20 @@ class NumericalError(RuntimeError):
 def _check_keys(d: dict, where: str, required: tuple, optional: tuple = ()):
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
-    unknown = set(d) - set(required) - set(optional)
-    if unknown:
+    if unknown := set(d) - set(required) - set(optional):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(d)
-    if missing:
+    if missing := set(required) - set(d):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+
+
+def _check_kind(d: dict, where: str, tag: str, kinds: dict) -> str:
+    """The kind d[tag], once d holds its keys: kinds maps a kind to (required, optional)."""
+    _check_keys(d, where, (tag,), [k for keys in kinds.values() for k in keys[0] + keys[1]])
+    kind = d[tag]
+    if not isinstance(kind, str) or kind not in kinds:  # a JSON list cannot be hashed
+        raise ConfigError(f"{where}.{tag}: unknown {tag} {kind!r}")
+    _check_keys(d, where, (tag, *kinds[kind][0]), kinds[kind][1])
+    return kind
 
 
 def bounded(v, name: str, lo=-math.inf, hi=math.inf, integer=False):
@@ -70,55 +80,47 @@ def bounded(v, name: str, lo=-math.inf, hi=math.inf, integer=False):
     return v
 
 
+def _validate_initial_state(s):
+    if s not in INITIAL_KINDS:
+        raise ConfigError(f"initial_state: {s!r} not one of {INITIAL_KINDS}")
+
+
 def _validate_dataset(d):
-    _check_keys(d, "dataset", ("kind",), ("path", "rmin", "rmax", "count"))
-    kind = d["kind"]
-    if kind == "manifest":
-        _check_keys(d, "dataset", ("kind", "path"))
+    if _check_kind(d, "dataset", "kind", {"manifest": (("path",), ()),
+                                          "h2": (("rmin", "rmax", "count"), ())}) == "manifest":
         if not isinstance(d["path"], str):
             raise ConfigError("dataset.path: expected a string")
-    elif kind == "h2":
-        _check_keys(d, "dataset", ("kind", "rmin", "rmax", "count"))
-        rmin = bounded(d["rmin"], "dataset.rmin", lo=0.2)
-        if bounded(d["rmax"], "dataset.rmax") <= rmin:
-            raise ConfigError("dataset: rmax must exceed rmin")
-        bounded(d["count"], "dataset.count", 2, MAX_H2_MOLECULES, integer=True)
-    else:
-        raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
-    return dict(d)
+        return
+    rmin = bounded(d["rmin"], "dataset.rmin", lo=0.2)
+    if bounded(d["rmax"], "dataset.rmax") <= rmin:
+        raise ConfigError("dataset: rmax must exceed rmin")
+    bounded(d["count"], "dataset.count", 2, MAX_H2_MOLECULES, integer=True)
 
 
 def _validate_embedding(d):
-    _check_keys(d, "embedding", ("mode",),
-                ("n_active_electrons", "n_active_orbitals", "fragment",
-                 "fit_mu", "target_filling"))
-    mode = d["mode"]
-    if mode == "active_space":
-        _check_keys(d, "embedding", ("mode", "n_active_electrons", "n_active_orbitals"))
+    if _check_kind(d, "embedding", "mode", {
+            "active_space": (("n_active_electrons", "n_active_orbitals"), ()),
+            "dmet": (("fragment",), ("fit_mu", "target_filling"))}) == "active_space":
         ne = bounded(d["n_active_electrons"], "embedding.n_active_electrons", lo=2, integer=True)
         no = bounded(d["n_active_orbitals"], "embedding.n_active_orbitals", lo=1, integer=True)
         if ne % 2:
             raise ConfigError("embedding.n_active_electrons: must be even")
         if ne > 2 * no:
             raise ConfigError("embedding: more electrons than spin orbitals")
-    elif mode == "dmet":
-        _check_keys(d, "embedding", ("mode", "fragment"), ("fit_mu", "target_filling"))
-        frag = d["fragment"]
-        if (not isinstance(frag, list) or not frag
-                or not all(isinstance(i, int) and not isinstance(i, bool) and i >= 0
-                            for i in frag)):
-            raise ConfigError("embedding.fragment: expected a list of orbital indices")
-        if len(set(frag)) != len(frag):
-            raise ConfigError("embedding.fragment: duplicate indices")
-        if not isinstance(d.get("fit_mu", False), bool):
-            raise ConfigError("embedding.fit_mu: expected a boolean")
-        if d.get("target_filling") is not None:
-            if not d.get("fit_mu", False):
-                raise ConfigError("embedding.target_filling: applies only with fit_mu true")
-            bounded(d["target_filling"], "embedding.target_filling", 0.0, 2 * len(frag))
-    else:
-        raise ConfigError(f"embedding.mode: unknown mode {mode!r}")
-    return dict(d)
+        return
+    frag = d["fragment"]
+    if (not isinstance(frag, list) or not frag
+            or not all(isinstance(i, int) and not isinstance(i, bool) and i >= 0
+                        for i in frag)):
+        raise ConfigError("embedding.fragment: expected a list of orbital indices")
+    if len(set(frag)) != len(frag):
+        raise ConfigError("embedding.fragment: duplicate indices")
+    if not isinstance(d.get("fit_mu", False), bool):
+        raise ConfigError("embedding.fit_mu: expected a boolean")
+    if d.get("target_filling") is not None:
+        if not d.get("fit_mu", False):
+            raise ConfigError("embedding.target_filling: applies only with fit_mu true")
+        bounded(d["target_filling"], "embedding.target_filling", 0.0, 2 * len(frag))
 
 
 def _validate_time_grid(d):
@@ -132,7 +134,6 @@ def _validate_time_grid(d):
         raise ConfigError("time_grid: stop must be >= start")
     if _grid_size(start, stop, step) > MAX_GRID_POINTS:
         raise ConfigError(f"time_grid: more than {MAX_GRID_POINTS} points")
-    return dict(d)
 
 
 def _grid_size(start, stop, step) -> float:
@@ -142,51 +143,39 @@ def _grid_size(start, stop, step) -> float:
 
 
 def _validate_evolver(d):
-    _check_keys(d, "evolver", ("kind",), ("order", "r"))
-    if d["kind"] == "exact":
-        _check_keys(d, "evolver", ("kind",))
-    elif d["kind"] == "trotter":
+    if _check_kind(d, "evolver", "kind",
+                   {"exact": ((), ()), "trotter": ((), ("order", "r"))}) == "trotter":
         bounded(d.get("order", 2), "evolver.order", 1, 2, integer=True)
         bounded(d.get("r", 1), "evolver.r", lo=1, integer=True)
-    else:
-        raise ConfigError(f"evolver.kind: unknown kind {d['kind']!r}")
-    return dict(d)
 
 
+# Entries near 1e308 overflow allclose's differences to inf without a warning;
+# the matrix is then not symmetric.
+@np.errstate(over="ignore")
 def _validate_observable(d):
-    _check_keys(d, "observable", ("kind",), ("matrix",))
-    kind = d["kind"]
-    if kind == "F":
-        _check_keys(d, "observable", ("kind",))
-    elif kind == "O":
-        _check_keys(d, "observable", ("kind", "matrix"))
+    if _check_kind(d, "observable", "kind", {"F": ((), ()), "O": (("matrix",), ())}) == "O":
         try:
             O = np.asarray(d["matrix"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # or an int past a float
             raise ConfigError(f"observable.matrix: not numeric: {exc}") from exc
         if O.ndim != 2 or O.shape[0] != O.shape[1]:
             raise ConfigError("observable.matrix: expected a square matrix")
         if not np.allclose(O, O.T):
             raise ConfigError("observable.matrix: must be symmetric")
-    else:
-        raise ConfigError(f"observable.kind: unknown kind {kind!r}")
-    return dict(d)
+        # np.asarray also reads true and "1" as 1.0, and keeps inf and nan.
+        if not all(chem_io.finite_number(v) for row in d["matrix"] for v in row):
+            raise ConfigError("observable.matrix: expected finite numbers")
 
 
 def _validate_model(d):
-    _check_keys(d, "model", ("kind",), ("n_components", "length_scale", "ridge"))
-    if d["kind"] == "pls":
-        _check_keys(d, "model", ("kind", "n_components"))
+    if _check_kind(d, "model", "kind", {"pls": (("n_components",), ()),
+                                        "krr": ((), ("length_scale", "ridge"))}) == "pls":
         bounded(d["n_components"], "model.n_components", lo=1, integer=True)
-    elif d["kind"] == "krr":
-        _check_keys(d, "model", ("kind",), ("length_scale", "ridge"))
-        if "length_scale" in d:
-            bounded(d["length_scale"], "model.length_scale", *fingerprint_ml.LENGTH_SCALE_RANGE)
-        if "ridge" in d:
-            bounded(d["ridge"], "model.ridge", lo=0.0)
-    else:
-        raise ConfigError(f"model.kind: unknown kind {d['kind']!r}")
-    return dict(d)
+        return
+    if "length_scale" in d:
+        bounded(d["length_scale"], "model.length_scale", *fingerprint_ml.LENGTH_SCALE_RANGE)
+    if "ridge" in d:
+        bounded(d["ridge"], "model.ridge", lo=0.0)
 
 
 def _validate_cv(d):
@@ -194,12 +183,11 @@ def _validate_cv(d):
     bounded(d["k"], "cv.k", lo=2, integer=True)
     if "seed" in d:
         bounded(d["seed"], "cv.seed", lo=0, integer=True)
-    return dict(d)
 
 
 def _validate_noise(d):
     if d is None:
-        return None
+        return
     _check_keys(d, "noise", ("p",), ("scale", "n_trajectories", "seed"))
     bounded(d["p"], "noise.p", 0.0, 0.999)
     if "scale" in d and bounded(d["scale"], "noise.scale", lo=1, integer=True) % 2 == 0:
@@ -214,7 +202,21 @@ def _validate_noise(d):
         bounded(d["n_trajectories"], "noise.n_trajectories", lo=1, integer=True)
     if "seed" in d:
         bounded(d["seed"], "noise.seed", lo=0, integer=True)
-    return dict(d)
+
+
+# The config's blocks, each with its check, in the order they are checked.
+# The four without a default in PipelineConfig are required.
+_BLOCKS = {
+    "initial_state": _validate_initial_state,
+    "dataset": _validate_dataset,
+    "embedding": _validate_embedding,
+    "time_grid": _validate_time_grid,
+    "evolver": _validate_evolver,
+    "observable": _validate_observable,
+    "model": _validate_model,
+    "cv": _validate_cv,
+    "noise": _validate_noise,
+}
 
 
 @dataclass
@@ -233,38 +235,23 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        _check_keys(raw, "config",
-                    ("dataset", "embedding", "initial_state", "time_grid"),
-                    ("evolver", "observable", "model", "cv", "noise"))
-        if raw["initial_state"] not in INITIAL_KINDS:
-            raise ConfigError(
-                f"initial_state: {raw['initial_state']!r} not one of {INITIAL_KINDS}"
-            )
-        cfg = cls(
-            dataset=_validate_dataset(raw["dataset"]),
-            embedding=_validate_embedding(raw["embedding"]),
-            initial_state=raw["initial_state"],
-            time_grid=_validate_time_grid(raw["time_grid"]),
-        )
-        if "evolver" in raw:
-            cfg.evolver = _validate_evolver(raw["evolver"])
-        if "observable" in raw:
-            cfg.observable = _validate_observable(raw["observable"])
-        if "model" in raw:
-            cfg.model = _validate_model(raw["model"])
-        if "cv" in raw:
-            cfg.cv = _validate_cv(raw["cv"])
-        if "noise" in raw:
-            cfg.noise = _validate_noise(raw["noise"])
+        _check_keys(raw, "config", ("initial_state", "dataset", "embedding", "time_grid"), _BLOCKS)
+        for name, check in _BLOCKS.items():
+            if name in raw:
+                check(raw[name])
+        cfg = cls(**{name: copy.copy(block) for name, block in raw.items()})
+        # Rules across blocks, once each block is valid.
         if cfg.noise is not None and cfg.evolver["kind"] != "trotter":
             raise ConfigError("noise: requires a trotter evolver (gate-level noise)")
+        # A DMET cluster's size is known only after SCF: prepare_initial checks it.
+        emb = cfg.embedding
+        if (cfg.initial_state == "homo_lumo_excited" and emb["mode"] == "active_space"
+                and emb["n_active_electrons"] == 2 * emb["n_active_orbitals"]):
+            raise ConfigError("initial_state: homo_lumo_excited needs a virtual orbital")
         return cfg
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        if self.noise is None:
-            del out["noise"]
-        return out
+        return {name: block for name, block in asdict(self).items() if block is not None}
 
     def grid(self) -> np.ndarray:
         g = self.time_grid

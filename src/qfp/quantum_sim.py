@@ -547,6 +547,9 @@ def rdm1(psi: np.ndarray) -> np.ndarray:
     return rho.reshape(psi.shape[:-1] + (n, n))
 
 
+# Entries near 1e308 overflow the products to inf or nan without a warning;
+# a non-finite value is rejected below.
+@np.errstate(over="ignore", invalid="ignore")
 def expval_O(O: np.ndarray, rdm: np.ndarray):
     """General one-body expectation <O> = sum O_rs <a+_s a_r>: a float for one (n, n) rdm,
     or a (...) array for a (..., n, n) batch, each value bit for bit its matrix's own."""
@@ -556,6 +559,8 @@ def expval_O(O: np.ndarray, rdm: np.ndarray):
     if np.max(np.abs(O - O.conj().T)) > 1e-10:
         raise ValueError("observable must be Hermitian")
     val = np.sum(O * rdm, axis=(-2, -1))
+    if not np.all(np.isfinite(val)):
+        raise ValueError("observable value overflows a float")
     residue = np.max(np.abs(val.imag), initial=0.0)
     if not residue < 1e-10:
         raise ValueError(f"imaginary residue {residue:.2e}")

@@ -794,15 +794,20 @@ def test_unreadable_input_file_exit_3(tmp_path, monkeypatch, files, argv):
 
 
 def test_optimize_measurement_names_failing_molecule_exit_4(tmp_path, capsys):
-    # homo_lumo_excited needs a virtual orbital, which (2e,1o) does not have
-    cfg = write_config(
-        tmp_path, dataset={**H2_SCAN, "count": 5}, initial_state="homo_lumo_excited",
-        embedding={"mode": "active_space", "n_active_electrons": 2, "n_active_orbitals": 1})
+    # Four H2 and then a stretched H8 (3.6 bohr spacing) whose damped RHF
+    # iterations do not converge.
+    entries = [{"id": f"h2_{i}", "generator": {"kind": "h2", "separation": 1.0 + 0.3 * i},
+                "target": 1.0 + 0.3 * i} for i in range(4)]
+    entries.append({"id": "h8_far", "target": 3.6,
+                    "generator": {"kind": "chain", "z_positions": [3.6 * i for i in range(8)]}})
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": entries}))
+    cfg = write_config(tmp_path)
     assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "fp")) == 4
-    assert "molecule 'h2_000'" in capsys.readouterr().err
+    assert "molecule 'h8_far'" in capsys.readouterr().err
     assert run("optimize-measurement", "--config", cfg, "--budget", "5",
                "--out", str(tmp_path / "opt")) == 4
-    assert "molecule 'h2_000'" in capsys.readouterr().err
+    assert "molecule 'h8_far'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -1051,11 +1056,23 @@ def test_feature_table_fuzz_exit_codes(ten_molecule_dir, row, col, text):
     *[({"embedding": {"mode": "dmet", "fragment": [0], "target_filling": 0.3, **fit}},
        "target_filling") for fit in ({}, {"fit_mu": False})],
     ({"dataset": {**H2_SCAN, "count": 10**20}}, "dataset.count"),
+    *[({"observable": {"kind": "O", "matrix": [[x, 0], [0, 1]]}}, "observable.matrix")
+      for x in (float("inf"), float("nan"), "__RAW__", True, "1", 10**400)],
+    ({"observable": {"kind": "O", "matrix": [[1e308, -1e308], [1e308, 1]]}},
+     "observable.matrix"),
+    ({"initial_state": "homo_lumo_excited",
+      "embedding": {"mode": "active_space", "n_active_electrons": 2, "n_active_orbitals": 1}},
+     "initial_state"),
 ], ids=["exchange_factor_active_space", "exchange_factor_dmet", "rdm_observable",
         "target_filling_nan", "target_filling_infinity", "target_filling_1e400",
         "target_filling_above_2n", "target_filling_negative", "fragment_bool",
-        "target_filling_without_fit_mu", "target_filling_fit_mu_false", "h2_count_1e20"])
-def test_invalid_config_value_exit_2(tmp_path, capsys, overrides, key):
+        "target_filling_without_fit_mu", "target_filling_fit_mu_false", "h2_count_1e20",
+        "matrix_infinity", "matrix_nan", "matrix_1e400", "matrix_true", "matrix_string",
+        "matrix_int_past_float", "matrix_asymmetric_past_float",
+        "homo_lumo_excited_without_virtual"])
+def test_invalid_config_value_exit_2(tmp_path, capsys, monkeypatch, overrides, key):
+    calls, scf_solve = [], mean_field.scf_solve
+    monkeypatch.setattr(mean_field, "scf_solve", lambda m: calls.append(m) or scf_solve(m))
     cfg = write_config(tmp_path, **{"dataset": H2_SCAN, **overrides})
     with open(cfg) as fh:
         text = fh.read().replace('"__RAW__"', "1e400")
@@ -1063,6 +1080,37 @@ def test_invalid_config_value_exit_2(tmp_path, capsys, overrides, key):
         fh.write(text)
     assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert key in capsys.readouterr().err
+    assert calls == []
+
+
+def test_sweep_to_a_full_active_space_exit_2_before_any_scf(tmp_path, capsys, monkeypatch):
+    # (2e,1o) leaves homo_lumo_excited no virtual orbital: the sweep's first
+    # value, (2e,2o), does not run either.
+    calls, scf_solve = [], mean_field.scf_solve
+    monkeypatch.setattr(mean_field, "scf_solve", lambda m: calls.append(m) or scf_solve(m))
+    cfg = write_config(tmp_path, dataset=H2_SCAN, initial_state="homo_lumo_excited")
+    assert run("sweep", "--config", cfg, "--axis", "active_space", "--values", "2:2", "2:1",
+               "--out", str(tmp_path / "o")) == 2
+    assert "initial_state" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("overrides", [
+    {}, {"evolver": {"kind": "trotter", "order": 2, "r": 1},
+         "noise": {"p": 0.01, "n_trajectories": 4}},
+], ids=["exact", "noisy"])
+def test_overflowing_observable_exits_4_without_warnings(tmp_path, capsys, overrides):
+    # Finite entries whose products with the density matrix pass 1e308.
+    cfg = write_config(tmp_path, dataset=H2_SCAN,
+                       observable={"kind": "O", "matrix": [[1e308, 1e308], [1e308, 1e308]]},
+                       **overrides)
+    assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 4
+    err = capsys.readouterr().err
+    assert "molecule 'h2_000'" in err
+    assert "overflows" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("generator", [
@@ -1229,7 +1277,7 @@ CONFIG_TYPES = {
     "fragment": lambda v: isinstance(v, list) and all(map(_is_int, v)),
     "fit_mu": lambda v: isinstance(v, bool), "target_filling": _is_number,
     "start": _is_number, "stop": _is_number, "step": _is_number,
-    "order": _is_int, "r": _is_int,
+    "order": _is_int, "r": _is_int, "k": _is_int,
     "p": _is_number, "scale": _is_int, "n_trajectories": _is_int, "seed": _is_int,
 }
 FUZZ_EMBEDDINGS = {
@@ -1242,6 +1290,8 @@ FUZZ_TARGETS = (
     + [("time_grid", "active", k) for k in ("start", "stop", "step")]
     + [("evolver", "active", k) for k in ("kind", "order", "r")]
     + [("noise", "active", k) for k in ("p", "scale", "n_trajectories", "seed")]
+    + [(block, "active", "kind") for block in ("dataset", "observable", "model")]
+    + [("cv", "active", "k")]
     + [("sweep", "active", a) for a in ("time_max", "trotter_r", "initial_state",
                                         "active_space")]
 )
@@ -1301,6 +1351,7 @@ def test_config_values_fuzz_exit_codes(two_h2_dir, target, value):
            "initial_state": "hf_ground",
            "time_grid": {"start": 0, "stop": 0.5, "step": 0.5},
            "evolver": {"kind": "trotter", "order": 2, "r": 1},
+           "observable": {"kind": "F"},
            "model": {"kind": "krr", "length_scale": 1.0, "ridge": 1e-6},
            "cv": {"k": 2, "seed": 0}}
     if section == "noise":
