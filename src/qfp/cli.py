@@ -172,6 +172,8 @@ def cmd_sweep(args) -> int:
     y = np.array([e.target for e in entries])
     if not np.all(np.isfinite(y)):
         raise DataError("dataset is missing finite targets")
+    if cfg.cv["k"] > len(entries):  # as kfold_cv requires; no axis changes cv
+        raise ConfigError(f"cv.k: {cfg.cv['k']} folds for {len(entries)} molecules")
     pipeline.make_out_dir(args.out)
     rows, errors = [], {}
     for value, sub in zip(args.values, subs):

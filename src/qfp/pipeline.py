@@ -160,11 +160,17 @@ def _validate_observable(d):
             raise ConfigError(f"observable.matrix: not numeric: {exc}") from exc
         if O.ndim != 2 or O.shape[0] != O.shape[1]:
             raise ConfigError("observable.matrix: expected a square matrix")
-        if not np.allclose(O, O.T):
-            raise ConfigError("observable.matrix: must be symmetric")
         # np.asarray also reads true and "1" as 1.0, and keeps inf and nan.
         if not all(chem_io.finite_number(v) for row in d["matrix"] for v in row):
             raise ConfigError("observable.matrix: expected finite numbers")
+        if not np.allclose(O, O.T):
+            raise ConfigError("observable.matrix: must be symmetric")
+
+
+def _check_matrix_size(observable: dict, n: int):
+    """ConfigError unless an O observable's matrix is n x n, for n active orbitals."""
+    if observable["kind"] == "O" and len(observable["matrix"]) != n:
+        raise ConfigError(f"observable.matrix: expected {n}x{n} for the active space")
 
 
 def _validate_model(d):
@@ -243,11 +249,14 @@ class PipelineConfig:
         # Rules across blocks, once each block is valid.
         if cfg.noise is not None and cfg.evolver["kind"] != "trotter":
             raise ConfigError("noise: requires a trotter evolver (gate-level noise)")
-        # A DMET cluster's size is known only after SCF: prepare_initial checks it.
+        # A DMET cluster's size is known only after SCF: prepare_initial and
+        # run_fingerprints check it.
         emb = cfg.embedding
-        if (cfg.initial_state == "homo_lumo_excited" and emb["mode"] == "active_space"
-                and emb["n_active_electrons"] == 2 * emb["n_active_orbitals"]):
-            raise ConfigError("initial_state: homo_lumo_excited needs a virtual orbital")
+        if emb["mode"] == "active_space":
+            if (cfg.initial_state == "homo_lumo_excited"
+                    and emb["n_active_electrons"] == 2 * emb["n_active_orbitals"]):
+                raise ConfigError("initial_state: homo_lumo_excited needs a virtual orbital")
+            _check_matrix_size(cfg.observable, emb["n_active_orbitals"])
         return cfg
 
     def to_dict(self) -> dict:
@@ -356,9 +365,7 @@ def run_fingerprints(cfg: PipelineConfig, entries: list) -> np.ndarray:
     grid = cfg.grid()
 
     def measure(eh):
-        n = eh.n_active_orbitals
-        if cfg.observable["kind"] == "O" and np.shape(cfg.observable["matrix"]) != (n, n):
-            raise ConfigError(f"observable.matrix: expected {n}x{n} for the active space")
+        _check_matrix_size(cfg.observable, eh.n_active_orbitals)
         return fingerprint_ml.compute_fingerprint(
             eh, cfg.initial_state, grid, observable=cfg.observable,
             evolver=cfg.evolver, noise=cfg.noise,

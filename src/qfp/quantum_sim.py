@@ -22,28 +22,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _SYMBOLS = "IXYZ"
-_DROP_TOL = 1e-12  # |coefficient| at or below which from_dict drops a term
 
 
 # ---------------------------------------------------------------------------
 # Pauli strings
 # ---------------------------------------------------------------------------
 
-def _masks_from_string(s: str):
-    """(x_mask, z_mask, n_y) for a Pauli string, qubit 0 first."""
-    x = z = ny = 0
-    for q, ch in enumerate(s):
-        if ch == "X":
-            x |= 1 << q
-        elif ch == "Z":
-            z |= 1 << q
-        elif ch == "Y":
-            x |= 1 << q
-            z |= 1 << q
-            ny += 1
-        elif ch != "I":
-            raise ValueError(f"bad Pauli symbol {ch!r}")
-    return x, z, ny
+def _symbol_codes(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
+    """(len(x), n_qubits) index into _SYMBOLS of each term's symbol on each qubit."""
+    q = np.arange(n_qubits)
+    return (x[:, None] >> q & 1) ^ 3 * (z[:, None] >> q & 1)
 
 
 def _parity_vector(mask: int, n_qubits: int) -> np.ndarray:
@@ -61,9 +49,12 @@ def _pauli_action(string: str):
     string on up to 5 qubits, at most 24 MB at 10 qubits.  The arrays are
     read-only because every caller shares them.
     """
+    if bad := set(string) - set(_SYMBOLS):
+        raise ValueError(f"bad Pauli symbols {sorted(bad)} in {string!r}")
     n = len(string)
-    x, z, ny = _masks_from_string(string)
-    action = np.arange(1 << n) ^ x, 1j ** ny * _parity_vector(z, n)
+    x = sum(1 << q for q, ch in enumerate(string) if ch in "XY")
+    z = sum(1 << q for q, ch in enumerate(string) if ch in "YZ")
+    action = np.arange(1 << n) ^ x, 1j ** string.count("Y") * _parity_vector(z, n)
     for a in action:
         a.flags.writeable = False
     return action
@@ -71,26 +62,26 @@ def _pauli_action(string: str):
 
 @dataclass
 class PauliHamiltonian:
-    """Hermitian sum of weighted Pauli strings in canonical order."""
+    """Real sum of Pauli strings: row k is coeffs[k] (float64) times X on the
+    qubits set only in the int64 mask x[k], Z on those set only in z[k] and
+    Y on those set in both.  jordan_wigner sorts the rows in string order."""
 
-    terms: list  # [(coeff: float, string: str)]
+    x: np.ndarray
+    z: np.ndarray
+    coeffs: np.ndarray
     n_qubits: int
 
-    @staticmethod
-    def from_dict(table: dict, n_qubits: int) -> "PauliHamiltonian":
-        terms = []
-        for s, c in table.items():
-            if abs(c.imag) > 1e-10:
-                raise ValueError(f"non-Hermitian coefficient {c} for {s}")
-            if abs(c.real) > _DROP_TOL:
-                terms.append((float(c.real), s))
-        terms.sort(key=lambda t: t[1])
-        return PauliHamiltonian(terms=terms, n_qubits=n_qubits)
+    @property
+    def terms(self) -> list:
+        """[(coeff, string)] in row order, each string qubit 0 first."""
+        chars = np.frombuffer(_SYMBOLS.encode(), np.uint8)[
+            _symbol_codes(self.x, self.z, self.n_qubits)]
+        strings = chars.view(f"S{self.n_qubits}").ravel().astype(str).tolist()
+        return list(zip(self.coeffs.tolist(), strings))
 
     @property
     def identity_coefficient(self) -> float:
-        ident = "I" * self.n_qubits
-        return sum(c for c, s in self.terms if s == ident)
+        return float(self.coeffs[(self.x | self.z) == 0].sum())
 
 
 def _ladder_branches(modes: np.ndarray, daggers, weights: np.ndarray, m: int):
@@ -138,16 +129,19 @@ def jordan_wigner(eh) -> PauliHamiltonian:
                               0.5 * eri[P[pq] >> 1, Q[pq] >> 1, P[rs] >> 1, Q[rs] >> 1], m)
     keys, inverse = np.unique(np.concatenate([k1, k2, [0]]), return_inverse=True)
     sums = np.bincount(inverse, np.concatenate([c1, c2, [eh.e_core]]), keys.size)
-    # from_dict drops the other keys, and they cannot fail its imaginary check.
-    keep = np.abs(sums) > _DROP_TOL
-    keys, sums = keys[keep], sums[keep]
     x, z = keys >> m, keys & ((1 << m) - 1)
-    codes = (x[:, None] >> np.arange(m) & 1) + 2 * (z[:, None] >> np.arange(m) & 1)
-    text = np.frombuffer(b"IXZY", dtype=np.uint8)[codes].tobytes().decode("ascii")
-    # E(x, z) = (-i)^nY * PauliString
-    phase = np.array([(-1j) ** ny for ny in range(m + 1)])[np.bitwise_count(x & z)]
-    table = {text[i * m:(i + 1) * m]: c for i, c in enumerate((sums * phase).tolist())}
-    return PauliHamiltonian.from_dict(table, n_qubits=m)
+    # E(x, z) = (-i)^nY * PauliString: the string's coefficient is
+    # sums * (1 - (nY & 2)) for even nY, and that times -i, imaginary, for odd
+    # nY, which only a non-symmetric h_eff or eri gives.
+    ny = np.bitwise_count(x & z).astype(np.int64)  # uint8: cast before the arithmetic
+    signed, odd = sums * (1 - (ny & 2)), (ny & 1) == 1
+    if np.any(bad := odd & (np.abs(sums) > 1e-10)):
+        coeff, string = PauliHamiltonian(x, z, signed, m).terms[np.argmax(bad)]
+        raise ValueError(f"non-Hermitian coefficient {-coeff}j for {string}")
+    # Drop |coefficient| <= 1e-12, and sort the strings with I < X < Y < Z, qubit 0 first.
+    rows = np.flatnonzero(~odd & (np.abs(sums) > 1e-12))
+    rows = rows[np.lexsort(_symbol_codes(x[rows], z[rows], m).T[::-1])]
+    return PauliHamiltonian(x[rows], z[rows], signed[rows], m)
 
 
 # ---------------------------------------------------------------------------
@@ -239,28 +233,24 @@ def run_sequence(gs: GateSequence, psi0: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _compile_groups(ph: PauliHamiltonian):
-    """[(x, zs, cs)]: the Pauli strings grouped by x mask.
+    """[(x, zs, cs)]: the terms of ph grouped by x mask.
 
-    Groups keep the order in which their x masks first appear in ph.terms;
-    zs holds each string's z mask and cs its coefficient times i^nY, as
-    floats, so that a group acts as A_x|b> = f_x(b)|b ^ x> and its strings
-    commute.  Raises ValueError for an imaginary coefficient or an odd-Y
-    string, which jordan_wigner never gives: without them every term is a
-    real symmetric matrix, so H is too (to round-off) and no block needs a
-    Hermiticity check.
+    Groups keep the order in which their x masks first appear in ph.x, and
+    each keeps its terms in row order; zs holds their z masks and cs their
+    coefficients times i^nY = 1 - (nY & 2), so that a group acts as
+    A_x|b> = f_x(b)|b ^ x> and its strings commute.  Raises ValueError
+    naming an odd-Y string, whose matrix is imaginary: jordan_wigner never
+    gives one, so every term is a real symmetric matrix, H is too (to
+    round-off) and no block needs a Hermiticity check.
     """
-    groups: dict = {}
-    for coeff, s in ph.terms:
-        x, z, ny = _masks_from_string(s)
-        if coeff.imag or ny % 2:
-            raise ValueError(f"evolution needs a real Hamiltonian matrix: term {coeff} {s}")
-        zs, cs = groups.setdefault(x, ([], []))
-        zs.append(z)
-        cs.append(coeff * 1j ** ny)
-    # cs is the strided real view of the complex products: cs @ signs sums a
-    # strided vector in another order than a contiguous copy (round-off), and
-    # the features are pinned to this order.
-    return [(x, np.array(zs), np.array(cs).real) for x, (zs, cs) in groups.items()]
+    ny = np.bitwise_count(ph.x & ph.z).astype(np.int64)  # uint8: cast before 1 - x
+    if np.any(odd := (ny & 1) == 1):
+        coeff, string = ph.terms[np.argmax(odd)]
+        raise ValueError(f"evolution needs a real Hamiltonian matrix: term {coeff} {string}")
+    xs, first, inverse = np.unique(ph.x, return_index=True, return_inverse=True)
+    rows = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    cs = ph.coeffs * (1 - (ny & 2))
+    return [(int(xs[g]), ph.z[rows[g]], cs[rows[g]]) for g in np.argsort(first)]
 
 
 def _sector_labels(n_qubits: int) -> np.ndarray:
@@ -318,10 +308,10 @@ class ExactEvolver:
     """Exact evolution exp(-iHt) psi0 on the (N_alpha, N_beta) sector blocks of H.
 
     N_alpha counts the set bits on even qubits and N_beta those on odd ones;
-    a Jordan-Wigner molecular Hamiltonian conserves both.  The Pauli strings
+    a Jordan-Wigner molecular Hamiltonian conserves both.  The terms' masks
     are grouped by x mask (_compile_groups), and sector_matrix builds a
     block from f_x on that sector's indices only (_group_values).  It
-    raises ValueError if H is not real (_compile_groups) or if a group maps
+    raises ValueError if H has an odd-Y string (_compile_groups) or if a group maps
     an index out of the sector (H couples sectors).  Each evolve call builds and diagonalizes the block of every
     sector where the state has amplitude.  Memory: d^2 per sector block, 8 B
     per element, e.g. d = 100 for (4e,5o) at 10 qubits; no 2^n x 2^n matrix
@@ -426,7 +416,7 @@ def trotter_evolve(ph: PauliHamiltonian, psi0: np.ndarray, times, order: int = 2
     steps of that interval's own length: Lie steps (order 1) or symmetric
     Strang steps (order 2), so the step does not grow with t.  A step
     applies exp(-i theta A_x) one x-mask group at a time, in the order the
-    groups first appear in ph.terms (then back again, for order 2).  The
+    groups first appear in ph.x (then back again, for order 2).  The
     strings of a group commute, so this is trotter_sequence with the strings
     reordered by group and the identity folded into the Z-only group.  With
     f = f_x(b) real, a group step is cos(theta f) psi - i sin(theta f)

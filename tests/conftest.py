@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfp import chem_io, embedding, mean_field
+from qfp import chem_io, embedding, mean_field, quantum_sim
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
 
@@ -35,6 +35,14 @@ def pauli_matrix(terms, n_qubits):
     for coeff, s in terms:
         H += coeff * kron_string([PAULI_2X2[ch] for ch in s])
     return H
+
+
+def pauli_hamiltonian(terms, n_qubits):
+    """PauliHamiltonian of a weighted Pauli-string sum [(coeff, string)], rows in that order."""
+    x = [sum(1 << q for q, ch in enumerate(s) if ch in "XY") for _, s in terms]
+    z = [sum(1 << q for q, ch in enumerate(s) if ch in "YZ") for _, s in terms]
+    return quantum_sim.PauliHamiltonian(np.array(x, dtype=np.int64), np.array(z, dtype=np.int64),
+                                        np.array([c for c, _ in terms], dtype=float), n_qubits)
 
 
 def hamiltonian_matrix(ph):

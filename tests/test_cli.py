@@ -1056,20 +1056,25 @@ def test_feature_table_fuzz_exit_codes(ten_molecule_dir, row, col, text):
     *[({"embedding": {"mode": "dmet", "fragment": [0], "target_filling": 0.3, **fit}},
        "target_filling") for fit in ({}, {"fit_mu": False})],
     ({"dataset": {**H2_SCAN, "count": 10**20}}, "dataset.count"),
-    *[({"observable": {"kind": "O", "matrix": [[x, 0], [0, 1]]}}, "observable.matrix")
-      for x in (float("inf"), float("nan"), "__RAW__", True, "1", 10**400)],
+    *[({"observable": {"kind": "O", "matrix": [[x, 0], [0, 1]]}}, key)
+      for x, key in ((float("inf"), "observable.matrix"),
+                     (float("nan"), "observable.matrix: expected finite"),
+                     ("__RAW__", "observable.matrix"), (True, "observable.matrix"),
+                     ("1", "observable.matrix"), (10**400, "observable.matrix"))],
     ({"observable": {"kind": "O", "matrix": [[1e308, -1e308], [1e308, 1]]}},
      "observable.matrix"),
     ({"initial_state": "homo_lumo_excited",
       "embedding": {"mode": "active_space", "n_active_electrons": 2, "n_active_orbitals": 1}},
      "initial_state"),
+    ({"observable": {"kind": "O", "matrix": np.eye(3).tolist()}},
+     "observable.matrix: expected 2x2"),
 ], ids=["exchange_factor_active_space", "exchange_factor_dmet", "rdm_observable",
         "target_filling_nan", "target_filling_infinity", "target_filling_1e400",
         "target_filling_above_2n", "target_filling_negative", "fragment_bool",
         "target_filling_without_fit_mu", "target_filling_fit_mu_false", "h2_count_1e20",
         "matrix_infinity", "matrix_nan", "matrix_1e400", "matrix_true", "matrix_string",
         "matrix_int_past_float", "matrix_asymmetric_past_float",
-        "homo_lumo_excited_without_virtual"])
+        "homo_lumo_excited_without_virtual", "matrix_3x3_on_2_active_orbitals"])
 def test_invalid_config_value_exit_2(tmp_path, capsys, monkeypatch, overrides, key):
     calls, scf_solve = [], mean_field.scf_solve
     monkeypatch.setattr(mean_field, "scf_solve", lambda m: calls.append(m) or scf_solve(m))
@@ -1092,6 +1097,19 @@ def test_sweep_to_a_full_active_space_exit_2_before_any_scf(tmp_path, capsys, mo
     assert run("sweep", "--config", cfg, "--axis", "active_space", "--values", "2:2", "2:1",
                "--out", str(tmp_path / "o")) == 2
     assert "initial_state" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_with_more_folds_than_molecules_exit_2_before_any_scf(tmp_path, capsys,
+                                                                   monkeypatch):
+    # cv.k 5 cannot split 3 molecules, whatever value the sweep runs.
+    calls, scf_solve = [], mean_field.scf_solve
+    monkeypatch.setattr(mean_field, "scf_solve", lambda m: calls.append(m) or scf_solve(m))
+    cfg = write_config(tmp_path, dataset={**H2_SCAN, "count": 3}, cv={"k": 5})
+    assert run("sweep", "--config", cfg, "--axis", "time_max", "--values", "1", "2",
+               "--out", str(tmp_path / "o")) == 2
+    assert "cv.k" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "o").exists()
 

@@ -12,7 +12,7 @@ from qfp import chem_io, embedding, fci, mean_field, pipeline, quantum_sim as qs
 from qfp.quantum_sim import GateSequence, NoiseSpec, PauliHamiltonian
 
 from conftest import (PAULI_2X2, dmet_h2, h4_molecule, hamiltonian_matrix, kron_string,
-                      number_expectation, pauli_matrix)
+                      number_expectation, pauli_hamiltonian, pauli_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -36,12 +36,15 @@ def test_apply_pauli_matches_dense_matrix(s, seed):
     assert np.allclose(M @ M, np.eye(1 << n), atol=1e-12)
 
 
-def test_pauli_hamiltonian_canonicalization():
-    ph = PauliHamiltonian.from_dict({"XI": 0.5, "IZ": -1.0, "II": 2.0}, n_qubits=2)
-    assert [s for _, s in ph.terms] == sorted(s for _, s in ph.terms)
-    assert ph.identity_coefficient == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        PauliHamiltonian.from_dict({"XY": 1.0 + 0.5j}, n_qubits=2)  # non-Hermitian
+def test_pauli_hamiltonian_canonicalization(h2_pauli):
+    # Masks qubit 0 at bit 0: x = 1, z = 0 is X on qubit 0, x = z = 2 is Y on qubit 1.
+    ph = PauliHamiltonian(np.array([1, 0, 0, 2]), np.array([0, 2, 0, 2]),
+                          np.array([0.5, -1.0, 2.0, 0.25]), n_qubits=2)
+    assert ph.terms == [(0.5, "XI"), (-1.0, "IZ"), (2.0, "II"), (0.25, "IY")]
+    assert ph.identity_coefficient == 2.0
+    # jordan_wigner sorts its strings with I < X < Y < Z, qubit 0 first.
+    strings = [s for _, s in h2_pauli.terms]
+    assert strings == sorted(strings) and len(set(strings)) == len(strings)
 
 
 def test_jw_spectrum_matches_determinant_oracle_h2(h2_active, h2_pauli):
@@ -144,7 +147,7 @@ def _grouped(ph):
     groups = {}
     for c, s in ph.terms:
         groups.setdefault(tuple(ch in "XY" for ch in s), []).append((c, s))
-    return PauliHamiltonian([t for g in groups.values() for t in g], ph.n_qubits)
+    return pauli_hamiltonian([t for g in groups.values() for t in g], ph.n_qubits)
 
 
 def _random_state(n_qubits, seed):
@@ -212,11 +215,10 @@ def test_trotter_evolve_rejects_bad_input(h2_pauli):
     with pytest.raises(ValueError, match="repetition"):
         qs.trotter_evolve(h2_pauli, psi0, [1.0], r=0)
     with pytest.raises(ValueError, match="couples"):
-        qs.trotter_evolve(PauliHamiltonian([(0.3, "XXII")], 4), psi0, [1.0])
-    # An odd-Y string, or an imaginary coefficient (0.3j Y is real but not symmetric).
-    for term in [(0.3, "YIII"), (0.3j, "ZIII"), (0.3j, "YIII")]:
-        with pytest.raises(ValueError, match="real Hamiltonian matrix"):
-            qs.trotter_evolve(PauliHamiltonian([term], 4), psi0, [1.0])
+        qs.trotter_evolve(pauli_hamiltonian([(0.3, "XXII")], 4), psi0, [1.0])
+    # An odd-Y string has an imaginary matrix.
+    with pytest.raises(ValueError, match="real Hamiltonian matrix: term 0.3 YIII"):
+        qs.trotter_evolve(pauli_hamiltonian([(1.0, "ZIII"), (0.3, "YIII")], 4), psi0, [1.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -679,11 +681,11 @@ def test_sector_evolver_matches_expm(sector_system, kind):
 def test_sector_evolver_rejects_sector_coupling_and_non_hermitian():
     _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
     with pytest.raises(ValueError, match="couples"):
-        qs.ExactEvolver(PauliHamiltonian([(0.3, "XXII")], 4)).evolve(psi0, 1.0)
-    with pytest.raises(ValueError, match="real Hamiltonian matrix"):
-        qs.ExactEvolver(PauliHamiltonian([(0.3j, "ZIII")], 4)).evolve(psi0, 1.0)
+        qs.ExactEvolver(pauli_hamiltonian([(0.3, "XXII")], 4)).evolve(psi0, 1.0)
+    with pytest.raises(ValueError, match="real Hamiltonian matrix: term 0.3 YIII"):
+        qs.ExactEvolver(pauli_hamiltonian([(1.0, "ZIII"), (0.3, "YIII")], 4)).evolve(psi0, 1.0)
     with pytest.raises(ValueError, match="state dimension"):
-        qs.ExactEvolver(PauliHamiltonian([(0.3, "ZIII")], 4)).evolve(psi0[:8], 1.0)
+        qs.ExactEvolver(pauli_hamiltonian([(0.3, "ZIII")], 4)).evolve(psi0[:8], 1.0)
 
 
 def _jordan_wigner_loop(eh):
@@ -722,11 +724,14 @@ def _jordan_wigner_loop(eh):
                                     ladder(S, False), ladder(Q, False)], w)
     acc[(0, 0)] = acc.get((0, 0), 0.0) + eh.e_core
 
+    # Each (x, z) key as its string and complex coefficient; the real ones
+    # past 1e-12, in sorted string order, are the Hamiltonian's terms.
     table = {}
     for (x, z), c in acc.items():
         s = "".join("IXZY"[((x >> q) & 1) + 2 * ((z >> q) & 1)] for q in range(m))
         table[s] = table.get(s, 0.0) + c * (-1j) ** (x & z).bit_count()
-    return PauliHamiltonian.from_dict(table, n_qubits=m)
+    assert all(abs(c.imag) <= 1e-10 for c in table.values())
+    return [(c.real, s) for s, c in sorted(table.items()) if abs(c.real) > 1e-12]
 
 
 def _chain_active(n_atoms, n_elec, n_orb):
@@ -753,7 +758,25 @@ JW_SYSTEMS = {
 def test_jordan_wigner_matches_loop_bitwise(h2_active, system):
     eh = h2_active if system == "h2" else JW_SYSTEMS[system]()
     got, ref = qs.jordan_wigner(eh), _jordan_wigner_loop(eh)
-    assert got.n_qubits == ref.n_qubits == 2 * eh.n_active_orbitals
+    assert got.n_qubits == 2 * eh.n_active_orbitals
     # Strings, their order and every coefficient's bits.
-    assert [(s, c.hex()) for c, s in got.terms] == [(s, c.hex()) for c, s in ref.terms]
+    assert [(s, c.hex()) for c, s in got.terms] == [(s, c.hex()) for c, s in ref]
     assert all(type(c) is float for c, _ in got.terms)
+
+
+@pytest.mark.parametrize("asymmetry, raises", [(1e-9, True), (2e-10, False)])
+def test_jordan_wigner_rejects_non_hermitian_h_eff(asymmetry, raises):
+    # h_01 - h_10 = d gives the odd-Y strings XZYI, YZXI, IXZY and IYZX
+    # coefficients of magnitude d / 4: above 1e-10 jordan_wigner raises naming
+    # one, at or below it they are dropped.
+    h = np.array([[-1.0, 0.2 + asymmetry], [0.2, -0.5]])
+    eh = embedding.EmbeddedHamiltonian(2, 2, h, np.zeros((2, 2, 2, 2)), 0.7)
+    if raises:
+        with pytest.raises(ValueError, match="non-Hermitian.*(XZYI|YZXI|IXZY|IYZX)"):
+            qs.jordan_wigner(eh)
+        return
+    ph = qs.jordan_wigner(eh)
+    strings = [s for _, s in ph.terms]
+    assert all(s.count("Y") % 2 == 0 for s in strings)
+    sym = qs.jordan_wigner(dataclasses.replace(eh, h_eff=np.array([[-1.0, 0.2], [0.2, -0.5]])))
+    assert strings == [s for _, s in sym.terms]
