@@ -4,12 +4,11 @@ Conventions frozen here:
 
 * qubit 0 is the least significant bit of a basis-state index;
 * spatial orbital p maps to qubits 2p (spin-alpha) and 2p+1 (spin-beta);
-* Pauli strings are written with the qubit-0 symbol first;
-* a gate (theta, P) applies cos(theta/2) I - i sin(theta/2) P, and
-  (None, P) applies the Pauli string P itself.
-
-Pauli algebra is done in the symplectic (x_mask, z_mask) representation,
-with Y = i X Z, so products are bitwise operations.
+* a Pauli P is a symplectic (x, z) pair of int masks: X on the qubits set
+  only in x, Z on those only in z and Y = i X Z on both, so products are
+  bitwise operations; its string, for display only, puts qubit 0 first;
+* a gate (theta, (x, z)) applies cos(theta/2) I - i sin(theta/2) P, and
+  (None, (x, z)) applies P itself.
 """
 
 from __future__ import annotations
@@ -42,19 +41,14 @@ def _parity_vector(mask: int, n_qubits: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _pauli_action(string: str):
+def _pauli_action(x: int, z: int, n: int):
     """(perm, pv) with P|b> = pv[b] |b ^ x>, so (P psi)[j] = (pv * psi)[perm[j]].
 
-    Built once per string and kept for the 1,024 strings used last: every
-    string on up to 5 qubits, at most 24 MB at 10 qubits.  The arrays are
+    Built once per (x, z, n) and kept for the 1,024 used last: every Pauli
+    on up to 5 qubits, at most 24 MB at 10 qubits.  The arrays are
     read-only because every caller shares them.
     """
-    if bad := set(string) - set(_SYMBOLS):
-        raise ValueError(f"bad Pauli symbols {sorted(bad)} in {string!r}")
-    n = len(string)
-    x = sum(1 << q for q, ch in enumerate(string) if ch in "XY")
-    z = sum(1 << q for q, ch in enumerate(string) if ch in "YZ")
-    action = np.arange(1 << n) ^ x, 1j ** string.count("Y") * _parity_vector(z, n)
+    action = np.arange(1 << n) ^ x, 1j ** (x & z).bit_count() * _parity_vector(z, n)
     for a in action:
         a.flags.writeable = False
     return action
@@ -73,7 +67,7 @@ class PauliHamiltonian:
 
     @property
     def terms(self) -> list:
-        """[(coeff, string)] in row order, each string qubit 0 first."""
+        """[(coeff, string)] in row order, qubit 0 first: for display only."""
         chars = np.frombuffer(_SYMBOLS.encode(), np.uint8)[
             _symbol_codes(self.x, self.z, self.n_qubits)]
         strings = chars.view(f"S{self.n_qubits}").ravel().astype(str).tolist()
@@ -150,8 +144,8 @@ def jordan_wigner(eh) -> PauliHamiltonian:
 
 @dataclass
 class GateSequence:
-    """Ordered list of gates (theta, P) on Pauli strings P: the rotation
-    exp(-i theta P / 2), or P itself when theta is None."""
+    """Ordered list of gates (theta, (x, z)), P the Pauli of masks (x, z) as in a
+    PauliHamiltonian row: the rotation exp(-i theta P / 2), or P if theta is None."""
 
     gates: list
     n_qubits: int
@@ -176,16 +170,16 @@ def basis_state(index: int, n_qubits: int) -> np.ndarray:
 def prepare_initial(kind: str, n_qubits: int, n_electrons: int):
     """Initial-state circuits: HF ground, HOMO-LUMO pair excitation, half filling.
 
-    Returns (GateSequence, Statevector): X gates on the occupied spin
-    orbitals, or a Y rotation by pi/2 on every qubit for half filling, and
-    that circuit run on |0...0>.  Occupied spin orbitals follow the
-    interleaved convention with orbitals in ascending energy order.
+    Returns (GateSequence, Statevector): X gates (1 << q, 0) on the occupied
+    spin orbitals q, or Y rotations (1 << q, 1 << q) by pi/2 on every qubit for
+    half filling, and that circuit run on |0...0>.  Occupied spin orbitals
+    follow the interleaved convention with orbitals in ascending energy order.
     """
     if n_electrons % 2 != 0:
         raise ValueError("even electron count required")
     if n_electrons > n_qubits:
         raise ValueError("more electrons than spin orbitals")
-    theta, symbol = None, "X"
+    theta, y = None, False
     if kind == "hf_ground":
         qubits = range(n_electrons)
     elif kind == "homo_lumo_excited":
@@ -196,19 +190,19 @@ def prepare_initial(kind: str, n_qubits: int, n_electrons: int):
         occ = [q for q in range(n_electrons) if q not in (2 * homo, 2 * homo + 1)]
         qubits = sorted(occ + [2 * lumo, 2 * lumo + 1])
     elif kind == "half_occupied":
-        theta, symbol, qubits = math.pi / 2, "Y", range(n_qubits)
+        theta, y, qubits = math.pi / 2, True, range(n_qubits)
     else:
         raise ValueError(f"unknown initial state kind {kind!r}")
-    gates = [(theta, "I" * q + symbol + "I" * (n_qubits - 1 - q)) for q in qubits]
+    gates = [(theta, (1 << q, y << q)) for q in qubits]
     gs = GateSequence(gates=gates, n_qubits=n_qubits)
     return gs, run_sequence(gs, basis_state(0, n_qubits))
 
 
 def _apply_gate(psi, gate):
-    """Apply gate (theta, P) to a state or to every row of a (..., 2^n) batch:
+    """Apply gate (theta, (x, z)) to a state or to every row of a (..., 2^n) batch:
     cos(theta/2) psi - i sin(theta/2) P psi, or P psi when theta is None."""
-    theta, string = gate
-    perm, pv = _pauli_action(string)
+    theta, (x, z) = gate
+    perm, pv = _pauli_action(x, z, psi.shape[-1].bit_length() - 1)
     p_psi = (pv * psi).take(perm, axis=-1)
     if theta is None:
         return p_psi
@@ -360,15 +354,16 @@ def trotter_sequence(ph: PauliHamiltonian, t: float, order: int = 2,
     r is the total number of repetitions over the whole of [0, t], not a
     count per unit time: order 1 takes r steps of t/r, order 2 takes r
     symmetric (Strang) steps built from half-steps of t/(2r). For a fixed
-    step size on a time grid, scale r with t, or use trotter_evolve.
+    step size on a time grid, scale r with t, or use trotter_evolve.  A step
+    is one gate (2 c dt, (x, z)) per non-identity row, in row order.
     """
     _check_steps(order, r)
-    ident = "I" * ph.n_qubits
-    body = [(c, s) for c, s in ph.terms if s != ident]
+    body = (ph.x | ph.z) != 0
     phase = ph.identity_coefficient * t
 
     dt = t / (order * r)
-    fwd = [(2.0 * c * dt, s) for c, s in body]
+    fwd = [(2.0 * c * dt, (x, z)) for c, x, z in
+           zip(ph.coeffs[body].tolist(), ph.x[body].tolist(), ph.z[body].tolist())]
     cycle = fwd + fwd[::-1] if order == 2 else fwd
     return GateSequence(gates=cycle * r, n_qubits=ph.n_qubits, global_phase=phase)
 
@@ -578,8 +573,8 @@ class NoiseSpec:
 
 
 def _inverse_gate(gate):
-    theta, string = gate
-    return gate if theta is None else (-theta, string)
+    theta, xz = gate
+    return gate if theta is None else (-theta, xz)
 
 
 def fold_sequence(gs: GateSequence, scale: float) -> GateSequence:
@@ -598,7 +593,8 @@ def fold_sequence(gs: GateSequence, scale: float) -> GateSequence:
 
 
 def _gate_support(gate):
-    return [q for q, ch in enumerate(gate[1]) if ch != "I"]
+    mask = gate[1][0] | gate[1][1]
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
 
 
 def noisy_expectation(
@@ -619,11 +615,12 @@ def noisy_expectation(
     rng.random((K, G)) array for K trajectories and G folded gates (K x G x 8 B)
     marks the hits u < p, and one rng.integers(1, 4^k) call over the hits, in
     row-major (trajectory, gate) order, gives each its Pauli on the gate's
-    k-qubit support.  The folded circuit then runs once on a (K, 2^n) batch,
-    and after each gate every drawn Pauli string is applied to the rows that
-    drew it.  One rdm1 and one batched expval_O call measure the batch, so
-    mean and standard error equal a one-trajectory-at-a-time loop over the
-    same draws bit for bit.
+    k-qubit support: digit j, code >> 2j & 3, is the I, X, Y or Z on its j-th
+    qubit.  The folded circuit then runs once on a (K, 2^n) batch, and after
+    each gate every drawn Pauli's (x, z) is applied to the rows that drew it.
+    One rdm1 and one batched expval_O call measure the batch, so mean and
+    standard error equal a one-trajectory-at-a-time loop over the same draws
+    bit for bit.
 
     Memory: the batch and each per-gate temporary hold K x 2^n complex128
     values, 16 B each: 25.6 KB for 100 trajectories at 4 qubits, 8.2 MB for
@@ -634,23 +631,25 @@ def noisy_expectation(
     folded = fold_sequence(gs, ns.scale)
     rng = np.random.default_rng(seed)
     n = gs.n_qubits
-    # drawn[g] maps each Pauli string drawn after folded gate g to its rows.
+    # drawn[g] maps the (x, z) masks of each Pauli drawn after folded gate g to its rows.
     drawn = [{} for _ in folded.gates]
     supports = [_gate_support(gate) for gate in folded.gates]
     hit_rows, hit_gates = np.nonzero(rng.random((n_trajectories, len(supports))) < ns.p)
     codes = rng.integers(1, 4 ** np.array([len(sup) for sup in supports])[hit_gates])
     for k, g, code in zip(hit_rows.tolist(), hit_gates.tolist(), codes.tolist()):
-        s = ["I"] * n
+        x = z = 0
         for j, q in enumerate(supports[g]):
-            s[q] = _SYMBOLS[code >> 2 * j & 3]
-        drawn[g].setdefault("".join(s), []).append(k)
+            d = code >> 2 * j & 3  # 0, 1, 2, 3 = I, X, Y, Z
+            x |= (d in (1, 2)) << q
+            z |= (d > 1) << q
+        drawn[g].setdefault((x, z), []).append(k)
 
     psi = np.repeat(basis_state(0, n)[None, :], n_trajectories, axis=0)
     # No global phase: it cannot change a measured value.
     for gate, errors in zip(folded.gates, drawn):
         psi = _apply_gate(psi, gate)
-        for s, rows in errors.items():
-            psi[rows] = _apply_gate(psi[rows], (None, s))
+        for xz, rows in errors.items():
+            psi[rows] = _apply_gate(psi[rows], (None, xz))
 
     vals = expval_O(O, rdm1(psi))
     mean = float(vals.mean())

@@ -37,12 +37,19 @@ def pauli_matrix(terms, n_qubits):
     return H
 
 
+def pauli_masks(string):
+    """(x, z) int masks of a Pauli string, qubit 0 first: x on X and Y, z on Y and Z."""
+    if bad := set(string) - set("IXYZ"):
+        raise ValueError(f"bad Pauli symbols {sorted(bad)} in {string!r}")
+    return (sum(1 << q for q, ch in enumerate(string) if ch in "XY"),
+            sum(1 << q for q, ch in enumerate(string) if ch in "YZ"))
+
+
 def pauli_hamiltonian(terms, n_qubits):
     """PauliHamiltonian of a weighted Pauli-string sum [(coeff, string)], rows in that order."""
-    x = [sum(1 << q for q, ch in enumerate(s) if ch in "XY") for _, s in terms]
-    z = [sum(1 << q for q, ch in enumerate(s) if ch in "YZ") for _, s in terms]
-    return quantum_sim.PauliHamiltonian(np.array(x, dtype=np.int64), np.array(z, dtype=np.int64),
-                                        np.array([c for c, _ in terms], dtype=float), n_qubits)
+    x, z = np.array([pauli_masks(s) for _, s in terms], dtype=np.int64).reshape(-1, 2).T
+    return quantum_sim.PauliHamiltonian(x, z, np.array([c for c, _ in terms], dtype=float),
+                                        n_qubits)
 
 
 def hamiltonian_matrix(ph):

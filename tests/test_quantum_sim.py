@@ -8,11 +8,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfp import chem_io, embedding, fci, mean_field, pipeline, quantum_sim as qs
+from qfp import chem_io, embedding, fci, fingerprint_ml, mean_field, pipeline, quantum_sim as qs
 from qfp.quantum_sim import GateSequence, NoiseSpec, PauliHamiltonian
 
 from conftest import (PAULI_2X2, dmet_h2, h4_molecule, hamiltonian_matrix, kron_string,
-                      number_expectation, pauli_hamiltonian, pauli_matrix)
+                      number_expectation, pauli_hamiltonian, pauli_masks, pauli_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -30,13 +30,13 @@ def test_apply_pauli_matches_dense_matrix(s, seed):
     re, im = np.random.default_rng(seed).normal(size=(2, 1 << n))
     psi = re + 1j * im
     M = pauli_matrix([(1.0, s)], n)
-    gs = GateSequence(gates=[(None, s)], n_qubits=n)
+    gs = GateSequence(gates=[(None, pauli_masks(s))], n_qubits=n)
     assert np.allclose(qs.run_sequence(gs, psi), M @ psi, atol=1e-12)
     # Pauli strings are involutions with unit square
     assert np.allclose(M @ M, np.eye(1 << n), atol=1e-12)
 
 
-def test_pauli_hamiltonian_canonicalization(h2_pauli):
+def test_pauli_hamiltonian_canonicalization(h2_pauli, h4_pauli):
     # Masks qubit 0 at bit 0: x = 1, z = 0 is X on qubit 0, x = z = 2 is Y on qubit 1.
     ph = PauliHamiltonian(np.array([1, 0, 0, 2]), np.array([0, 2, 0, 2]),
                           np.array([0.5, -1.0, 2.0, 0.25]), n_qubits=2)
@@ -45,6 +45,13 @@ def test_pauli_hamiltonian_canonicalization(h2_pauli):
     # jordan_wigner sorts its strings with I < X < Y < Z, qubit 0 first.
     strings = [s for _, s in h2_pauli.terms]
     assert strings == sorted(strings) and len(set(strings)) == len(strings)
+    # Each string displays its row's masks, and a Lie step is one gate
+    # (2 c t, (x, z)) per non-identity row, in row order.
+    for ph in (h2_pauli, h4_pauli):
+        rows = list(zip(ph.coeffs.tolist(), ph.x.tolist(), ph.z.tolist()))
+        assert [pauli_masks(s) for _, s in ph.terms] == [(x, z) for _, x, z in rows]
+        assert qs.trotter_sequence(ph, 0.37, 1, 1).gates == [
+            (2 * c * 0.37, (x, z)) for c, x, z in rows if x | z]
 
 
 def test_jw_spectrum_matches_determinant_oracle_h2(h2_active, h2_pauli):
@@ -86,7 +93,7 @@ def test_prot_gate_is_pauli_rotation():
     U = scipy.linalg.expm(-0.5j * theta * M)
     psi = np.random.default_rng(3).normal(size=4) + 0j
     psi /= np.linalg.norm(psi)
-    seq = GateSequence(gates=[(theta, "XY")], n_qubits=2)
+    seq = GateSequence(gates=[(theta, pauli_masks("XY"))], n_qubits=2)
     assert np.allclose(qs.run_sequence(seq, psi), U @ psi, atol=1e-12)
 
 
@@ -429,8 +436,8 @@ def _exact_noisy_expectation(gs, O, p, scale):
     rho = np.zeros((1 << n, 1 << n), dtype=complex)
     rho[0, 0] = 1.0
     channels = {}
-    for gate in qs.fold_sequence(gs, scale).gates:
-        theta, string = gate
+    for theta, (x, z) in qs.fold_sequence(gs, scale).gates:
+        string = "".join("IXZY"[(x >> q & 1) + 2 * (z >> q & 1)] for q in range(n))
         support = [q for q, ch in enumerate(string) if ch != "I"]
         U = kron_string([PAULI_2X2[ch] for ch in string])
         if theta is not None:
@@ -481,7 +488,7 @@ def _scalar_noisy_expectation(gs, O, ns, n_trajectories, seed):
     folded = qs.fold_sequence(gs, ns.scale)
     rng = np.random.default_rng(seed)
     n = gs.n_qubits
-    supports = [qs._gate_support(gate) for gate in folded.gates]
+    supports = [[q for q in range(n) if (x | z) >> q & 1] for _, (x, z) in folded.gates]
     errors = {}
     if ns.p > 0:
         hits = np.argwhere(rng.random((n_trajectories, len(supports))) < ns.p)
@@ -491,7 +498,7 @@ def _scalar_noisy_expectation(gs, O, ns, n_trajectories, seed):
             for q in supports[g]:
                 s[q] = "IXYZ"[code % 4]
                 code //= 4
-            errors[k, g] = "".join(s)
+            errors[k, g] = pauli_masks("".join(s))
     vals = np.empty(n_trajectories)
     for k in range(n_trajectories):
         psi = qs.basis_state(0, n)
@@ -524,9 +531,9 @@ def test_noisy_expectation_matches_scalar_loop_bitwise(h2_pauli, h4_pauli, kind)
 
 def test_noisy_expectation_draws_uniform_non_identity_paulis(monkeypatch):
     # Every Pauli applied without an angle is a noise event: record its folded
-    # gate, its string and its row count.  Folding at scale 3 turns the two
-    # gates into six, three on a one-qubit and three on a two-qubit support.
-    gs = GateSequence(gates=[(0.3, "XI"), (0.7, "YZ")], n_qubits=2)
+    # gate, its (x, z) masks and its row count.  Folding at scale 3 turns the
+    # two gates into six, three on a one-qubit and three on a two-qubit support.
+    gs = GateSequence(gates=[(0.3, pauli_masks("XI")), (0.7, pauli_masks("YZ"))], n_qubits=2)
     K, p = 20000, 0.1
     events, folded = [], [-1]
     apply_gate = qs._apply_gate
@@ -551,12 +558,33 @@ def test_noisy_expectation_draws_uniform_non_identity_paulis(monkeypatch):
         for g, s, rows in events:
             if g in gates:
                 counts[s] = counts.get(s, 0) + rows
-        expected = {"".join(c) + "I" * (2 - support)
-                    for c in itertools.product("IXYZ", repeat=support)} - {"II"}
+        expected = {pauli_masks("".join(c) + "I" * (2 - support))
+                    for c in itertools.product("IXYZ", repeat=support)} - {(0, 0)}
         assert set(counts) == expected
         c = np.array(list(counts.values()))
         m, N = len(expected), c.sum()
         assert np.all(np.abs(c - N / m) < 4 * np.sqrt(N / m * (1 - 1 / m))), counts
+
+
+def test_run_time_path_reads_no_pauli_text(monkeypatch, h2_active):
+    # From jordan_wigner to a measured value every route reads the (x, z)
+    # masks: exact, Trotter and noisy Trotter fingerprints, and the DMET
+    # mu-fit's fragment count.
+    def terms(self):
+        raise AssertionError("Pauli strings built on the run-time path")
+
+    monkeypatch.setattr(PauliHamiltonian, "terms", property(terms))
+    grid = np.arange(0.5, 2.01, 0.5)
+    for evolver, noise in (({"kind": "exact"}, None),
+                           ({"kind": "trotter", "order": 2, "r": 2}, None),
+                           ({"kind": "trotter", "order": 2, "r": 1},
+                            {"p": 0.02, "scale": 3, "n_trajectories": 20})):
+        fp = fingerprint_ml.compute_fingerprint(h2_active, "hf_ground", grid,
+                                                evolver=evolver, noise=noise)
+        assert fp.values.shape == grid.shape
+    assert 0.0 < embedding.fragment_count_builder(_h4_dmet_cluster())(0.0) < 4.0
+    with pytest.raises(AssertionError, match="run-time path"):
+        qs.jordan_wigner(h2_active).terms
 
 
 def _apply_annihilation_reference(psi, mode):
