@@ -7,7 +7,7 @@ one-body measurement operator O that predicts best on the validation set.
 
 import numpy as np
 
-from qfp import chem_io, embedding, fingerprint_ml as ml, mean_field
+from qfp import chem_io, embedding, fingerprint_ml as ml, mean_field, quantum_sim as qs
 
 
 def dmet_h2(z):
@@ -33,7 +33,7 @@ rdms = np.real(np.stack([ml.rdm_trajectory(eh, "hf_ground", grid) for eh in hams
 
 def objective(vec):
     O = np.array([[vec[0], vec[2]], [vec[2], vec[1]]])
-    feats = ml.one_body_features(rdms, O)
+    feats = qs.expval_O(O, rdms)
     predict = ml.krr_fit(feats[tr], zs[tr], length_scale=1.0, ridge=1e-3)
     return float(np.mean((predict(feats[va]) - zs[va]) ** 2))
 

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from qfp import __version__, chem_io, fingerprint_ml, pipeline
+from qfp import __version__, chem_io, fingerprint_ml, pipeline, quantum_sim
 from qfp.pipeline import ConfigError, DataError, NumericalError, PipelineConfig
 
 
@@ -267,7 +267,7 @@ def cmd_optimize_measurement(args) -> int:
     # warning; gp_optimize rejects the non-finite value.
     @np.errstate(over="ignore", invalid="ignore")
     def objective(vec):
-        X = fingerprint_ml.one_body_features(trajs, symmetric(vec))
+        X = quantum_sim.expval_O(symmetric(vec), trajs)
         predict = fingerprint_ml.fit_model(cfg.model, X[tr], y[tr])
         return float(np.mean((predict(X[va]) - y[va]) ** 2))
 

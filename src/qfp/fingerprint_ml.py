@@ -112,11 +112,6 @@ def rdm_trajectory(eh: EmbeddedHamiltonian, initial_kind: str, time_grid,
     return quantum_sim.rdm1(states)
 
 
-def one_body_features(rdm_traj: np.ndarray, O: np.ndarray) -> np.ndarray:
-    """<O(t)> per molecule from cached density trajectories (n_mol, T, n, n)."""
-    return np.real(np.einsum("mtrs,rs->mt", rdm_traj, O, optimize=True))
-
-
 # ---------------------------------------------------------------------------
 # PLS regression (NIPALS)
 # ---------------------------------------------------------------------------

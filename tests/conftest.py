@@ -52,6 +52,21 @@ def pauli_hamiltonian(terms, n_qubits):
                                         n_qubits)
 
 
+def fold_sequence(gs, scale):
+    """Gate folding G -> G (G+ G)^k with k = (scale - 1) / 2, as physical copies.
+
+    quantum_sim.noisy_expectation merges the copies of a gate into one
+    rotation; the tests' references run them one by one.
+    """
+    k = (int(scale) - 1) // 2
+    gates = []
+    for theta, xz in gs.gates:
+        inverse = (None if theta is None else -theta, xz)
+        gates += [(theta, xz)] + [inverse, (theta, xz)] * k
+    return quantum_sim.GateSequence(gates=gates, n_qubits=gs.n_qubits,
+                                    global_phase=gs.global_phase)
+
+
 def hamiltonian_matrix(ph):
     """Dense matrix of a PauliHamiltonian."""
     return pauli_matrix(ph.terms, ph.n_qubits)

@@ -166,7 +166,7 @@ def test_criterion_7_measurement_optimization(h2_study):
 
     def objective(vec):
         O = np.array([[vec[0], vec[2]], [vec[2], vec[1]]])
-        X = ml.one_body_features(rdms, O)
+        X = qs.expval_O(O, rdms)
         predict = ml.krr_fit(X[tr], zs[tr], length_scale=1.0, ridge=1e-3)
         return float(np.mean((predict(X[va]) - zs[va]) ** 2))
 

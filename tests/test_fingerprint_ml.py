@@ -89,7 +89,7 @@ def test_rdm_trajectory_and_one_body_features(h2_active):
     traj = ml.rdm_trajectory(h2_active, "hf_ground", grid)
     assert traj.shape == (5, 2, 2)
     O = np.array([[0.4, -0.8], [-0.8, 0.8]])
-    feats = ml.one_body_features(np.real(traj)[None], O)
+    feats = qs.expval_O(O, np.real(traj)[None])
     fp = ml.compute_fingerprint(h2_active, "hf_ground", grid,
                                 observable={"kind": "O", "matrix": O})
     assert np.allclose(feats[0], fp.values, atol=1e-10)

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from qfp import chem_io, embedding, fci, fingerprint_ml, mean_field, pipeline, quantum_sim as qs
 from qfp.quantum_sim import GateSequence, NoiseSpec, PauliHamiltonian
 
-from conftest import (PAULI_2X2, dmet_h2, h4_molecule, hamiltonian_matrix, kron_string,
-                      number_expectation, pauli_hamiltonian, pauli_masks, pauli_matrix)
+from conftest import (PAULI_2X2, dmet_h2, fold_sequence, h4_molecule, hamiltonian_matrix,
+                      kron_string, number_expectation, pauli_hamiltonian, pauli_masks,
+                      pauli_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +343,13 @@ def test_rdm1_properties(h2_pauli):
     assert w.min() > -1e-10 and w.max() < 2 + 1e-10
 
 
+@pytest.mark.parametrize("length", [3, 6, 12, 24])
+def test_rdm1_rejects_length_not_a_power_of_two(length):
+    # 3 and 12 used to end in an IndexError, 6 and 24 in "odd qubit count".
+    with pytest.raises(ValueError, match="state length .* is not a power of two"):
+        qs.rdm1(np.ones(length))
+
+
 def test_expval_F_at_t0_matches_direct_sum(h2_active):
     _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
     rho = qs.rdm1(psi0)
@@ -392,11 +400,12 @@ def test_fold_sequence_preserves_unitary(h2_pauli):
     gs = qs.trotter_sequence(h2_pauli, 1.0, order=2, r=1)
     psi0 = qs.basis_state(3, 4)
     ref = qs.run_sequence(gs, psi0)
-    folded = qs.fold_sequence(gs, 3)
+    folded = fold_sequence(gs, 3)
     assert len(folded.gates) == 3 * len(gs.gates)
     assert np.allclose(qs.run_sequence(folded, psi0), ref, atol=1e-10)
-    with pytest.raises(ValueError):
-        qs.fold_sequence(gs, 2)  # even scales are not foldable
+    for scale in (2, 2.5):  # only odd integer scales fold
+        with pytest.raises(ValueError, match="odd integer"):
+            NoiseSpec(p=0.1, scale=scale)
 
 
 def test_noisy_expectation_zero_noise_matches_ideal(h2_active, h2_pauli):
@@ -404,7 +413,12 @@ def test_noisy_expectation_zero_noise_matches_ideal(h2_active, h2_pauli):
     circ = prep + qs.trotter_sequence(h2_pauli, 1.0, order=2, r=1)
     O = h2_active.h_eff
     ideal = qs.expval_O(O, qs.rdm1(qs.run_sequence(circ, qs.basis_state(0, 4))))
-    mean, err = qs.noisy_expectation(circ, O, NoiseSpec(p=0.0), 5, seed=0)
+    # Without noise every frame is the identity, and the folded copies of a
+    # rotation merge into the gate itself: every scale gives the same bits.
+    got = [qs.noisy_expectation(circ, O, NoiseSpec(p=0.0, scale=scale), 5, seed=0)
+           for scale in (1, 3, 5)]
+    assert got[0] == got[1] == got[2], got
+    mean, err = got[0]
     assert mean == pytest.approx(ideal, abs=1e-12)
     assert err == pytest.approx(0.0, abs=1e-12)
 
@@ -436,7 +450,7 @@ def _exact_noisy_expectation(gs, O, p, scale):
     rho = np.zeros((1 << n, 1 << n), dtype=complex)
     rho[0, 0] = 1.0
     channels = {}
-    for theta, (x, z) in qs.fold_sequence(gs, scale).gates:
+    for theta, (x, z) in fold_sequence(gs, scale).gates:
         string = "".join("IXZY"[(x >> q & 1) + 2 * (z >> q & 1)] for q in range(n))
         support = [q for q, ch in enumerate(string) if ch != "I"]
         U = kron_string([PAULI_2X2[ch] for ch in string])
@@ -458,11 +472,11 @@ def _exact_noisy_expectation(gs, O, p, scale):
     return float(np.real(np.trace(rho @ O)))
 
 
-@pytest.mark.parametrize("scale", [1, 3])
+@pytest.mark.parametrize("scale", [1, 3, 5])
 def test_noisy_expectation_matches_density_matrix_oracle(h2_pauli, scale):
-    # O is the LUMO occupation.  p = 0.05 moves it 25 (scale 1) and 39 (scale 3)
-    # standard errors from the ideal value; a Pauli on only the first support
-    # qubit misses by 30 and 24.  The oracle's Fock-space O comes from the
+    # O is the LUMO occupation.  p = 0.05 moves it 25, 39 and 41 standard
+    # errors from the ideal value at scales 1, 3 and 5; a Pauli on only the
+    # first support qubit misses by 30 and 24 at scales 1 and 3.  The oracle's Fock-space O comes from the
     # determinant-basis fci module, not from the Jordan-Wigner route.
     prep, _ = qs.prepare_initial("hf_ground", 4, 2)
     circ = prep + qs.trotter_sequence(h2_pauli, 1.0, order=2, r=1)
@@ -481,11 +495,12 @@ def _scalar_noisy_expectation(gs, O, ns, n_trajectories, seed):
     It draws the noise events in noisy_expectation's order: one
     rng.random((K, G)) array whose entries below p mark the hits, then one
     rng.integers(1, 4^k) call giving each hit, in row-major order, its Pauli
-    code on the gate's k-qubit support.  Each trajectory then runs gate by
-    gate with its own Paulis, and each final state is measured with its own
-    rdm1 and expval_O.
+    code on the gate's k-qubit support.  Each trajectory then runs the
+    physically folded circuit gate by gate, applying each drawn Pauli after
+    its gate, and each final state is measured with its own rdm1 and
+    expval_O.
     """
-    folded = qs.fold_sequence(gs, ns.scale)
+    folded = fold_sequence(gs, ns.scale)
     rng = np.random.default_rng(seed)
     n = gs.n_qubits
     supports = [[q for q in range(n) if (x | z) >> q & 1] for _, (x, z) in folded.gates]
@@ -514,50 +529,70 @@ def _scalar_noisy_expectation(gs, O, ns, n_trajectories, seed):
 
 
 @pytest.mark.parametrize("kind", ["hf_ground", "homo_lumo_excited", "half_occupied"])
-def test_noisy_expectation_matches_scalar_loop_bitwise(h2_pauli, h4_pauli, kind):
-    for ph, n_electrons in ((h2_pauli, 2), (h4_pauli, 4)):
+def test_noisy_expectation_matches_scalar_loop_bitwise(monkeypatch, h2_pauli, h4_pauli, kind):
+    # rdm1 records the states it measures: the batch, then the loop's states.
+    states = []
+    rdm1 = qs.rdm1
+    monkeypatch.setattr(qs, "rdm1", lambda psi: states.append(psi) or rdm1(psi))
+    # The second circuit repeats the prep gates after the evolution, so that a
+    # bare X gate can meet a frame that anticommutes with it.
+    for ph, n_electrons, repeat in ((h2_pauli, 2, False), (h4_pauli, 4, False),
+                                    (h4_pauli, 4, True)):
         prep, _ = qs.prepare_initial(kind, ph.n_qubits, n_electrons)
         circ = prep + qs.trotter_sequence(ph, 1.0, order=2, r=1)
+        if repeat:
+            circ = circ + prep
         n = ph.n_qubits // 2
         O = np.diag(np.arange(1.0, n + 1)) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1))
         for scale in (1, 3, 5):
             for p in (0.0, 0.1):
                 for n_traj in (1, 12):
                     ns = NoiseSpec(p=p, scale=scale)
+                    states.clear()
                     got = qs.noisy_expectation(circ, O, ns, n_traj, seed=scale + 7)
                     ref = _scalar_noisy_expectation(circ, O, ns, n_traj, scale + 7)
-                    assert got == ref, (ph.n_qubits, scale, p, n_traj)
+                    if scale == 1:
+                        assert got == ref, (ph.n_qubits, p, n_traj)
+                        # Each frame carries its phase: the final states
+                        # themselves are the loop's, not just their rdm1.
+                        assert np.array_equal(states[0], states[1:]), (ph.n_qubits, p, n_traj)
+                    else:
+                        # Merged folds apply G where the copies G G+ G give G
+                        # up to round-off.
+                        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12, (
+                            ph.n_qubits, scale, p, n_traj, got, ref)
 
 
 def test_noisy_expectation_draws_uniform_non_identity_paulis(monkeypatch):
-    # Every Pauli applied without an angle is a noise event: record its folded
-    # gate, its (x, z) masks and its row count.  Folding at scale 3 turns the
-    # two gates into six, three on a one-qubit and three on a two-qubit support.
+    # Record the noise draw: the (x, z) masks of the Pauli drawn after each
+    # folded gate in each trajectory, (0, 0) where none was.  Folding at scale
+    # 3 turns the two gates into six, three on a one-qubit and three on a
+    # two-qubit support.
     gs = GateSequence(gates=[(0.3, pauli_masks("XI")), (0.7, pauli_masks("YZ"))], n_qubits=2)
     K, p = 20000, 0.1
-    events, folded = [], [-1]
-    apply_gate = qs._apply_gate
+    draws = []
+    draw_errors = qs._draw_errors
 
-    def spy(psi, gate):
-        if gate[0] is None:
-            events.append((folded[0], gate[1], len(psi)))
-        else:
-            folded[0] += 1
-        return apply_gate(psi, gate)
+    def spy(*args):
+        draws.append(draw_errors(*args))
+        return draws[-1]
 
-    monkeypatch.setattr(qs, "_apply_gate", spy)
+    monkeypatch.setattr(qs, "_draw_errors", spy)
     qs.noisy_expectation(gs, np.eye(1), NoiseSpec(p=p, scale=3), K, seed=11)
-    assert folded[0] == 5
+    [(ex, ez)] = draws
+    assert ex.shape == ez.shape == (K, 6)
+    drawn = (ex | ez) != 0
     # Hits per folded gate are Binomial(K, p): each within 4 sigma of K p.
-    hits = np.bincount([g for g, _, _ in events], [rows for _, _, rows in events], 6)
+    hits = drawn.sum(axis=0)
     assert np.all(np.abs(hits - K * p) < 4 * np.sqrt(K * p * (1 - p))), hits
     # Given a hit, the Pauli is uniform over the 4^k - 1 non-identity strings
     # on the support: every one is drawn, each count within 4 sigma of N / m.
     for gates, support in ((range(3), 1), (range(3, 6), 2)):
+        cols = list(gates)
+        hit = drawn[:, cols]
         counts = {}
-        for g, s, rows in events:
-            if g in gates:
-                counts[s] = counts.get(s, 0) + rows
+        for s in zip(ex[:, cols][hit].tolist(), ez[:, cols][hit].tolist()):
+            counts[s] = counts.get(s, 0) + 1
         expected = {pauli_masks("".join(c) + "I" * (2 - support))
                     for c in itertools.product("IXYZ", repeat=support)} - {(0, 0)}
         assert set(counts) == expected
