@@ -21,7 +21,7 @@ print(f"circuit: {len(circuit.gates)} gates on {circuit.n_qubits} qubits")
 
 O = np.array([[0.4, -0.8], [-0.8, 0.8]])
 ideal_state = qs.run_sequence(circuit, qs.basis_state(0, circuit.n_qubits))
-ideal = qs.expval_O(O, qs.rdm1(ideal_state))
+ideal = qs.expval_O(O, qs.rdm1(ideal_state, np.arange(ideal_state.size), circuit.n_qubits))
 print(f"ideal <O> = {ideal:+.6f}")
 
 points = {}

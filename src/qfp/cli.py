@@ -58,6 +58,17 @@ def _load_table(read, path: str):
         raise DataError(str(exc)) from exc
 
 
+def _cross_validate(X, y, spec: dict, k: int, seed: int, ids) -> dict:
+    """kfold_cv's report; NumericalError for a singular fit or an R2 or RMSE that is not finite."""
+    try:
+        report = fingerprint_ml.kfold_cv(X, y, spec, k=k, seed=seed, ids=ids)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(str(exc)) from exc
+    if not (math.isfinite(report["r2"]) and math.isfinite(report["rmse"])):
+        raise NumericalError("cross-validation gave a non-finite R2 or RMSE")
+    return report
+
+
 def _align_targets(ids, targets: dict) -> np.ndarray:
     missing = [i for i in ids if i not in targets]
     extra = sorted(set(targets) - set(ids))
@@ -108,14 +119,9 @@ def cmd_train(args) -> int:
     ids, grid, X = _load_table(chem_io.load_features, args.features)
     y = _align_targets(ids, _load_table(_read_targets, args.targets))
     try:
-        report = fingerprint_ml.kfold_cv(X, y, spec, k=args.folds,
-                                         seed=args.seed, ids=ids)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(str(exc)) from exc
+        report = _cross_validate(X, y, spec, args.folds, args.seed, ids)
     except ValueError as exc:  # more folds than molecules, or PLS components than a fold has
         raise ConfigError(f"{exc} (--folds {args.folds}, {len(ids)} molecules)") from exc
-    if not (math.isfinite(report["r2"]) and math.isfinite(report["rmse"])):
-        raise NumericalError("cross-validation gave a non-finite R2 or RMSE")
     pipeline.make_out_dir(args.out)
     _write_json(report, os.path.join(args.out, "cv_report.json"))
     pred = {i: p for fold in report["folds"]
@@ -179,8 +185,7 @@ def cmd_sweep(args) -> int:
     for value, sub in zip(args.values, subs):
         try:
             X = pipeline.run_fingerprints(sub, entries)
-            report = fingerprint_ml.kfold_cv(
-                X, y, sub.model, k=sub.cv["k"], seed=sub.cv.get("seed", 0), ids=ids)
+            report = _cross_validate(X, y, sub.model, sub.cv["k"], sub.cv.get("seed", 0), ids)
             _write_json(report, os.path.join(args.out, f"cv_report_{args.axis}_{value}.json"))
             rows.append((value, report["r2"], report["rmse"]))
         except ConfigError:

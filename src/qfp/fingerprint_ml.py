@@ -104,12 +104,12 @@ def rdm_trajectory(eh: EmbeddedHamiltonian, initial_kind: str, time_grid,
     _, psi0 = quantum_sim.prepare_initial(initial_kind, ph.n_qubits, eh.n_active_electrons)
     kind = evolver.get("kind", "exact")
     if kind == "exact":
-        states = quantum_sim.ExactEvolver(ph).evolve(psi0, time_grid)
+        idx, states = quantum_sim.ExactEvolver(ph).evolve(psi0, time_grid)
     elif kind == "trotter":
-        states = quantum_sim.trotter_evolve(ph, psi0, time_grid, *_trotter_steps(evolver))
+        idx, states = quantum_sim.trotter_evolve(ph, psi0, time_grid, *_trotter_steps(evolver))
     else:
         raise ValueError(f"unknown evolver kind {kind!r}")
-    return quantum_sim.rdm1(states)
+    return quantum_sim.rdm1(states, idx, ph.n_qubits)
 
 
 # ---------------------------------------------------------------------------

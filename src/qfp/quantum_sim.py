@@ -277,17 +277,19 @@ def _group_values(groups, sector: np.ndarray, idx: np.ndarray):
         yield x, np.where(inside, f, 0.0), src
 
 
-def _state_and_times(psi0, n_qubits: int, times):
-    """(psi0 as complex, times as floats); ValueError for a state that is not
-    2^n_qubits long, or naming the first time that is not finite."""
+def _sector_start(psi0, sector: np.ndarray, times):
+    """(idx, psi0[idx], times as floats), idx the sorted basis indices of the sectors
+    where psi0 is nonzero; ValueError for a state that is not sector.size long,
+    or naming the first time that is not finite."""
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (1 << n_qubits,):
+    if psi0.shape != sector.shape:
         raise ValueError("state dimension does not match Hamiltonian qubit count")
     times = np.asarray(times, dtype=float)
     bad = times[~np.isfinite(times)]
     if bad.size:
         raise ValueError(f"time {bad[0]} is not finite")
-    return psi0, times
+    idx = np.flatnonzero(np.isin(sector, sector[psi0 != 0]))
+    return idx, psi0[idx], times
 
 
 def _check_steps(order: int, r: int) -> None:
@@ -304,18 +306,17 @@ class ExactEvolver:
     N_alpha counts the set bits on even qubits and N_beta those on odd ones;
     a Jordan-Wigner molecular Hamiltonian conserves both.  The terms' masks
     are grouped by x mask (_compile_groups), and sector_matrix builds a
-    block from f_x on that sector's indices only (_group_values).  It
-    raises ValueError if H has an odd-Y string (_compile_groups) or if a group maps
-    an index out of the sector (H couples sectors).  Each evolve call builds and diagonalizes the block of every
-    sector where the state has amplitude.  Memory: d^2 per sector block, 8 B
-    per element, e.g. d = 100 for (4e,5o) at 10 qubits; no 2^n x 2^n matrix
-    is formed.
+    block from f_x on that sector's indices only (_group_values).  It raises
+    ValueError if H has an odd-Y string (_compile_groups) or if a group maps
+    an index out of the sector (H couples sectors).  Each evolve call builds
+    and diagonalizes the block of every sector where the state has
+    amplitude.  Memory: d^2 per sector block, 8 B per element, e.g. d = 100
+    for (4e,5o) at 10 qubits; no 2^n x 2^n matrix is formed.
     """
 
     def __init__(self, ph: PauliHamiltonian):
         if ph.n_qubits > 16:
             raise ValueError("dense evolution capped at 16 qubits")
-        self.n_qubits = ph.n_qubits
         self._groups = _compile_groups(ph)
         self._sector = _sector_labels(ph.n_qubits)
 
@@ -329,22 +330,24 @@ class ExactEvolver:
             H[src, cols] += f
         return idx, H
 
-    def evolve(self, psi0: np.ndarray, t) -> np.ndarray:
-        """exp(-iHt) psi0 for a time t, or a (T, 2^n) batch for a 1-D grid of T times.
-
-        Only the sectors where psi0 is nonzero are built and propagated.  Row
-        k of a batch equals evolve(psi0, times[k]) up to the summation order
-        of one matrix product per sector (round-off, ~1e-16).  A time that
-        is not finite raises ValueError.
+    def evolve(self, psi0: np.ndarray, t):
+        """(idx, states): exp(-iHt) psi0 for a time t, (d,), or a 1-D grid of T
+        times, (T, d), on the sorted basis indices idx of the sectors where psi0
+        is nonzero, which alone are built and propagated; every state is zero
+        off idx.  Row k of a batch equals evolve(psi0, times[k]) up to the
+        summation order of one matrix product per sector (round-off, ~1e-16).
+        A time that is not finite raises ValueError.
         """
-        psi0, times = _state_and_times(psi0, self.n_qubits, t)
-        out = np.zeros((times.size, psi0.size), dtype=complex)
-        for key in sorted(set(self._sector[psi0 != 0].tolist())):
-            idx, H = self.sector_matrix(np.argmax(self._sector == key))
+        idx, psi0, times = _sector_start(psi0, self._sector, t)
+        labels = self._sector[idx]
+        out = np.zeros((times.size, idx.size), dtype=complex)
+        for key in sorted(set(labels.tolist())):
+            pos = np.flatnonzero(labels == key)
+            _, H = self.sector_matrix(idx[pos[0]])
             w, V = np.linalg.eigh(H)
-            c = V.T @ psi0[idx]
-            out[:, idx] = (np.exp(-1j * np.outer(times, w)) * c) @ V.T
-        return out.reshape(times.shape + psi0.shape)
+            c = V.T @ psi0[pos]
+            out[:, pos] = (np.exp(-1j * np.outer(times, w)) * c) @ V.T
+        return idx, out.reshape(times.shape + idx.shape)
 
 
 def trotter_sequence(ph: PauliHamiltonian, t: float, order: int = 2,
@@ -404,8 +407,9 @@ def _step_rows(B, steps, r: int):
 
 
 def trotter_evolve(ph: PauliHamiltonian, psi0: np.ndarray, times, order: int = 2,
-                   r: int = 1) -> np.ndarray:
-    """Stroboscopic product-formula states: row k of the (T, 2^n) result is psi(times[k]).
+                   r: int = 1):
+    """Stroboscopic product-formula states (idx, states), as ExactEvolver.evolve
+    gives them: row k of the (T, d) states is psi(times[k]) on the indices idx.
 
     psi goes from 0 to times[0], then from each grid time to the next, by r
     steps of that interval's own length: Lie steps (order 1) or symmetric
@@ -416,7 +420,7 @@ def trotter_evolve(ph: PauliHamiltonian, psi0: np.ndarray, times, order: int = 2
     reordered by group and the identity folded into the Z-only group.  With
     f = f_x(b) real, a group step is cos(theta f) psi - i sin(theta f)
     psi[b ^ x], and the Z-only group is one phase multiply.  Only the basis
-    indices of the (N_alpha, N_beta) sectors where psi0 is nonzero are
+    indices idx of the (N_alpha, N_beta) sectors where psi0 is nonzero are
     stepped, all of them together: d of them.
 
     Each distinct interval length takes one of two routes, chosen by
@@ -428,20 +432,18 @@ def trotter_evolve(ph: PauliHamiltonian, psi0: np.ndarray, times, order: int = 2
     interval is then one vector-matrix product.  A length used once is
     always stepped.  The two routes differ by round-off.  Raises ValueError
     for a time that is not finite, a Hamiltonian that is not real
-    (_compile_groups) or one that couples sectors.  Memory: the T x 2^n complex128 result, 16 B per
-    value (119 KB for 29 times at 8 qubits), and d^2 complex values per
+    (_compile_groups) or one that couples sectors.  Memory: the T x d states,
+    16 B per value (2.3 MB for 29 times at d = 4,900), and d^2 values per
     distinct length that builds a propagator (21 KB at d = 36); each such
     length serves more than (C + d^2) / (C + d) intervals, so all of them
     together hold fewer than T * (C + d) values.
     """
     _check_steps(order, r)
-    psi0, times = _state_and_times(psi0, ph.n_qubits, times)
+    sector = _sector_labels(ph.n_qubits)
+    idx, psi, times = _sector_start(psi0, sector, times)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D grid")
-    groups = _compile_groups(ph)
-    sector = _sector_labels(ph.n_qubits)
-    idx = np.flatnonzero(np.isin(sector, sector[psi0 != 0]))
-    acts = list(_group_values(groups, sector, idx))
+    acts = list(_group_values(_compile_groups(ph), sector, idx))
 
     def step(h):
         theta = h / (order * r)
@@ -452,8 +454,7 @@ def trotter_evolve(ph: PauliHamiltonian, psi0: np.ndarray, times, order: int = 2
     lengths = np.diff(times, prepend=0.0).tolist()
     uses = collections.Counter(lengths)
     steps, props = {}, {}
-    out = np.zeros((times.size, psi0.size), dtype=complex)
-    psi = psi0[idx]
+    out = np.zeros((times.size, idx.size), dtype=complex)
     for k, h in enumerate(lengths):
         if h:
             if h not in steps:
@@ -462,35 +463,30 @@ def trotter_evolve(ph: PauliHamiltonian, psi0: np.ndarray, times, order: int = 2
                     # Row j becomes U e_j, so psi @ props[h] is U psi.
                     props[h] = _step_rows(np.eye(idx.size, dtype=complex), steps[h], r)
             psi = psi @ props[h] if h in props else _step_rows(psi, steps[h], r)
-        out[k, idx] = psi
-    return out
+        out[k] = psi
+    return idx, out
 
 
 # ---------------------------------------------------------------------------
 # Observables
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _lowering_table(n_qubits: int):
-    """(dst, src, sign) with (a_P psi)[d] = sign * psi[src] for every mode P at once.
+def _lowering_table(idx: np.ndarray, n_qubits: int):
+    """(dst, src, sign, width): (a_P psi)[j] = sign * psi[src] for every mode P at once.
 
-    For mode P, src are the indices with mode P occupied, d = src with it
-    cleared, stored in dst as the flat position P * 2^n + d in the
-    (n_qubits, 2^n) array of the states a_P psi, and sign is the
-    Jordan-Wigner parity of the modes below P, as int64.  Built once per qubit count; the arrays are
-    read-only because every caller shares them.
+    For amplitudes psi on the sorted basis indices idx and mode P, src are the
+    positions of the indices with P occupied.  Each of them with P cleared is
+    at position j of the sorted union of idx and all such images, width long,
+    and dst holds P * width + j, its place in the (n_qubits, width) array of
+    the a_P psi.  sign is the int64 Jordan-Wigner parity of the modes below P.
     """
-    dim = 1 << n_qubits
-    b = np.arange(dim)
-    parts = []
-    for mode in range(n_qubits):
-        bit = 1 << mode
-        src = b[(b & bit) != 0]
-        parts.append((mode * dim + (src ^ bit), src, _parity_vector(bit - 1, n_qubits)[src]))
-    table = tuple(np.concatenate(a) for a in zip(*parts))
-    for a in table:
-        a.flags.writeable = False
-    return table
+    bits = np.int64(1) << np.arange(n_qubits)
+    src, mode = np.nonzero(idx[:, None] & bits)
+    lowered = idx[src] ^ bits[mode]
+    # A plain np.unique would import numpy.ma (10-16 ms); return_inverse does not.
+    union, pos = np.unique(np.concatenate([idx, lowered]), return_inverse=True)
+    sign = 1 - 2 * (np.bitwise_count(lowered & (bits[mode] - 1)) & 1).astype(np.int64)
+    return mode * union.size + pos[idx.size:], src, sign, union.size
 
 
 # Values of a_P psi held at once, 256 KB: a fresh array much larger than this
@@ -499,39 +495,39 @@ def _lowering_table(n_qubits: int):
 _RDM1_CHUNK = 1 << 14
 
 
-def rdm1(psi: np.ndarray) -> np.ndarray:
+def rdm1(psi: np.ndarray, idx, n_qubits: int) -> np.ndarray:
     """Spin-summed spatial one-body density matrix rho_rs = sum <a+_s a_r>.
 
-    psi is one state (2^n,) or a batch (..., 2^n), giving (n, n) or (..., n, n).
-    One gather builds every a_P psi of a chunk of rows, and one batched
-    inner product per spin gives that spin's block.  np.vecdot takes each
-    element as the BLAS dot product np.vdot takes, so each row's matrix
-    equals that of the row alone, bit for bit.  Chunks hold at most
-    _RDM1_CHUNK values of a_P psi, or one row (16 MB at 16 qubits).
+    psi is one state (d,) or a batch (..., d) of amplitudes on the sorted basis
+    indices idx of n_qubits = 2n qubits, zero elsewhere, as the evolvers give
+    them (a statevector has idx = np.arange(2^2n)); the result is (n, n) or
+    (..., n, n).  One gather builds every a_P psi of a chunk of rows, and one
+    batched inner product per spin gives its block.  np.vecdot takes each
+    element as the BLAS dot product np.vdot takes, so each row's matrix equals
+    that of the row alone, bit for bit.  Chunks hold at most _RDM1_CHUNK
+    values of a_P psi, or one row of n_qubits x width (3.3 MB for the 4,900
+    indices of the (4,4) sector at 16 qubits, width 12,740).
     """
-    psi = np.asarray(psi)
-    dim = psi.shape[-1]
-    m = dim.bit_length() - 1
-    if dim < 1 or dim != 1 << m:
-        raise ValueError(f"state length {dim} is not a power of two")
-    if m % 2 != 0:
+    psi, idx = np.asarray(psi), np.asarray(idx)
+    if psi.shape[-1:] != idx.shape:
+        raise ValueError(f"amplitudes of shape {psi.shape} do not match {idx.size} basis indices")
+    if n_qubits % 2 != 0:
         raise ValueError("odd qubit count; interleaved spin convention violated")
-    n = m // 2
-    dst, src, sign = _lowering_table(m)
-    rows = psi.reshape(-1, dim)
-    rho = np.zeros((len(rows), n, n), dtype=complex)
-    chunk = max(1, _RDM1_CHUNK // (m * dim))
+    dst, src, sign, width = _lowering_table(idx, n_qubits)
+    rows = psi.reshape(-1, idx.size)
+    rho = np.zeros((len(rows), n_qubits // 2, n_qubits // 2), dtype=complex)
+    chunk = max(1, _RDM1_CHUNK // (n_qubits * width))
     for lo in range(0, len(rows), chunk):
         block = rows[lo:lo + chunk]
-        lowered = np.zeros((len(block), m * dim), dtype=complex)
-        lowered[:, dst] = sign * block[:, src]
-        lowered = lowered.reshape(-1, m, dim)
+        lowered = np.zeros((len(block), n_qubits, width), dtype=complex)
+        # The reshape of a fresh array is a view: the scatter fills lowered.
+        lowered.reshape(len(block), -1)[:, dst] = sign * block[:, src]
         for sp in range(2):
             a = lowered[:, sp::2]
             rho[lo:lo + chunk] += np.vecdot(a[:, None], a[:, :, None])
     if np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) > 1e-10:
         raise ValueError("one-body density matrix not Hermitian")
-    return rho.reshape(psi.shape[:-1] + (n, n))
+    return rho.reshape(psi.shape[:-1] + rho.shape[1:])
 
 
 # Entries near 1e308 overflow the products to inf or nan without a warning;
@@ -639,7 +635,7 @@ def noisy_expectation(gs: GateSequence, O: np.ndarray, ns: NoiseSpec,
     units = np.array([1, 1j, -1, -1j])[(e[:, None] + 2 * np.bitwise_count(b & fz)) % 4]
     psi = np.take_along_axis(units * psi, b ^ fx, axis=1)
 
-    vals = expval_O(O, rdm1(psi))
+    vals = expval_O(O, rdm1(psi, b, n))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(K)) if K > 1 else 0.0
 
 

@@ -67,6 +67,14 @@ def fold_sequence(gs, scale):
                                     global_phase=gs.global_phase)
 
 
+def full_width(idx, states, n_qubits):
+    """An evolver's (idx, states) as (..., 2^n) statevectors: each state's
+    amplitudes scattered to its basis indices idx, zero elsewhere."""
+    out = np.zeros(np.shape(states)[:-1] + (1 << n_qubits,), dtype=complex)
+    out[..., idx] = states
+    return out
+
+
 def hamiltonian_matrix(ph):
     """Dense matrix of a PauliHamiltonian."""
     return pauli_matrix(ph.terms, ph.n_qubits)

@@ -10,10 +10,11 @@ import pytest
 from qfp import chem_io, embedding, fci, fingerprint_ml as ml, mean_field, quantum_sim as qs
 
 import conftest
-from conftest import (FIXTURES, dmet_h2, h2_molecule, h4_molecule, hamiltonian_matrix,
-                      number_expectation)
+from conftest import (FIXTURES, dmet_h2, full_width, h2_molecule, h4_molecule,
+                      hamiltonian_matrix, number_expectation)
 
 O_REF = np.array([[0.4, -0.8], [-0.8, 0.8]])
+FULL_4 = np.arange(16)  # every basis index of 4 qubits: rdm1 of a statevector
 
 
 def check(num, desc, ok, detail=""):
@@ -86,7 +87,7 @@ def test_criterion_3_conservation_suite(h2_active):
         n0 = number_expectation(psi0)
         e0 = np.vdot(psi0, Hm @ psi0).real
         for t in grid:
-            psi = ev.evolve(psi0, t)
+            psi = full_width(*ev.evolve(psi0, t), 4)
             worst = max(worst,
                         abs(np.linalg.norm(psi) - norm0),
                         abs(number_expectation(psi) - n0),
@@ -99,7 +100,7 @@ def test_criterion_4_trotter_scaling():
     eh = dmet_h2(1.4)
     H = qs.jordan_wigner(eh)
     _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
-    exact = qs.ExactEvolver(H).evolve(psi0, 4.0)
+    exact = full_width(*qs.ExactEvolver(H).evolve(psi0, 4.0), 4)
     ratios = {}
     for order in (1, 2):
         errs = {r: np.linalg.norm(
@@ -131,11 +132,12 @@ def test_criterion_5_trajectory_reproduction():
         vals_r1 = []
         for k, t in enumerate(grid):
             n_intervals = max(k, 1)  # at t=0 any r gives the identity
-            exact_val = qs.expval_O(O_REF, qs.rdm1(ev.evolve(psi0, t)))
+            idx, psi = ev.evolve(psi0, t)
+            exact_val = qs.expval_O(O_REF, qs.rdm1(psi, idx, 4))
             r2_val = qs.expval_O(O_REF, qs.rdm1(qs.run_sequence(
-                qs.trotter_sequence(H, t, order=2, r=2 * n_intervals), psi0)))
+                qs.trotter_sequence(H, t, order=2, r=2 * n_intervals), psi0), FULL_4, 4))
             vals_r1.append(qs.expval_O(O_REF, qs.rdm1(qs.run_sequence(
-                qs.trotter_sequence(H, t, order=2, r=n_intervals), psi0))))
+                qs.trotter_sequence(H, t, order=2, r=n_intervals), psi0), FULL_4, 4)))
             max_err_r2 = max(max_err_r2, abs(r2_val - exact_val))
         trajs_r1[z] = np.array(vals_r1)
     separation = np.max(np.abs(trajs_r1[1.2] - trajs_r1[2.0]))
@@ -229,7 +231,7 @@ def test_criterion_9_zne_efficacy(h2_active):
     H = qs.jordan_wigner(h2_active)
     prep, _ = qs.prepare_initial("hf_ground", 4, 2)
     circ = prep + qs.trotter_sequence(H, 1.0, order=2, r=1)
-    ideal = qs.expval_O(O_REF, qs.rdm1(qs.run_sequence(circ, qs.basis_state(0, 4))))
+    ideal = qs.expval_O(O_REF, qs.rdm1(qs.run_sequence(circ, qs.basis_state(0, 4)), FULL_4, 4))
     wins = 0
     for seed in range(50):
         pts = {}

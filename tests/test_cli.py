@@ -233,6 +233,34 @@ def test_sweep_isolates_per_value_failures(h2_dataset):
     assert list(prov["args"]["errors"]) == ["4"]
 
 
+def test_sweep_records_a_non_finite_cv_score(h2_dataset, capsys):
+    # Features near 2e200 overflow the KRR kernel's squared distances, so every
+    # out-of-fold prediction is NaN.  train rejects that report with exit 4;
+    # sweep records each value as failed, with a nan row, and writes no NaN.
+    overflow = {"kind": "O", "matrix": [[1e200, 0], [0, 1e200]]}
+    cfg = write_config(h2_dataset, observable=overflow,
+                       time_grid={"start": 0, "stop": 4, "step": 0.5})
+    out = h2_dataset / "overflow"
+    assert run("sweep", "--config", cfg, "--axis", "time_max", "--values", "2", "4",
+               "--out", str(out)) == 0
+    assert "(2 failed)" in capsys.readouterr().out
+    message = "cross-validation gave a non-finite R2 or RMSE"
+    prov = json.loads((out / "provenance.json").read_text())
+    assert prov["args"]["errors"] == {"2": message, "4": message}
+    assert (out / "summary.csv").read_text().splitlines()[1:] == ["2,nan,nan", "4,nan,nan"]
+
+    def reject(name):
+        raise AssertionError(f"{name} in a JSON file")
+
+    assert [json.loads(p.read_text(), parse_constant=reject) and p.name
+            for p in out.glob("*.json")] == ["provenance.json"]
+    assert run("fingerprint", "--config", cfg, "--out", str(h2_dataset / "fp")) == 0
+    assert run("train", "--features", str(h2_dataset / "fp" / "features.csv"),
+               "--targets", str(h2_dataset / "data" / "targets.csv"), "--model", "krr",
+               "--folds", "3", "--out", str(h2_dataset / "train")) == 4
+    assert message in capsys.readouterr().err
+
+
 def test_cluster_three_blobs(tmp_path):
     rng = np.random.default_rng(0)
     T = 16

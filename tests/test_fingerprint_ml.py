@@ -32,7 +32,7 @@ def test_compute_fingerprint_grid_shape(h2_active):
 def test_fingerprint_t0_value(h2_active):
     fp = ml.compute_fingerprint(h2_active, "hf_ground", [0.0])
     _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
-    expected = qs.expval_O(h2_active.h_eff, qs.rdm1(psi0))
+    expected = qs.expval_O(h2_active.h_eff, qs.rdm1(psi0, np.arange(16), 4))
     assert fp.values[0] == pytest.approx(expected, abs=1e-12)
 
 

@@ -5,15 +5,17 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfp import chem_io, embedding, fci, fingerprint_ml, mean_field, pipeline, quantum_sim as qs
 from qfp.quantum_sim import GateSequence, NoiseSpec, PauliHamiltonian
 
-from conftest import (PAULI_2X2, dmet_h2, fold_sequence, h4_molecule, hamiltonian_matrix,
-                      kron_string, number_expectation, pauli_hamiltonian, pauli_masks,
-                      pauli_matrix)
+from conftest import (PAULI_2X2, dmet_h2, fold_sequence, full_width, h4_molecule,
+                      hamiltonian_matrix, kron_string, number_expectation, pauli_hamiltonian,
+                      pauli_masks, pauli_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +105,7 @@ def test_exact_evolution_conserves_everything(h2_active, h2_pauli):
     ev = qs.ExactEvolver(h2_pauli)
     e0 = np.vdot(psi0, hamiltonian_matrix(h2_pauli) @ psi0).real
     for t in np.arange(0, 14.01, 0.5):
-        psi = ev.evolve(psi0, t)
+        psi = full_width(*ev.evolve(psi0, t), 4)
         assert abs(np.linalg.norm(psi) - 1) < 1e-10
         assert abs(number_expectation(psi) - 2.0) < 1e-10
         assert abs(np.vdot(psi, hamiltonian_matrix(h2_pauli) @ psi).real - e0) < 1e-10
@@ -111,7 +113,7 @@ def test_exact_evolution_conserves_everything(h2_active, h2_pauli):
 
 def test_trotter_converges_to_exact(h2_pauli):
     _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
-    exact = qs.ExactEvolver(h2_pauli).evolve(psi0, 2.0)
+    exact = full_width(*qs.ExactEvolver(h2_pauli).evolve(psi0, 2.0), 4)
     for order in (1, 2):
         approx = qs.run_sequence(
             qs.trotter_sequence(h2_pauli, 2.0, order=order, r=256), psi0)
@@ -121,7 +123,7 @@ def test_trotter_converges_to_exact(h2_pauli):
 def test_trotter_error_scaling_with_r(h2_pauli):
     # one halving of dt: order-1 error ~ /2, order-2 error ~ /4
     _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
-    exact = qs.ExactEvolver(h2_pauli).evolve(psi0, 1.0)
+    exact = full_width(*qs.ExactEvolver(h2_pauli).evolve(psi0, 1.0), 4)
     for order, expected in ((1, 2.0), (2, 4.0)):
         errs = [np.linalg.norm(
             qs.run_sequence(qs.trotter_sequence(h2_pauli, 1.0, order, r), psi0)
@@ -174,7 +176,8 @@ def test_grouped_step_matches_per_string_step(h2_pauli, h4_pauli, order):
         for seed in range(3):
             psi0 = _random_state(ph.n_qubits, seed)
             for h in (0.5, 1.7):
-                got = qs.trotter_evolve(ph, psi0, [h], order=order, r=1)[0]
+                got = full_width(*qs.trotter_evolve(ph, psi0, [h], order=order, r=1),
+                                 ph.n_qubits)[0]
                 ref = qs.run_sequence(qs.trotter_sequence(gph, h, order, 1), psi0)
                 assert np.max(np.abs(got - ref)) < 1e-13, (ph.n_qubits, seed, h)
 
@@ -188,8 +191,9 @@ def test_trotter_evolve_is_r_steps_per_interval(h2_pauli, h4_pauli, kind):
         _, psi0 = qs.prepare_initial(kind, ph.n_qubits, n_electrons)
         for order in (1, 2):
             for r in (1, 2):
-                batch = qs.trotter_evolve(ph, psi0, grid, order=order, r=r)
-                assert batch.shape == (grid.size, 1 << ph.n_qubits)
+                idx, states = qs.trotter_evolve(ph, psi0, grid, order=order, r=r)
+                assert states.shape == (grid.size, idx.size)
+                batch = full_width(idx, states, ph.n_qubits)
                 assert np.array_equal(batch[0], psi0)
                 for k in range(1, grid.size):
                     ref = qs.run_sequence(
@@ -204,7 +208,8 @@ def test_trotter_evolve_uneven_grid_composes_intervals(h4_pauli):
     for kind in ("homo_lumo_excited", "half_occupied"):
         _, psi0 = qs.prepare_initial(kind, h4_pauli.n_qubits, 4)
         for order in (1, 2):
-            batch = qs.trotter_evolve(h4_pauli, psi0, grid, order=order, r=3)
+            batch = full_width(*qs.trotter_evolve(h4_pauli, psi0, grid, order=order, r=3),
+                               h4_pauli.n_qubits)
             psi, prev = psi0, 0.0
             for t, row in zip(grid, batch):
                 psi = qs.run_sequence(qs.trotter_sequence(gph, t - prev, order, 3), psi)
@@ -302,7 +307,7 @@ def test_trotter_evolve_routes_match_interval_circuits(monkeypatch, case, rule_b
         return built[-1]
 
     monkeypatch.setattr(qs, "_builds_propagator", choose)
-    batch = qs.trotter_evolve(ph, psi0, grid, order=order, r=2)
+    batch = full_width(*qs.trotter_evolve(ph, psi0, grid, order=order, r=2), ph.n_qubits)
     expected = {"rule": rule_builds, "propagator": {True}, "vector": {False}}[route]
     assert set(built) == expected
     assert np.max(np.abs(batch - ref)) < 1e-12
@@ -335,24 +340,29 @@ def test_parity_vector_matches_bit_loop(n_qubits):
 
 def test_rdm1_properties(h2_pauli):
     _, psi0 = qs.prepare_initial("half_occupied", 4, 2)
-    psi = qs.ExactEvolver(h2_pauli).evolve(psi0, 1.5)
-    rho = qs.rdm1(psi)
+    idx, psi = qs.ExactEvolver(h2_pauli).evolve(psi0, 1.5)
+    rho = qs.rdm1(psi, idx, 4)
     assert np.allclose(rho, rho.conj().T, atol=1e-12)
-    assert np.trace(rho).real == pytest.approx(number_expectation(psi), abs=1e-10)
+    assert np.trace(rho).real == pytest.approx(number_expectation(full_width(idx, psi, 4)),
+                                               abs=1e-10)
     w = np.linalg.eigvalsh(rho)
     assert w.min() > -1e-10 and w.max() < 2 + 1e-10
 
 
 @pytest.mark.parametrize("length", [3, 6, 12, 24])
-def test_rdm1_rejects_length_not_a_power_of_two(length):
-    # 3 and 12 used to end in an IndexError, 6 and 24 in "odd qubit count".
-    with pytest.raises(ValueError, match="state length .* is not a power of two"):
-        qs.rdm1(np.ones(length))
+def test_rdm1_rejects_amplitudes_not_matching_idx(length):
+    # Amplitudes on the 16 indices of 4 qubits, one state or a batch of them.
+    message = r"amplitudes of shape \(.*\) do not match 16 basis indices"
+    for shape in ((length,), (2, length)):
+        with pytest.raises(ValueError, match=message):
+            qs.rdm1(np.ones(shape), np.arange(16), 4)
+    with pytest.raises(ValueError, match="odd qubit count"):
+        qs.rdm1(np.ones(8), np.arange(8), 3)
 
 
 def test_expval_F_at_t0_matches_direct_sum(h2_active):
     _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
-    rho = qs.rdm1(psi0)
+    rho = qs.rdm1(psi0, np.arange(16), 4)
     val = qs.expval_O(h2_active.h_eff, rho)
     assert val == pytest.approx(2.0 * h2_active.h_eff[0, 0], abs=1e-12)
 
@@ -412,7 +422,8 @@ def test_noisy_expectation_zero_noise_matches_ideal(h2_active, h2_pauli):
     prep, _ = qs.prepare_initial("hf_ground", 4, 2)
     circ = prep + qs.trotter_sequence(h2_pauli, 1.0, order=2, r=1)
     O = h2_active.h_eff
-    ideal = qs.expval_O(O, qs.rdm1(qs.run_sequence(circ, qs.basis_state(0, 4))))
+    ideal_state = qs.run_sequence(circ, qs.basis_state(0, 4))
+    ideal = qs.expval_O(O, qs.rdm1(ideal_state, np.arange(16), 4))
     # Without noise every frame is the identity, and the folded copies of a
     # rotation merge into the gate itself: every scale gives the same bits.
     got = [qs.noisy_expectation(circ, O, NoiseSpec(p=0.0, scale=scale), 5, seed=0)
@@ -522,7 +533,7 @@ def _scalar_noisy_expectation(gs, O, ns, n_trajectories, seed):
             if (k, g) in errors:
                 psi = qs.run_sequence(GateSequence(gates=[(None, errors[k, g])], n_qubits=n),
                                       psi)
-        vals[k] = qs.expval_O(O, qs.rdm1(psi))
+        vals[k] = qs.expval_O(O, qs.rdm1(psi, np.arange(1 << n), n))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_trajectories)) if n_trajectories > 1 else 0.0
     return mean, stderr
@@ -533,7 +544,7 @@ def test_noisy_expectation_matches_scalar_loop_bitwise(monkeypatch, h2_pauli, h4
     # rdm1 records the states it measures: the batch, then the loop's states.
     states = []
     rdm1 = qs.rdm1
-    monkeypatch.setattr(qs, "rdm1", lambda psi: states.append(psi) or rdm1(psi))
+    monkeypatch.setattr(qs, "rdm1", lambda psi, idx, n: states.append(psi) or rdm1(psi, idx, n))
     # The second circuit repeats the prep gates after the evolution, so that a
     # bare X gate can meet a frame that anticommutes with it.
     for ph, n_electrons, repeat in ((h2_pauli, 2, False), (h4_pauli, 4, False),
@@ -656,7 +667,7 @@ def test_rdm1_matches_reference_bytes(n_qubits):
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         states.append(psi / np.linalg.norm(psi))
     for psi in states:
-        assert qs.rdm1(psi).tobytes() == _rdm1_reference(psi).tobytes()
+        assert qs.rdm1(psi, np.arange(dim), n_qubits).tobytes() == _rdm1_reference(psi).tobytes()
 
 
 @pytest.mark.parametrize("chunk", [1 << 14, 8192], ids=["one_chunk", "chunks_of_4"])
@@ -667,7 +678,7 @@ def test_rdm1_batch_rows_match_reference_bytes(monkeypatch, chunk):
     rng = np.random.default_rng(5)
     batch = rng.normal(size=(2, 3, 256)) + 1j * rng.normal(size=(2, 3, 256))
     batch[1, 2] = qs.basis_state(255, 8)
-    rho = qs.rdm1(batch)
+    rho = qs.rdm1(batch, np.arange(256), 8)
     assert rho.shape == (2, 3, 4, 4)
     for i in np.ndindex(2, 3):
         assert rho[i].tobytes() == _rdm1_reference(batch[i]).tobytes(), i
@@ -692,7 +703,7 @@ def test_dmet_cluster_evolution_consistency():
     H_f = fci.fock_space_hamiltonian(eh.h_eff, eh.eri_active, eh.e_core)
     w, V = np.linalg.eigh(H_f)
     ref = V @ (np.exp(-1j * w * 2.5) * (V.conj().T @ psi0))
-    assert np.linalg.norm(qs.ExactEvolver(H).evolve(psi0, 2.5) - ref) < 1e-10
+    assert np.linalg.norm(full_width(*qs.ExactEvolver(H).evolve(psi0, 2.5), 4) - ref) < 1e-10
 
 
 def _h4_dmet_cluster():
@@ -710,35 +721,52 @@ def _h6_active_44():
 EVOLVE_TIMES = (0.0, 0.5, 3.7, 14.0)
 
 
-@pytest.fixture(scope="module", params=["h2", "h4_dmet_cluster", "h6_44"])
+@pytest.fixture(scope="module", params=["h2", "h4_dmet_cluster", "h6_44", "h8_45"])
 def sector_system(request, h2_active):
     eh = {"h2": lambda: h2_active, "h4_dmet_cluster": _h4_dmet_cluster,
-          "h6_44": _h6_active_44}[request.param]()
-    ph = qs.jordan_wigner(eh)
-    H = hamiltonian_matrix(ph)
-    return eh, ph, {t: scipy.linalg.expm(-1j * t * H) for t in EVOLVE_TIMES}
+          "h6_44": _h6_active_44, "h8_45": lambda: _chain_active(8, 4, 5)}[request.param]()
+    # H from the determinant oracle, which equals the Jordan-Wigner matrix to
+    # round-off: the Kronecker product of every string takes 4 s at 10 qubits.
+    H = fci.fock_space_hamiltonian(eh.h_eff, eh.eri_active, eh.e_core)
+    return eh, qs.jordan_wigner(eh), scipy.sparse.csr_matrix(H)
 
 
 @pytest.mark.parametrize("kind", ["hf_ground", "homo_lumo_excited", "half_occupied"])
 def test_sector_evolver_matches_expm(sector_system, kind):
-    eh, ph, expm = sector_system
-    _, psi0 = qs.prepare_initial(kind, ph.n_qubits, eh.n_active_electrons)
+    eh, ph, H = sector_system
+    n = ph.n_qubits
+    _, psi0 = qs.prepare_initial(kind, n, eh.n_active_electrons)
     ev = qs.ExactEvolver(ph)
     built = []
     sector_matrix = ev.sector_matrix
     ev.sector_matrix = lambda index: built.append(index) or sector_matrix(index)
-    batch = ev.evolve(psi0, np.array(EVOLVE_TIMES))
-    assert batch.shape == (len(EVOLVE_TIMES), 1 << ph.n_qubits)
+    idx, batch = ev.evolve(psi0, np.array(EVOLVE_TIMES))
+    # The states live on the sorted indices of the sectors psi0 touches: a
+    # determinant's (N/2, N/2) sector (100 indices for H8 (4e,5o)), or all
+    # 2^n for half filling.
+    even, half = sum(1 << q for q in range(0, n, 2)), eh.n_active_electrons // 2
+    touched = [b for b in range(1 << n) if kind == "half_occupied"
+               or bin(b & even).count("1") == bin(b >> 1 & even).count("1") == half]
+    assert idx.tolist() == touched
+    assert batch.shape == (len(EVOLVE_TIMES), len(touched))
     # A determinant lies in one (N_alpha, N_beta) sector; half filling in all.
     # Only those sectors are built, once each per evolve call.
-    n_sectors = ((ph.n_qubits + 2) // 2) ** 2 if kind == "half_occupied" else 1
+    n_sectors = ((n + 2) // 2) ** 2 if kind == "half_occupied" else 1
     assert len(built) == len(set(built)) == n_sectors
     for k, (t, row) in enumerate(zip(EVOLVE_TIMES, batch), start=2):
-        single = ev.evolve(psi0, t)
+        single_idx, single = ev.evolve(psi0, t)
         assert len(built) == k * n_sectors
-        assert np.max(np.abs(single - expm[t] @ psi0)) < 1e-10
+        assert np.array_equal(single_idx, idx) and single.shape == idx.shape
+        ref = scipy.sparse.linalg.expm_multiply(-1j * t * H, psi0)
+        assert np.max(np.abs(full_width(idx, single, n) - ref)) < 1e-10
         # Grid rows and single-time calls differ only in BLAS summation order.
         assert np.max(np.abs(row - single)) < 1e-13
+    # Both evolvers' sector states give the density matrices of their
+    # full-width scatter, to round-off.
+    for got_idx, states in ((idx, batch), qs.trotter_evolve(ph, psi0, EVOLVE_TIMES)):
+        assert np.array_equal(got_idx, idx)
+        full = qs.rdm1(full_width(idx, states, n), np.arange(1 << n), n)
+        assert np.max(np.abs(qs.rdm1(states, idx, n) - full)) < 1e-14
 
 
 def test_sector_evolver_rejects_sector_coupling_and_non_hermitian():
