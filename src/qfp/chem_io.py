@@ -191,6 +191,15 @@ def _boys_f0(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _squared_distance(u, v) -> np.ndarray:
+    """|u - v|^2 for coordinate-first arrays u and v (x, y, z along axis 0,
+    broadcast over the rest).  The x, y and z terms are added in turn, the
+    order np.sum over a trailing axis of 3 takes, so the values are the same
+    bits; a whole-array add per coordinate avoids that sum's per-element
+    reduction over 3 values."""
+    return (u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2 + (u[2] - v[2]) ** 2
+
+
 # Far-apart or huge coordinates overflow to inf or nan without a warning;
 # validate() then rejects the integrals with a ValueError.
 @np.errstate(over="ignore", invalid="ignore")
@@ -223,14 +232,14 @@ def s_orbital_integrals(centres, n_electrons: int | None = None) -> MolecularInt
     # Pairwise primitive quantities.
     p = alpha[:, None] + alpha[None, :]
     mu = alpha[:, None] * alpha[None, :] / p
-    ab2 = np.sum((A[:, None, :] - A[None, :, :]) ** 2, axis=-1)
+    ab2 = _squared_distance(A.T[:, :, None], A.T[:, None, :])
     K = np.exp(-mu * ab2)
     P = (alpha[:, None, None] * A[:, None, :] + alpha[None, :, None] * A[None, :, :]) / p[:, :, None]
 
     s_prim = (np.pi / p) ** 1.5 * K
     t_prim = mu * (3.0 - 2.0 * mu * ab2) * s_prim
 
-    pc2 = np.sum((P[:, :, None, :] - centres[None, None, :, :]) ** 2, axis=-1)
+    pc2 = _squared_distance(np.moveaxis(P, -1, 0)[..., None], centres.T[:, None, None, :])
     v_prim = -(2.0 * np.pi / p)[:, :, None] * K[:, :, None] * _boys_f0(p[:, :, None] * pc2)
     v_prim = np.einsum("abc,c->ab", v_prim, np.ones(n))  # unit nuclear charges
 
@@ -267,12 +276,13 @@ def s_orbital_integrals(centres, n_electrons: int | None = None) -> MolecularInt
     ua, ub = np.triu_indices(m)
     pair = np.empty((m, m), dtype=np.int64)
     pair[ua, ub] = pair[ub, ua] = np.arange(ua.size)
-    q, Kq, Pq, ccq = p[ua, ub], K[ua, ub], P[ua, ub], cc[ua, ub]
+    q, Kq, ccq = p[ua, ub], K[ua, ub], cc[ua, ub]
+    Pq = P[ua, ub].T.copy()  # (3, pairs): one contiguous row per coordinate
     V = np.empty((ua.size, ua.size))
     for start in range(0, ua.size, _ERI_BLOCK):
         rows = slice(start, start + _ERI_BLOCK)
         pab, qr = q[rows, None], q[start:]
-        pq2 = np.sum((Pq[rows, None, :] - Pq[start:]) ** 2, axis=-1)
+        pq2 = _squared_distance(Pq[:, rows, None], Pq[:, start:])
         V[rows, :start] = V[:start, rows].T
         V[rows, start:] = _boys_f0(pab * qr / (pab + qr) * pq2)
     pref = 2.0 * np.pi ** 2.5

@@ -46,7 +46,9 @@ class EmbeddedHamiltonian:
 
     h_eff already contains the frozen mean field and the -mu shift on
     fragment diagonals (shift_chemical_potential); e_core is the
-    frozen-orbital constant including nuclear repulsion.
+    frozen-orbital constant including nuclear repulsion.  pauli_form keeps
+    the qubit form it builds, so change a Hamiltonian with
+    dataclasses.replace, not in place: a replaced copy builds its own.
     """
 
     n_active_orbitals: int
@@ -55,6 +57,10 @@ class EmbeddedHamiltonian:
     eri_active: np.ndarray
     e_core: float
     fragment_mask: np.ndarray = field(default=None)
+    # The qubit form once built, or the (Hamiltonian, mu) a shifted one derives
+    # it from; init=False fields are not copied by dataclasses.replace.
+    _pauli: object = field(default=None, init=False, repr=False, compare=False)
+    _shifted_from: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.fragment_mask is None:
@@ -63,6 +69,22 @@ class EmbeddedHamiltonian:
             raise EmbeddingError("active electron count must be even")
         if self.n_active_electrons > 2 * self.n_active_orbitals:
             raise EmbeddingError("more electrons than spin orbitals in active space")
+
+    def pauli_form(self) -> quantum_sim.PauliHamiltonian:
+        """The Jordan-Wigner form of this Hamiltonian, built on the first call
+        and kept.  A shift_chemical_potential result derives it from its
+        source's form (quantum_sim.number_shifted on the fragment spin
+        orbitals), so a DMET molecule with a fitted mu runs jordan_wigner once."""
+        if self._pauli is None:
+            if self._shifted_from is None:
+                self._pauli = quantum_sim.jordan_wigner(self)
+            else:
+                eh, mu = self._shifted_from
+                frag = np.flatnonzero(self.fragment_mask)
+                self._pauli = quantum_sim.number_shifted(
+                    eh.pauli_form(), mu, np.concatenate([2 * frag, 2 * frag + 1]))
+                self._shifted_from = None
+        return self._pauli
 
 
 def transform_integrals(h, eri, C):
@@ -228,20 +250,27 @@ def dmet_hamiltonian(m_loc: MolecularIntegrals, cb: ClusterBasis) -> EmbeddedHam
 
 
 def shift_chemical_potential(eh: EmbeddedHamiltonian, mu: float) -> EmbeddedHamiltonian:
-    """eh with -mu added to its fragment diagonal."""
+    """eh with -mu added to its fragment diagonal.  Its pauli_form is eh's
+    with -mu * N_frag added, -mu n_frag on the identity row and +mu / 2 on
+    each fragment spin orbital's Z row (quantum_sim.number_shifted): equal to
+    jordan_wigner of the shifted integrals to round-off, without a second
+    transform."""
     if not np.isfinite(mu):
         raise EmbeddingError("chemical potential must be finite")
     h_eff = eh.h_eff.copy()
     h_eff[np.diag_indices_from(h_eff)] -= mu * eh.fragment_mask
-    return replace(eh, h_eff=h_eff)
+    shifted = replace(eh, h_eff=h_eff)
+    shifted._shifted_from = (eh, mu)
+    return shifted
 
 
 def fragment_count_builder(eh: EmbeddedHamiltonian):
     """builder(mu) -> fragment electron count in the ground state of eh at mu.
 
     eh is the mu = 0 cluster Hamiltonian of dmet_hamiltonian.  H0 is the
-    (N/2, N/2) block of its Jordan-Wigner form (ExactEvolver.sector_matrix
-    at index (1 << N) - 1).  H0 is spin-free and N is even, so every spin
+    (N/2, N/2) block of its Jordan-Wigner form (eh.pauli_form(), kept for
+    the fitted-mu Hamiltonian; ExactEvolver.sector_matrix at index
+    (1 << N) - 1).  H0 is spin-free and N is even, so every spin
     multiplet has an Ms = 0 member, and N_frag commutes with total spin:
     this block's lowest state has the fragment count of the whole
     N-electron sector's (36 x 36, not 70 x 70, for 4 orbitals).  The -mu
@@ -249,7 +278,7 @@ def fragment_count_builder(eh: EmbeddedHamiltonian):
     n_f is a state's low 2 * n_frag bit count.  Each call is one eigh of
     H0 - mu diag(n_f); the count is v0^2 @ n_f.
     """
-    evolver = quantum_sim.ExactEvolver(quantum_sim.jordan_wigner(eh))
+    evolver = quantum_sim.ExactEvolver(eh.pauli_form())
     idx, H0 = evolver.sector_matrix((1 << eh.n_active_electrons) - 1)
     n_frag = int(np.count_nonzero(eh.fragment_mask))
     n_f = np.bitwise_count(idx & ((1 << 2 * n_frag) - 1)).astype(float)

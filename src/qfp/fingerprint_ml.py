@@ -69,7 +69,7 @@ def compute_fingerprint(
         return Fingerprint(time_grid, quantum_sim.expval_O(O, rdms))
     if evolver.get("kind", "exact") != "trotter":
         raise ValueError("noise requires a trotter evolver (gate-level noise)")
-    ph = quantum_sim.jordan_wigner(eh)
+    ph = eh.pauli_form()
     prep, _ = quantum_sim.prepare_initial(initial_kind, ph.n_qubits, eh.n_active_electrons)
     ns = quantum_sim.NoiseSpec(p=noise["p"], scale=noise.get("scale", 1))
     values = [quantum_sim.noisy_expectation(
@@ -100,7 +100,7 @@ def rdm_trajectory(eh: EmbeddedHamiltonian, initial_kind: str, time_grid,
     """
     evolver = evolver or {"kind": "exact"}
     time_grid = np.asarray(time_grid, float)
-    ph = quantum_sim.jordan_wigner(eh)
+    ph = eh.pauli_form()
     _, psi0 = quantum_sim.prepare_initial(initial_kind, ph.n_qubits, eh.n_active_electrons)
     kind = evolver.get("kind", "exact")
     if kind == "exact":

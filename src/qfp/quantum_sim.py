@@ -101,14 +101,45 @@ def _ladder_branches(modes: np.ndarray, daggers, weights: np.ndarray, m: int):
     return ((x << m) | z).ravel(), c.ravel()
 
 
+def _pauli_rows(keys: np.ndarray, values: np.ndarray, m: int) -> PauliHamiltonian:
+    """The PauliHamiltonian of sum_k values[k] E(keys[k]) on m qubits.
+
+    E(x, z), key = x << m | z, is (-i)^nY times the Pauli string of masks
+    (x, z).  np.bincount adds each key's values in input order from 0.0;
+    strings whose coefficient is imaginary (odd nY) must be at most 1e-10
+    (ValueError naming one otherwise) and are dropped, as are real ones of
+    |coefficient| <= 1e-12; the rest are sorted in string order, I < X < Y < Z,
+    qubit 0 first.
+    """
+    keys, inverse = np.unique(keys, return_inverse=True)
+    sums = np.bincount(inverse, values, keys.size)
+    x, z = keys >> m, keys & ((1 << m) - 1)
+    # The string's coefficient is sums * (1 - (nY & 2)) for even nY, and that
+    # times -i, imaginary, for odd nY, which only a non-symmetric h_eff or eri gives.
+    ny = np.bitwise_count(x & z).astype(np.int64)  # uint8: cast before the arithmetic
+    signed, odd = sums * (1 - (ny & 2)), (ny & 1) == 1
+    if np.any(bad := odd & (np.abs(sums) > 1e-10)):
+        coeff, string = PauliHamiltonian(x, z, signed, m).terms[np.argmax(bad)]
+        raise ValueError(f"non-Hermitian coefficient {-coeff}j for {string}")
+    rows = np.flatnonzero(~odd & (np.abs(sums) > 1e-12))
+    rows = rows[np.lexsort(_symbol_codes(x[rows], z[rows], m).T[::-1])]
+    return PauliHamiltonian(x[rows], z[rows], signed[rows], m)
+
+
 def jordan_wigner(eh) -> PauliHamiltonian:
     """Jordan-Wigner map of an EmbeddedHamiltonian; spin orbital P is spatial P >> 1.
 
-    Bit for bit the dict loop over same-spin h_PQ a+_P a_Q and 1/2 (PQ|RS)
-    a+_P a+_R a_S a_Q terms: the tuples are int64 arrays in that loop's
-    order, every branch is +-w / 2^k exactly, and np.bincount adds each
-    (x, z) key's branches in that order from 0.0, e_core last.  Working set
-    about (m^2/2)^2 x 16 x 64 B, 17 MB at m = 16 qubits; m <= 31.
+    Bit for bit the merged-pair loop: same-spin h_PQ a+_P a_Q, then
+    (PQ|RS) a+_P a+_R a_S a_Q once for each unordered pair of same-spin
+    pairs PQ < RS with P != R and Q != S.  The ordered pair RS, PQ is the
+    same operator, and P = R or Q = S gives zero, so for an eri with
+    (PQ|RS) = (RS|PQ), which the embeddings give to round-off, this is the
+    1/2 sum over all ordered quartets (1,025 quartets instead of 2,500 at 10
+    qubits, 7,232 instead of 16,384 at 16).  The tuples are int64
+    arrays in that loop's order, every branch is +-w / 2^k exactly, and
+    _pauli_rows adds each (x, z) key's branches in that order from 0.0,
+    e_core last.  Working set about (m^2/2)^2 / 2 x 16 x 64 B, 8 MB at m = 16
+    qubits; m <= 31.
     """
     h, eri, m = eh.h_eff, eh.eri_active, 2 * len(eh.h_eff)
     if m > 31:
@@ -116,26 +147,37 @@ def jordan_wigner(eh) -> PauliHamiltonian:
     P, Q = np.array([(p, q) for p in range(m) for q in range(p % 2, m, 2)],
                     dtype=np.int64).reshape(-1, 2).T
     k1, c1 = _ladder_branches(np.stack([P, Q], 1), (True, False), h[P >> 1, Q >> 1], m)
-    # (P, Q) outer and (R, S) inner, as the loop P, Q, R, S nests.
-    pq, rs = np.divmod(np.arange(P.size ** 2), P.size)
+    # (P, Q) outer and (R, S) inner, as the loop nests them.
+    pq, rs = np.triu_indices(P.size, 1)
+    keep = (P[pq] != P[rs]) & (Q[pq] != Q[rs])
+    pq, rs = pq[keep], rs[keep]
     k2, c2 = _ladder_branches(np.stack([P[pq], P[rs], Q[rs], Q[pq]], 1),
                               (True, True, False, False),
-                              0.5 * eri[P[pq] >> 1, Q[pq] >> 1, P[rs] >> 1, Q[rs] >> 1], m)
-    keys, inverse = np.unique(np.concatenate([k1, k2, [0]]), return_inverse=True)
-    sums = np.bincount(inverse, np.concatenate([c1, c2, [eh.e_core]]), keys.size)
-    x, z = keys >> m, keys & ((1 << m) - 1)
-    # E(x, z) = (-i)^nY * PauliString: the string's coefficient is
-    # sums * (1 - (nY & 2)) for even nY, and that times -i, imaginary, for odd
-    # nY, which only a non-symmetric h_eff or eri gives.
-    ny = np.bitwise_count(x & z).astype(np.int64)  # uint8: cast before the arithmetic
-    signed, odd = sums * (1 - (ny & 2)), (ny & 1) == 1
-    if np.any(bad := odd & (np.abs(sums) > 1e-10)):
-        coeff, string = PauliHamiltonian(x, z, signed, m).terms[np.argmax(bad)]
-        raise ValueError(f"non-Hermitian coefficient {-coeff}j for {string}")
-    # Drop |coefficient| <= 1e-12, and sort the strings with I < X < Y < Z, qubit 0 first.
-    rows = np.flatnonzero(~odd & (np.abs(sums) > 1e-12))
-    rows = rows[np.lexsort(_symbol_codes(x[rows], z[rows], m).T[::-1])]
-    return PauliHamiltonian(x[rows], z[rows], signed[rows], m)
+                              eri[P[pq] >> 1, Q[pq] >> 1, P[rs] >> 1, Q[rs] >> 1], m)
+    return _pauli_rows(np.concatenate([k1, k2, [0]]),
+                       np.concatenate([c1, c2, [eh.e_core]]), m)
+
+
+def number_shifted(ph: PauliHamiltonian, mu: float, qubits) -> PauliHamiltonian:
+    """ph - mu * sum_q n_q over the given qubits, n_q = (I - Z_q) / 2.
+
+    Adds -mu * len(qubits) / 2 to the identity row and +mu / 2 to each Z_q
+    row, after that row's coefficient, through the tail of jordan_wigner
+    (_pauli_rows): a row that reaches |coefficient| <= 1e-12 is dropped and a
+    new Z_q row is placed in string order.  Every other row keeps its bits.
+    For ph = jordan_wigner(eh) and the qubits of whole spatial orbitals, this
+    is jordan_wigner of eh with -mu on those orbitals' h_eff diagonal, to
+    round-off: within 1e-13 where ph kept the row, and within the 1e-12
+    drop threshold where ph had dropped it.
+    """
+    qubits = np.asarray(qubits, dtype=np.int64)
+    m = ph.n_qubits
+    # Rows of ph are real strings (even nY): E(x, z) = string * (1 - (nY & 2)).
+    ny = np.bitwise_count(ph.x & ph.z).astype(np.int64)
+    keys = np.concatenate([ph.x << m | ph.z, [0], np.int64(1) << qubits])
+    values = np.concatenate([ph.coeffs * (1 - (ny & 2)), [-mu * (qubits.size / 2)],
+                             np.full(qubits.size, mu / 2)])
+    return _pauli_rows(keys, values, m)
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +269,26 @@ def run_sequence(gs: GateSequence, psi0: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _compile_groups(ph: PauliHamiltonian):
-    """[(x, zs, cs)]: the terms of ph grouped by x mask.
+    """(xs, zs, cs, bounds): the terms of ph grouped by x mask.
 
-    Groups keep the order in which their x masks first appear in ph.x, and
-    each keeps its terms in row order; zs holds their z masks and cs their
-    coefficients times i^nY = 1 - (nY & 2), so that a group acts as
-    A_x|b> = f_x(b)|b ^ x> and its strings commute.  Raises ValueError
-    naming an odd-Y string, whose matrix is imaginary: jordan_wigner never
-    gives one, so every term is a real symmetric matrix, H is too (to
-    round-off) and no block needs a Hermiticity check.
+    Group g has x mask xs[g] and the rows bounds[g]:bounds[g + 1] of zs, their
+    z masks, and cs, their coefficients times i^nY = 1 - (nY & 2), so that a
+    group acts as A_x|b> = f_x(b)|b ^ x> and its strings commute.  Groups
+    keep the order in which their x masks first appear in ph.x, and each
+    keeps its terms in row order.  Raises ValueError naming an odd-Y
+    string, whose matrix is imaginary: jordan_wigner never gives one, so
+    every term is a real symmetric matrix, H is too (to round-off) and no
+    block needs a Hermiticity check.
     """
     ny = np.bitwise_count(ph.x & ph.z).astype(np.int64)  # uint8: cast before 1 - x
     if np.any(odd := (ny & 1) == 1):
         coeff, string = ph.terms[np.argmax(odd)]
         raise ValueError(f"evolution needs a real Hamiltonian matrix: term {coeff} {string}")
     xs, first, inverse = np.unique(ph.x, return_index=True, return_inverse=True)
-    rows = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-    cs = ph.coeffs * (1 - (ny & 2))
-    return [(int(xs[g]), ph.z[rows[g]], cs[rows[g]]) for g in np.argsort(first)]
+    order = np.argsort(first)  # group g's x mask is xs[order[g]]
+    rows = np.argsort(np.argsort(order)[inverse], kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(inverse)[order])])
+    return xs[order], ph.z[rows], (ph.coeffs * (1 - (ny & 2)))[rows], bounds
 
 
 def _sector_labels(n_qubits: int) -> np.ndarray:
@@ -255,26 +299,50 @@ def _sector_labels(n_qubits: int) -> np.ndarray:
             + np.bitwise_count(b & ~even))
 
 
+# Sign-table values (terms x basis indices) that _group_values holds at once,
+# 2 MB of float64.  The whole table of an H8 (4e,5o) block, 444 terms x 100
+# indices, is one chunk; for H10 (8e,8o) at 16 qubits, 2,913 terms x 4,900
+# indices would take 114 MB, and a chunk holds about 53 terms.
+_GROUP_CHUNK = 1 << 18
+
+
 def _group_values(groups, sector: np.ndarray, idx: np.ndarray):
-    """Yield (x, f, src) for each group on the sorted basis indices idx.
+    """Yield (x, f, src) for each group of _compile_groups on the sorted basis
+    indices idx.
 
     idx holds whole sectors; f[i] = f_x(idx[i]) = sum_k c_k (-1)^popcount(idx[i] & z_k)
     and src[i] is the position in idx of idx[i] ^ x, so A_x takes the
     amplitude at position i to position src[i] with weight f[i].  Where
     idx[i] ^ x leaves the sectors, src[i] = i and f[i] is set to 0; it raises
-    ValueError if f_x there is above 1e-10 (H couples sectors).
+    ValueError if f_x there is above 1e-10 (H couples sectors).  The groups
+    run in chunks of whole groups whose terms x d sign table holds at most
+    _GROUP_CHUNK values (or one group): one bitwise_count gives a chunk's
+    signs, and one gather from a 2^n table of positions in idx its groups'
+    src, the positions a searchsorted in idx finds.  f stays one cs @ signs
+    product per group, over that group's rows of the table, so every value is
+    bit for bit that of a loop over the groups.
     """
+    xs, zs, cs, bounds = groups
     labels = sector[idx]
-    for x, zs, cs in groups:
-        signs = 1.0 - 2.0 * (np.bitwise_count(zs[:, None] & idx) & 1)
-        f = cs @ signs
-        dst = idx ^ x
+    pos = np.empty(sector.size, dtype=np.int64)  # pos[idx[i]] = i
+    pos[idx] = np.arange(idx.size)
+    g = 0
+    while g < xs.size:
+        # Groups g to end - 1: as many whole groups as fit, at least one.
+        end = max(g + 1, int(np.searchsorted(
+            bounds, bounds[g] + _GROUP_CHUNK // idx.size, "right")) - 1)
+        lo = bounds[g]
+        signs = 1.0 - 2.0 * (np.bitwise_count(zs[lo:bounds[end], None] & idx) & 1)
+        f = np.stack([cs[a:b] @ signs[a - lo:b - lo]
+                      for a, b in zip(bounds[g:end].tolist(), bounds[g + 1:end + 1].tolist())])
+        dst = xs[g:end, None] ^ idx
         inside = sector[dst] == labels
         if np.any(np.abs(f[~inside]) > 1e-10):
             raise ValueError("Hamiltonian couples (N_alpha, N_beta) sectors")
-        src = np.arange(idx.size)
-        src[inside] = np.searchsorted(idx, dst[inside])
-        yield x, np.where(inside, f, 0.0), src
+        f[~inside] = 0.0
+        src = np.where(inside, pos[dst], np.arange(idx.size))
+        yield from zip(xs[g:end].tolist(), f, src)
+        g = end
 
 
 def _sector_start(psi0, sector: np.ndarray, times):

@@ -284,9 +284,17 @@ def _scattered_h6():
     return np.random.default_rng(5).normal(scale=1.5, size=(6, 3))
 
 
+def _helix(n_atoms):
+    # Neighbours 1.38 bohr apart; x, y and z all differ between any two atoms,
+    # so every squared distance adds three inexact terms and pins their order.
+    i = np.arange(n_atoms)
+    return np.stack([1.0 * np.cos(1.1 * i), 1.0 * np.sin(1.1 * i), 0.9 * i], axis=1)
+
+
 @pytest.mark.parametrize("n_atoms", range(2, 13))
 def test_s_orbital_integrals_match_loop_bitwise(n_atoms):
-    geometries = [chem_io.hydrogen_chain(np.arange(n_atoms) * d) for d in (0.8, 1.4, 2.2, 3.0)]
+    geometries = [_helix(n_atoms)] + [
+        chem_io.hydrogen_chain(np.arange(n_atoms) * d) for d in (0.8, 1.4, 2.2, 3.0)]
     if n_atoms == 6:
         geometries.append(_scattered_h6())  # off-axis: every coordinate enters pq2
     for centres in geometries:

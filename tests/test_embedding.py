@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qfp import chem_io, embedding, fci, mean_field, pipeline
+from qfp import chem_io, embedding, fci, mean_field, pipeline, quantum_sim
 from qfp.chem_io import MolecularIntegrals
 from qfp.embedding import EmbeddingError
 
@@ -218,3 +220,94 @@ def test_fit_mu_builds_one_cluster_hamiltonian(monkeypatch):
     mu = embedding.fit_chemical_potential(embedding.fragment_count_builder(eh0), 1.9)
     assert mu != 0.0
     assert eh.h_eff.tobytes() == embedding.shift_chemical_potential(eh0, mu).h_eff.tobytes()
+
+
+def _h4_cluster():
+    m = h4_molecule(1.4)
+    _, m_loc, D_loc = _localized(m)
+    return embedding.dmet_hamiltonian(m_loc, embedding.dmet_cluster_basis(D_loc, [0, 1]))
+
+
+def _same_rows(got, ref, atol):
+    assert got.n_qubits == ref.n_qubits
+    assert got.x.tolist() == ref.x.tolist() and got.z.tolist() == ref.z.tolist()
+    assert np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0) <= atol
+
+
+@pytest.mark.parametrize("mu", [-0.7, 0.0, 0.31, 0.517, 1.0])
+def test_shifted_pauli_form_matches_jordan_wigner_of_shifted_integrals(mu):
+    # The fitted-mu form is the mu = 0 one plus -mu N_frag, row for row.
+    eh0 = _h4_cluster()
+    eh0.pauli_form()
+    shifted = embedding.shift_chemical_potential(eh0, mu)
+    _same_rows(shifted.pauli_form(), quantum_sim.jordan_wigner(shifted), 1e-13)
+    # The mu = 0 form is kept, and a second shift derives from it too.
+    assert eh0.pauli_form() is eh0.pauli_form()
+    twice = embedding.shift_chemical_potential(shifted, 0.25)
+    _same_rows(twice.pauli_form(), quantum_sim.jordan_wigner(twice), 1e-13)
+
+
+def test_shifted_pauli_form_drops_and_adds_rows_as_jordan_wigner_does():
+    # Without two-electron terms the Z rows of orbital p's qubits 2p and 2p + 1
+    # have coefficient -h_pp / 2 and gain mu / 2 from the shift.  Orbital 0
+    # ends at exactly 0 (its rows go), orbital 1 starts at 0 (its rows
+    # appear), orbitals 2 and 3 end 1.5e-12 and 5e-13 from 0, either side of
+    # the 1e-12 drop threshold, and orbital 4 is not in the fragment.
+    mu = 0.37
+    h = np.diag([mu, 0.0, mu + 3e-12, mu + 1e-12, -0.4])
+    h[0, 4] = h[4, 0] = 0.1
+    eh0 = embedding.EmbeddedHamiltonian(5, 2, h, np.zeros((5,) * 4), 0.2,
+                                        fragment_mask=np.arange(5) < 4)
+    shifted = embedding.shift_chemical_potential(eh0, mu)
+    got = shifted.pauli_form()
+    _same_rows(got, quantum_sim.jordan_wigner(shifted), 1e-13)
+
+    def z_orbitals(ph):
+        rows = {s for _, s in ph.terms}
+        return [p for p in range(5) if all(
+            "I" * q + "Z" + "I" * (9 - q) in rows for q in (2 * p, 2 * p + 1))]
+
+    assert z_orbitals(eh0.pauli_form()) == [0, 2, 3, 4]
+    assert z_orbitals(got) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("change", [
+    {"h_eff": lambda eh: eh.h_eff + 0.01 * np.eye(len(eh.h_eff))},
+    {"eri_active": lambda eh: 0.5 * eh.eri_active},
+    {"e_core": lambda eh: 0.0},
+])
+def test_replaced_hamiltonian_builds_its_own_pauli_form(change):
+    eh0 = _h4_cluster()
+    shifted = embedding.shift_chemical_potential(eh0, 0.3)
+    for eh in (eh0, shifted):
+        for built in (False, True):
+            if built:
+                eh.pauli_form()
+            (name, value), = change.items()
+            new = dataclasses.replace(eh, **{name: value(eh)})
+            ref = quantum_sim.jordan_wigner(new)
+            got = new.pauli_form()
+            assert got.x.tolist() == ref.x.tolist() and got.z.tolist() == ref.z.tolist()
+            assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("evolver, noise", [
+    ({"kind": "exact"}, None),
+    ({"kind": "trotter", "order": 2, "r": 2}, None),
+    ({"kind": "trotter", "order": 2, "r": 1}, {"p": 0.02, "scale": 3, "n_trajectories": 4}),
+])
+def test_fit_mu_fingerprints_run_jordan_wigner_once_per_molecule(monkeypatch, evolver, noise):
+    calls = []
+    jw = quantum_sim.jordan_wigner
+    monkeypatch.setattr(quantum_sim, "jordan_wigner", lambda eh: calls.append(eh) or jw(eh))
+    cfg = pipeline.PipelineConfig.from_dict({
+        "dataset": {"kind": "manifest", "path": "manifest.json"},
+        "embedding": {"mode": "dmet", "fragment": [0, 1], "fit_mu": True},
+        "initial_state": "hf_ground", "time_grid": {"start": 0, "stop": 1, "step": 0.5},
+        "evolver": evolver, "noise": noise})
+    entries = [chem_io.ManifestEntry(f"h4_{i}", {"generator": {
+        "kind": "chain", "z_positions": [0.0, d, 2 * d, 3 * d]}}, d, "") for i, d in
+        enumerate((1.4, 1.8, 2.4))]
+    values = pipeline.run_fingerprints(cfg, entries)
+    assert values.shape == (3, 3) and np.all(np.isfinite(values))
+    assert len(calls) == len(entries)

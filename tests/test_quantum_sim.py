@@ -779,9 +779,97 @@ def test_sector_evolver_rejects_sector_coupling_and_non_hermitian():
         qs.ExactEvolver(pauli_hamiltonian([(0.3, "ZIII")], 4)).evolve(psi0[:8], 1.0)
 
 
-def _jordan_wigner_loop(eh):
-    """The scalar dict loop that jordan_wigner replaced, kept as its reference."""
+def _compile_groups_lists(ph):
+    """The per-group lists [(x, zs, cs)] that _compile_groups gave before its
+    groups became slices of one table, each group's arrays a fresh copy."""
+    ny = np.bitwise_count(ph.x & ph.z).astype(np.int64)
+    xs, first, inverse = np.unique(ph.x, return_index=True, return_inverse=True)
+    rows = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    cs = ph.coeffs * (1 - (ny & 2))
+    return [(int(xs[g]), ph.z[rows[g]], cs[rows[g]]) for g in np.argsort(first)]
+
+
+def _group_values_loop(groups, sector, idx):
+    """The per-group loop that _group_values replaced, kept as its reference:
+    one sign table, one product and one searchsorted per group."""
+    labels = sector[idx]
+    for x, zs, cs in groups:
+        signs = 1.0 - 2.0 * (np.bitwise_count(zs[:, None] & idx) & 1)
+        f = cs @ signs
+        dst = idx ^ x
+        inside = sector[dst] == labels
+        if np.any(np.abs(f[~inside]) > 1e-10):
+            raise ValueError("Hamiltonian couples (N_alpha, N_beta) sectors")
+        src = np.arange(idx.size)
+        src[inside] = np.searchsorted(idx, dst[inside])
+        yield x, np.where(inside, f, 0.0), src
+
+
+GROUP_SYSTEMS = {
+    "h8_45": lambda: _chain_active(8, 4, 5),
+    "h8_66_12_qubits": lambda: _chain_active(8, 6, 6),
+    "h4_dmet_cluster": _h4_dmet_cluster,
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize("kind, system", [
+    *[("hf_ground", s) for s in GROUP_SYSTEMS], ("half_occupied", "h4_dmet_cluster")])
+def test_group_values_match_per_group_loop_bitwise(monkeypatch, kind, system, chunk):
+    # Sector blocks and Trotter states from the chunked whole-array kernel
+    # equal those of the per-group loop bit for bit, at the default chunk and
+    # at one group per chunk.  half_occupied spans every sector.
+    eh = GROUP_SYSTEMS[system]()
+    ph = qs.jordan_wigner(eh)
+    _, psi0 = qs.prepare_initial(kind, ph.n_qubits, eh.n_active_electrons)
+    if chunk is not None:
+        monkeypatch.setattr(qs, "_GROUP_CHUNK", chunk)
+
+    nz = np.flatnonzero(psi0)
+    # One basis index in each (N_alpha, N_beta) sector psi0 touches.
+    firsts = nz[np.unique(qs._sector_labels(ph.n_qubits)[nz], return_index=True)[1]]
+
+    def run():
+        ev = qs.ExactEvolver(ph)
+        return ([ev.sector_matrix(int(b)) for b in firsts],
+                qs.trotter_evolve(ph, psi0, EVOLVE_TIMES, 2, 2))
+
+    blocks, (idx, states) = run()
+    with monkeypatch.context() as m:
+        m.setattr(qs, "_compile_groups", _compile_groups_lists)
+        m.setattr(qs, "_group_values", _group_values_loop)
+        ref_blocks, (ref_idx, ref_states) = run()
+    assert len(blocks) == len(ref_blocks) == (25 if kind == "half_occupied" else 1)
+    for (i, H), (ri, rH) in zip(blocks, ref_blocks):
+        assert i.tobytes() == ri.tobytes() and H.tobytes() == rH.tobytes()
+    assert idx.tobytes() == ref_idx.tobytes() and states.tobytes() == ref_states.tobytes()
+
+
+def test_group_values_reject_sector_coupling_in_any_chunk(monkeypatch):
+    _, psi0 = qs.prepare_initial("hf_ground", 4, 2)
+    ph = pauli_hamiltonian([(1.0, "ZIII"), (0.5, "IZII"), (0.3, "XXII")], 4)
+    for chunk in (1, qs._GROUP_CHUNK):
+        monkeypatch.setattr(qs, "_GROUP_CHUNK", chunk)
+        with pytest.raises(ValueError, match="couples"):
+            qs.ExactEvolver(ph).evolve(psi0, 1.0)
+        with pytest.raises(ValueError, match="couples"):
+            qs.trotter_evolve(ph, psi0, [1.0])
+
+
+def _jordan_wigner_loop(eh, all_quartets=False):
+    """The scalar dict loop that jordan_wigner replaced, kept as its reference.
+
+    It takes each unordered pair of same-spin pairs PQ < RS with P != R and
+    Q != S once, with weight (PQ|RS), as jordan_wigner does; with
+    all_quartets, every ordered (PQ, RS) with weight (PQ|RS) / 2, the same
+    operator summed in another order."""
     h, eri, m = eh.h_eff, eh.eri_active, 2 * len(eh.h_eff)
+    pairs = [(P, Q) for P in range(m) for Q in range(P % 2, m, 2)]
+    if all_quartets:
+        quartets = [(P, Q, R, S, 0.5) for P, Q in pairs for R, S in pairs]
+    else:
+        quartets = [(P, Q, R, S, 1.0) for i, (P, Q) in enumerate(pairs)
+                    for R, S in pairs[i + 1:] if P != R and Q != S]
 
     def ladder(p, dagger):
         e = 1 << p
@@ -805,14 +893,11 @@ def _jordan_wigner_loop(eh):
         for Q in range(P % 2, m, 2):
             if h[P >> 1, Q >> 1] != 0.0:
                 accumulate([ladder(P, True), ladder(Q, False)], h[P >> 1, Q >> 1])
-    for P in range(m):
-        for Q in range(P % 2, m, 2):
-            for R in range(m):
-                for S in range(R % 2, m, 2):
-                    w = 0.5 * eri[P >> 1, Q >> 1, R >> 1, S >> 1]
-                    if w != 0.0:
-                        accumulate([ladder(P, True), ladder(R, True),
-                                    ladder(S, False), ladder(Q, False)], w)
+    for P, Q, R, S, factor in quartets:
+        w = factor * eri[P >> 1, Q >> 1, R >> 1, S >> 1]
+        if w != 0.0:
+            accumulate([ladder(P, True), ladder(R, True),
+                        ladder(S, False), ladder(Q, False)], w)
     acc[(0, 0)] = acc.get((0, 0), 0.0) + eh.e_core
 
     # Each (x, z) key as its string and complex coefficient; the real ones
@@ -853,6 +938,17 @@ def test_jordan_wigner_matches_loop_bitwise(h2_active, system):
     # Strings, their order and every coefficient's bits.
     assert [(s, c.hex()) for c, s in got.terms] == [(s, c.hex()) for c, s in ref]
     assert all(type(c) is float for c, _ in got.terms)
+
+
+@pytest.mark.parametrize("system", ["h2", *JW_SYSTEMS])
+def test_jordan_wigner_matches_all_quartet_loop(h2_active, system):
+    # The loop over every ordered quartet, which jordan_wigner ran before
+    # merging (PQ|RS) with (RS|PQ), gives the same strings in the same order;
+    # the coefficients differ only in summation order.
+    eh = h2_active if system == "h2" else JW_SYSTEMS[system]()
+    got, ref = qs.jordan_wigner(eh).terms, _jordan_wigner_loop(eh, all_quartets=True)
+    assert [s for _, s in got] == [s for _, s in ref]
+    assert max(abs(c - r) for (c, _), (r, _) in zip(got, ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("asymmetry, raises", [(1e-9, True), (2e-10, False)])
