@@ -266,13 +266,11 @@ def s_orbital_integrals(centres, n_electrons: int | None = None) -> MolecularInt
     # P and cc are bitwise symmetric in their two primitives, so the value
     # of each unordered pair-pair {a,b},{c,d} is computed once, in row blocks
     # of _ERI_BLOCK bra pairs.  Not under (ab) <-> (cd): Kab * Kcd rounds in
-    # order.  The values are then gathered back and added with np.add.at in
-    # (a, b, c, d) order, skipping bra pairs below 1e-18, which gives the
-    # sums of a loop over a, b with one (c, d) table each.  The Boys
-    # argument is bitwise symmetric under (ab) <-> (cd), so a first pass
-    # fills V with F0 from the block's first row on and copies the columns
-    # before it from the rows above; a second pass turns F0 into the values
-    # in place (a second pair-pair table cost a page fault per 4 KB per call).
+    # order.  The Boys argument is bitwise symmetric under (ab) <-> (cd), so
+    # a first pass fills V with F0 from the block's first row on and copies
+    # the columns before it from the rows above; a second pass turns F0 into
+    # the values in place (a second pair-pair table cost a page fault per
+    # 4 KB per call).
     ua, ub = np.triu_indices(m)
     pair = np.empty((m, m), dtype=np.int64)
     pair[ua, ub] = pair[ub, ua] = np.arange(ua.size)
@@ -291,13 +289,21 @@ def s_orbital_integrals(centres, n_electrons: int | None = None) -> MolecularInt
         pab = q[rows, None]
         val = pref / (pab * q * np.sqrt(pab + q)) * Kq[rows, None] * Kq * V[rows]
         V[rows] = ccq[rows, None] * ccq * val
-    eri = np.zeros((n, n, n, n))
-    ket = (fn[:, None] * n + fn).ravel()
-    for a in range(m):
-        b = np.flatnonzero(~(K[a] * np.abs(cc[a]) < 1e-18))
-        bra = (fn[a] * n + fn[b]) * n * n
-        np.add.at(eri.reshape(-1), (bra[:, None] + ket).ravel(),
-                  V[pair[a, b]][:, pair.ravel()].ravel())
+    # Contract in (a, b, c, d) order from 0.0, as a loop over a, b with one
+    # (c, d) table each.  Primitive a = g A + i is the i-th of atom A's g, so
+    # the pairs ordered [(i, j), (A, B)] make the primitive block (i, j),
+    # (k, l) one (n^2, n^2) slice, and adding the g^4 blocks in turn keeps
+    # every element's order.  Bra pairs with Kab |cab| < 1e-18, which that
+    # loop skips, are zeroed rows and add +0.0.  The sums are kept as
+    # [(c, d), (a, b)], so that each block comes from one row gather.
+    V[Kq * np.abs(ccq) < 1e-18] = 0.0
+    g = len(STO3G_HYDROGEN)
+    by_block = pair.reshape(n, g, n, g).transpose(1, 3, 0, 2).reshape(g * g, n * n)
+    eri = np.zeros((n * n, n * n))
+    for bra in by_block:
+        for block in V[bra].T[by_block]:
+            eri += block
+    eri = eri.T.reshape(n, n, n, n)
 
     # Enforce the 8-fold permutation symmetry exactly (summation-order noise
     # between equivalent primitive loops is ~1e-17 otherwise).

@@ -45,8 +45,10 @@ def _pauli_action(x: int, z: int, n: int):
     """(perm, pv) with P|b> = pv[b] |b ^ x>, so (P psi)[j] = (pv * psi)[perm[j]].
 
     Built once per (x, z, n) and kept for the 1,024 used last: every Pauli
-    on up to 5 qubits, at most 24 MB at 10 qubits.  The arrays are
-    read-only because every caller shares them.
+    on up to 5 qubits.  An entry is 2^n x 24 B (int64 perm, complex128 pv),
+    24 KB at 10 qubits and 96 KB at 12, so a full cache holds 24 MB at 10
+    qubits and 96 MB at 12.  The arrays are read-only because every caller
+    shares them.
     """
     action = np.arange(1 << n) ^ x, 1j ** (x & z).bit_count() * _parity_vector(z, n)
     for a in action:
@@ -78,19 +80,18 @@ class PauliHamiltonian:
         return float(self.coeffs[(self.x | self.z) == 0].sum())
 
 
-def _ladder_branches(modes: np.ndarray, daggers, weights: np.ndarray, m: int):
-    """Flat (keys, coeffs) of the 2^k branches of each row, key = x << m | z.
+def _ladder_branches(modes: np.ndarray, daggers, m: int):
+    """Flat (keys, factors) of the 2^k branches of each row, key = x << m | z.
 
-    Row i is weights[i] times ladder operators on modes[i], creators where
+    Row i is the product of ladder operators on modes[i], creators where
     daggers[f]; a_P = X_P Z^low / 2 -+ X_P Z^(low|P) / 2.  Branch j takes
     term (j >> (k - 1 - f)) & 1 of factor f; each factor in turn applies its
-    +-0.5, the sign (-1)^parity(z & x_f), then x ^= x_f, z ^= z_f, and zero
-    weights are skipped, all as a scalar loop does."""
-    keep = weights != 0.0
-    modes, weights, k = modes[keep], weights[keep], len(daggers)
+    +-0.5, the sign (-1)^parity(z & x_f), then x ^= x_f, z ^= z_f, so every
+    factor is +-2^-k exactly."""
+    k = len(daggers)
     bits = (np.arange(1 << k) >> np.arange(k - 1, -1, -1)[:, None]) & 1
     x, z = np.zeros((2, len(modes), 1 << k), dtype=np.int64)
-    c = weights[:, None]
+    c = np.ones((len(modes), 1))
     for f, dagger in enumerate(daggers):
         p = modes[:, f, None]
         e = np.int64(1) << p
@@ -101,29 +102,70 @@ def _ladder_branches(modes: np.ndarray, daggers, weights: np.ndarray, m: int):
     return ((x << m) | z).ravel(), c.ravel()
 
 
-def _pauli_rows(keys: np.ndarray, values: np.ndarray, m: int) -> PauliHamiltonian:
-    """The PauliHamiltonian of sum_k values[k] E(keys[k]) on m qubits.
-
-    E(x, z), key = x << m | z, is (-i)^nY times the Pauli string of masks
-    (x, z).  np.bincount adds each key's values in input order from 0.0;
-    strings whose coefficient is imaginary (odd nY) must be at most 1e-10
-    (ValueError naming one otherwise) and are dropped, as are real ones of
-    |coefficient| <= 1e-12; the rest are sorted in string order, I < X < Y < Z,
-    qubit 0 first.
-    """
+def _key_table(keys: np.ndarray, m: int):
+    """(inverse, x, z, sign, odd, order) of the keys x << m | z: the np.unique
+    inverse, each unique key's masks, its real sign 1 - (nY & 2), whether nY
+    is odd, and the unique keys' string order (I < X < Y < Z, qubit 0 first)."""
     keys, inverse = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inverse, values, keys.size)
     x, z = keys >> m, keys & ((1 << m) - 1)
-    # The string's coefficient is sums * (1 - (nY & 2)) for even nY, and that
-    # times -i, imaginary, for odd nY, which only a non-symmetric h_eff or eri gives.
     ny = np.bitwise_count(x & z).astype(np.int64)  # uint8: cast before the arithmetic
-    signed, odd = sums * (1 - (ny & 2)), (ny & 1) == 1
+    order = np.lexsort(_symbol_codes(x, z, m).T[::-1])
+    return inverse, x, z, 1 - (ny & 2), (ny & 1) == 1, order
+
+
+def _collect(table, values: np.ndarray, m: int) -> PauliHamiltonian:
+    """The PauliHamiltonian of sum_k values[k] E(keys[k]), table = _key_table(keys, m).
+
+    E(x, z) is (-i)^nY times the Pauli string of masks (x, z).  np.bincount
+    adds each key's values in input order from 0.0; strings whose coefficient
+    is imaginary (odd nY) must be at most 1e-10 (ValueError naming one
+    otherwise) and are dropped, as are real ones of |coefficient| <= 1e-12;
+    the rest keep the table's string order, which a sort of the kept keys
+    alone gives too, since no two keys tie.
+    """
+    inverse, x, z, sign, odd, order = table
+    sums = np.bincount(inverse, values, x.size)
+    # The string's coefficient is sums * sign for even nY, and sums times -i,
+    # imaginary, for odd nY, which only a non-symmetric h_eff or eri gives.
+    signed = sums * sign
     if np.any(bad := odd & (np.abs(sums) > 1e-10)):
         coeff, string = PauliHamiltonian(x, z, signed, m).terms[np.argmax(bad)]
         raise ValueError(f"non-Hermitian coefficient {-coeff}j for {string}")
-    rows = np.flatnonzero(~odd & (np.abs(sums) > 1e-12))
-    rows = rows[np.lexsort(_symbol_codes(x[rows], z[rows], m).T[::-1])]
+    rows = order[(~odd & (np.abs(sums) > 1e-12))[order]]
     return PauliHamiltonian(x[rows], z[rows], signed[rows], m)
+
+
+@functools.lru_cache(maxsize=8)
+def _jw_table(m: int):
+    """(at, factors, key table) of jordan_wigner on m qubits, built once per m.
+
+    One entry per ladder branch, in the merged-pair loop's order and then
+    the core energy: the index of its weight in [h.ravel(), eri.ravel(),
+    e_core] and its factor +-2^-k (1 for e_core); the key table is
+    _key_table of the branches' keys.  Nothing here depends on a molecule,
+    so a series of same-size molecules shares it; the 8 qubit counts used
+    last are kept.  24 B per branch plus
+    33 B per distinct key: 189 KB at 8 qubits, 482 KB at 10 and 3.4 MB at
+    16.  The arrays are read-only because every call shares them.
+    """
+    n = m // 2
+    P, Q = np.array([(p, q) for p in range(m) for q in range(p % 2, m, 2)],
+                    dtype=np.int64).reshape(-1, 2).T
+    k1, f1 = _ladder_branches(np.stack([P, Q], 1), (True, False), m)
+    # (P, Q) outer and (R, S) inner, as the loop nests them.
+    pq, rs = np.triu_indices(P.size, 1)
+    keep = (P[pq] != P[rs]) & (Q[pq] != Q[rs])
+    pq, rs = pq[keep], rs[keep]
+    k2, f2 = _ladder_branches(np.stack([P[pq], P[rs], Q[rs], Q[pq]], 1),
+                              (True, True, False, False), m)
+    h_at = (P >> 1) * n + (Q >> 1)
+    eri_at = (((P[pq] >> 1) * n + (Q[pq] >> 1)) * n + (P[rs] >> 1)) * n + (Q[rs] >> 1)
+    at = np.concatenate([np.repeat(h_at, 4), n * n + np.repeat(eri_at, 16), [n * n + n ** 4]])
+    table = (at, np.concatenate([f1, f2, [1.0]]),
+             _key_table(np.concatenate([k1, k2, [0]]), m))
+    for a in (*table[:2], *table[2]):
+        a.flags.writeable = False
+    return table
 
 
 def jordan_wigner(eh) -> PauliHamiltonian:
@@ -135,27 +177,18 @@ def jordan_wigner(eh) -> PauliHamiltonian:
     same operator, and P = R or Q = S gives zero, so for an eri with
     (PQ|RS) = (RS|PQ), which the embeddings give to round-off, this is the
     1/2 sum over all ordered quartets (1,025 quartets instead of 2,500 at 10
-    qubits, 7,232 instead of 16,384 at 16).  The tuples are int64
-    arrays in that loop's order, every branch is +-w / 2^k exactly, and
-    _pauli_rows adds each (x, z) key's branches in that order from 0.0,
-    e_core last.  Working set about (m^2/2)^2 / 2 x 16 x 64 B, 8 MB at m = 16
-    qubits; m <= 31.
+    qubits, 7,232 instead of 16,384 at 16).  Everything but the weights
+    comes from _jw_table(m); each branch is w * +-2^-k, exact unless it is
+    subnormal, and _collect adds each (x, z) key's branches in the loop's
+    order from 0.0, e_core last.  A zero weight, which the loop skips, adds
+    +-0.0 and changes no sum.  m <= 31.
     """
     h, eri, m = eh.h_eff, eh.eri_active, 2 * len(eh.h_eff)
     if m > 31:
         raise ValueError("jordan_wigner packs (x, z) masks into int64: at most 31 qubits")
-    P, Q = np.array([(p, q) for p in range(m) for q in range(p % 2, m, 2)],
-                    dtype=np.int64).reshape(-1, 2).T
-    k1, c1 = _ladder_branches(np.stack([P, Q], 1), (True, False), h[P >> 1, Q >> 1], m)
-    # (P, Q) outer and (R, S) inner, as the loop nests them.
-    pq, rs = np.triu_indices(P.size, 1)
-    keep = (P[pq] != P[rs]) & (Q[pq] != Q[rs])
-    pq, rs = pq[keep], rs[keep]
-    k2, c2 = _ladder_branches(np.stack([P[pq], P[rs], Q[rs], Q[pq]], 1),
-                              (True, True, False, False),
-                              eri[P[pq] >> 1, Q[pq] >> 1, P[rs] >> 1, Q[rs] >> 1], m)
-    return _pauli_rows(np.concatenate([k1, k2, [0]]),
-                       np.concatenate([c1, c2, [eh.e_core]]), m)
+    at, factors, table = _jw_table(m)
+    weights = np.concatenate([np.ravel(h), np.ravel(eri), [eh.e_core]])
+    return _collect(table, weights[at] * factors, m)
 
 
 def number_shifted(ph: PauliHamiltonian, mu: float, qubits) -> PauliHamiltonian:
@@ -163,7 +196,7 @@ def number_shifted(ph: PauliHamiltonian, mu: float, qubits) -> PauliHamiltonian:
 
     Adds -mu * len(qubits) / 2 to the identity row and +mu / 2 to each Z_q
     row, after that row's coefficient, through the tail of jordan_wigner
-    (_pauli_rows): a row that reaches |coefficient| <= 1e-12 is dropped and a
+    (_collect): a row that reaches |coefficient| <= 1e-12 is dropped and a
     new Z_q row is placed in string order.  Every other row keeps its bits.
     For ph = jordan_wigner(eh) and the qubits of whole spatial orbitals, this
     is jordan_wigner of eh with -mu on those orbitals' h_eff diagonal, to
@@ -177,7 +210,7 @@ def number_shifted(ph: PauliHamiltonian, mu: float, qubits) -> PauliHamiltonian:
     keys = np.concatenate([ph.x << m | ph.z, [0], np.int64(1) << qubits])
     values = np.concatenate([ph.coeffs * (1 - (ny & 2)), [-mu * (qubits.size / 2)],
                              np.full(qubits.size, mu / 2)])
-    return _pauli_rows(keys, values, m)
+    return _collect(_key_table(keys, m), values, m)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,34 @@ def test_fingerprint_deterministic(h2_dataset):
     assert a == (h2_dataset / "r2" / "features.csv").read_bytes()
 
 
+def test_fingerprint_mixed_atom_counts_match_per_count_runs(tmp_path):
+    # No state kept for one molecule size changes another's features: the
+    # rows of one run over interleaved H4, H6 and H8 chains are, byte for
+    # byte, those of one run per atom count.
+    def chain(n, d):
+        return {"id": f"h{n}_{d}", "target": d,
+                "generator": {"kind": "chain", "z_positions": [d * i for i in range(n)]}}
+
+    counts = (4, 6, 8)
+    entries = [chain(n, d) for d in (1.4, 1.8) for n in counts]
+    runs = {"mixed": entries, **{n: [e for e in entries if e["id"].startswith(f"h{n}_")]
+                                 for n in counts}}
+    rows = {}
+    for name, manifest in runs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"entries": manifest}))
+        cfg = write_config(tmp_path, name=f"config_{name}.json",
+                           dataset={"kind": "manifest", "path": f"{name}.json"},
+                           embedding={"mode": "active_space", "n_active_electrons": 4,
+                                      "n_active_orbitals": 4})
+        assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / f"out_{name}")) == 0
+        header, *lines = (tmp_path / f"out_{name}" / "features.csv").read_bytes().splitlines()
+        rows[name] = (header, lines)
+    header, mixed = rows.pop("mixed")
+    assert [line.split(b",")[0].decode() for line in mixed] == [e["id"] for e in entries]
+    assert all(h == header for h, _ in rows.values())
+    assert sorted(mixed) == sorted(line for _, lines in rows.values() for line in lines)
+
+
 def test_run_fingerprints_on_calling_thread(h2_dataset, monkeypatch):
     path = write_config(h2_dataset)
     cfg = PipelineConfig.from_dict(json.loads(pathlib.Path(path).read_text()))

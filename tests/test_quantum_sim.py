@@ -967,3 +967,70 @@ def test_jordan_wigner_rejects_non_hermitian_h_eff(asymmetry, raises):
     assert all(s.count("Y") % 2 == 0 for s in strings)
     sym = qs.jordan_wigner(dataclasses.replace(eh, h_eff=np.array([[-1.0, 0.2], [0.2, -0.5]])))
     assert strings == [s for _, s in sym.terms]
+
+
+def _counted_jw_table(monkeypatch):
+    """Replace quantum_sim._jw_table by an empty cache of the same size that
+    records the qubit count of every build."""
+    builds = []
+    build = qs._jw_table.__wrapped__
+    monkeypatch.setattr(qs, "_jw_table", functools.lru_cache(
+        maxsize=qs._jw_table.cache_parameters()["maxsize"])(
+            lambda m: builds.append(m) or build(m)))
+    return builds
+
+
+@pytest.mark.parametrize("embed", [
+    {"mode": "active_space", "n_active_electrons": 4, "n_active_orbitals": 4},
+    {"mode": "dmet", "fragment": [0, 1], "fit_mu": True},
+])
+def test_jw_table_built_once_per_qubit_count(monkeypatch, embed):
+    # Six same-size molecules share one table: the first jordan_wigner call
+    # builds it and the other five read it.
+    builds = _counted_jw_table(monkeypatch)
+    calls = []
+    jw = qs.jordan_wigner
+    monkeypatch.setattr(qs, "jordan_wigner", lambda eh: calls.append(eh) or jw(eh))
+    cfg = pipeline.PipelineConfig.from_dict({
+        "dataset": {"kind": "manifest", "path": "manifest.json"}, "embedding": embed,
+        "initial_state": "hf_ground", "time_grid": {"start": 0, "stop": 1, "step": 0.5}})
+    entries = [chem_io.ManifestEntry(f"h4_{i}", {"generator": {
+        "kind": "chain", "z_positions": [0.0, d, 2 * d, 3 * d]}}, d, "")
+        for i, d in enumerate((1.4, 1.6, 1.8, 2.0, 2.2, 2.4))]
+    values = pipeline.run_fingerprints(cfg, entries)
+    assert values.shape == (6, 3) and np.all(np.isfinite(values))
+    assert len(calls) == 6
+    assert builds == [8]
+
+
+@pytest.mark.parametrize("m", [2, 4, 10])
+def test_jw_table_arrays_are_read_only(m):
+    at, factors, keys = qs._jw_table(m)
+    for a in (at, factors, *keys):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a
+    # A result holds its own arrays, not views of the shared table.
+    ph = qs.jordan_wigner(embedding.EmbeddedHamiltonian(
+        m // 2, 2, np.eye(m // 2), np.ones((m // 2,) * 4), 0.5))
+    assert all(a.flags.writeable for a in (ph.x, ph.z, ph.coeffs))
+
+
+def test_jw_table_holds_no_molecule_zeros(monkeypatch):
+    # The symmetric chain's integrals that inversion symmetry forbids are set
+    # to exact zeros, which the loop skips.  It builds the 8-qubit table
+    # first; the scattered geometry, with no zero integral, and the chain
+    # again must still each equal the loop bit for bit.
+    builds = _counted_jw_table(monkeypatch)
+    chain = _h6_active_44()
+    chain = dataclasses.replace(
+        chain, h_eff=np.where(np.abs(chain.h_eff) < 1e-12, 0.0, chain.h_eff),
+        eri_active=np.where(np.abs(chain.eri_active) < 1e-12, 0.0, chain.eri_active))
+    assert np.sum(chain.eri_active == 0.0) == 128 and np.sum(chain.h_eff == 0.0) == 8
+    m = chem_io.s_orbital_integrals(np.random.default_rng(5).normal(scale=1.5, size=(6, 3)))
+    scattered = embedding.homo_lumo_active_space(m, mean_field.scf_solve(m), 4, 4)
+    assert np.all(scattered.eri_active != 0.0) and np.all(scattered.h_eff != 0.0)
+    for eh in (chain, scattered, chain):
+        got, ref = qs.jordan_wigner(eh), _jordan_wigner_loop(eh)
+        assert [(s, c.hex()) for c, s in got.terms] == [(s, c.hex()) for c, s in ref]
+    assert builds == [8]
