@@ -293,10 +293,13 @@ def fragment_count_builder(eh: EmbeddedHamiltonian):
 
 
 def fit_chemical_potential(builder, n_target: float) -> float:
-    """Bisection on the (monotone) fragment filling as a function of mu in [-1, 1].
+    """Illinois regula falsi (Dowell & Jarratt, BIT 11, 168, 1971) on the
+    (monotone) fragment filling as a function of mu in [-1, 1].
 
-    Raises EmbeddingError when 100 bisections leave the filling further
-    than 1e-6 from n_target.
+    Each step evaluates the builder where the secant through the bracket
+    ends crosses n_target; an end kept twice in a row has its residual
+    halved, so the bracket closes from both sides.  Raises EmbeddingError
+    when 100 steps leave the filling further than 1e-6 from n_target.
     """
     tol, max_iter = 1e-6, 100
     lo, hi = -1.0, 1.0
@@ -311,17 +314,26 @@ def fit_chemical_potential(builder, n_target: float) -> float:
         raise EmbeddingError(
             f"bracket [{lo}, {hi}] does not straddle target filling {n_target}"
         )
+    # g_lo, g_hi are the residuals the secant runs through: f_lo, f_hi
+    # halved once for every further step that keeps their end.
+    g_lo, g_hi, kept = f_lo, f_hi, None
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = builder(mid) - n_target
-        if abs(f_mid) < tol:
-            return mid
-        if f_mid * f_lo < 0:
-            hi, f_hi = mid, f_mid
+        mu = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        f_mu = builder(mu) - n_target
+        if abs(f_mu) < tol:
+            return mu
+        if f_mu * f_lo < 0:
+            hi, f_hi, g_hi = mu, f_mu, f_mu
+            if kept == "lo":
+                g_lo *= 0.5
+            kept = "lo"
         else:
-            lo, f_lo = mid, f_mid
+            lo, f_lo, g_lo = mu, f_mu, f_mu
+            if kept == "hi":
+                g_hi *= 0.5
+            kept = "hi"
     raise EmbeddingError(
         f"chemical potential not within {tol:g} of filling {n_target} after "
-        f"{max_iter} bisections: bracket [{lo:.17g}, {hi:.17g}], "
+        f"{max_iter} regula falsi steps: bracket [{lo:.17g}, {hi:.17g}], "
         f"residuals {f_lo:+.3e} / {f_hi:+.3e}"
     )

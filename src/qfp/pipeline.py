@@ -289,7 +289,7 @@ def embed_molecule(m: MolecularIntegrals, emb: dict) -> embedding.EmbeddedHamilt
                           f"range for a molecule with {m.n_orbitals} orbitals")
     mf = mean_field.scf_solve(m)
     if not mf.converged:
-        raise NumericalError("SCF did not converge")
+        raise NumericalError(f"SCF did not converge in {mf.n_iterations} iterations")
     if emb["mode"] == "active_space":
         return embedding.homo_lumo_active_space(
             m, mf, emb["n_active_electrons"], emb["n_active_orbitals"])

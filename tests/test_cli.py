@@ -850,20 +850,20 @@ def test_unreadable_input_file_exit_3(tmp_path, monkeypatch, files, argv):
 
 
 def test_optimize_measurement_names_failing_molecule_exit_4(tmp_path, capsys):
-    # Four H2 and then a stretched H8 (3.6 bohr spacing) whose damped RHF
-    # iterations do not converge.
+    # Four H2 and then H8 at 6.0 bohr spacing, whose RHF does not converge.
     entries = [{"id": f"h2_{i}", "generator": {"kind": "h2", "separation": 1.0 + 0.3 * i},
                 "target": 1.0 + 0.3 * i} for i in range(4)]
-    entries.append({"id": "h8_far", "target": 3.6,
-                    "generator": {"kind": "chain", "z_positions": [3.6 * i for i in range(8)]}})
+    entries.append({"id": "h8_apart", "target": 6.0,
+                    "generator": {"kind": "chain", "z_positions": [6.0 * i for i in range(8)]}})
     (tmp_path / "data").mkdir()
     (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": entries}))
     cfg = write_config(tmp_path)
+    failure = "molecule 'h8_apart': SCF did not converge in 200 iterations"
     assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "fp")) == 4
-    assert "molecule 'h8_far'" in capsys.readouterr().err
+    assert failure in capsys.readouterr().err
     assert run("optimize-measurement", "--config", cfg, "--budget", "5",
                "--out", str(tmp_path / "opt")) == 4
-    assert "molecule 'h8_far'" in capsys.readouterr().err
+    assert failure in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -918,14 +918,15 @@ def test_output_file_is_a_directory_exit_3(tmp_path, monkeypatch, capsys, output
 
 
 def test_scf_failure_names_the_molecule_exit_4(tmp_path, capsys):
-    # stretched H8 at 3.6 bohr spacing: the damped RHF iterations do not converge
+    # H8 at 6.0 bohr spacing: the RHF iterations do not converge
     (tmp_path / "data").mkdir()
-    entry = {"id": "h8_far", "target": 3.6,
-             "generator": {"kind": "chain", "z_positions": [3.6 * i for i in range(8)]}}
+    entry = {"id": "h8_apart", "target": 6.0,
+             "generator": {"kind": "chain", "z_positions": [6.0 * i for i in range(8)]}}
     (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": [entry]}))
     cfg = write_config(tmp_path)
     assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "o")) == 4
-    assert "molecule 'h8_far'" in capsys.readouterr().err
+    assert ("molecule 'h8_apart': SCF did not converge in 200 iterations"
+            in capsys.readouterr().err)
 
 
 def _ten_molecule_table(directory):

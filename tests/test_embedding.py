@@ -168,9 +168,14 @@ def test_fragment_count_builder_matches_per_step_fci(n_atoms, fragment):
     reference = _per_step_count_builder(m_loc, cb)
     for mu in (-1.0, -0.3, 0.0, 0.4, 1.0):
         assert abs(builder(mu) - reference(mu)) < 1e-10
+    # The two builders differ by round-off, and a regula falsi step reads
+    # residual values, so their fits differ too: each fitted mu must fill
+    # the fragment to within the fit's tolerance under both builders.
     target = float(np.trace(D_loc[np.ix_(fragment, fragment)]))
-    assert (embedding.fit_chemical_potential(builder, target)
-            == embedding.fit_chemical_potential(reference, target))
+    for fitted_by in (builder, reference):
+        mu = embedding.fit_chemical_potential(fitted_by, target)
+        assert abs(builder(mu) - target) < 1e-6
+        assert abs(reference(mu) - target) < 1e-6
     for mu in (np.nan, np.inf, -np.inf):
         with pytest.raises(EmbeddingError, match="finite"):
             builder(mu)
@@ -181,6 +186,29 @@ def test_mu_fit_raises_when_filling_never_within_tol():
     step = lambda mu: 2.0 if mu > 0.3 else 1.0
     with pytest.raises(EmbeddingError, match="bracket"):
         embedding.fit_chemical_potential(step, 1.5)
+
+
+def test_mu_fit_takes_at_most_10_builder_calls_per_h8_chain(monkeypatch):
+    # 16 jittered H8 chains from 1.2 to 2.6 bohr with fragment [0, 1], as the
+    # dmet-mu benchmark workload builds them: bisection took 14-21 calls each.
+    counts, count_builder = [], embedding.fragment_count_builder
+
+    def counted(eh):
+        builder = count_builder(eh)
+        counts.append(0)
+
+        def count(mu):
+            counts[-1] += 1
+            return builder(mu)
+
+        return count
+
+    monkeypatch.setattr(embedding, "fragment_count_builder", counted)
+    rng = np.random.default_rng(7)
+    for d in np.linspace(1.2, 2.6, 16) + rng.uniform(-0.01, 0.01, 16):
+        m = chem_io.s_orbital_integrals(chem_io.hydrogen_chain(np.arange(8) * d))
+        pipeline.embed_molecule(m, {"mode": "dmet", "fragment": [0, 1], "fit_mu": True})
+    assert len(counts) == 16 and max(counts) <= 10
 
 
 def test_dmet_h2_bath_size():

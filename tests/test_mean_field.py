@@ -79,6 +79,100 @@ def test_honest_convergence_flag():
     assert mf.n_iterations == 1
 
 
+def _chain(n_atoms, spacing):
+    centres = chem_io.hydrogen_chain(np.arange(n_atoms) * spacing)
+    return chem_io.s_orbital_integrals(centres, n_electrons=n_atoms + n_atoms % 2)
+
+
+def _damped_scf(m, max_iter=200, tol=1e-8):
+    """The reference SCF: plain Roothaan iterations that mix 0.3 of the
+    previous density into the new one.  (C, e_total, n_iterations) of the
+    last iteration, or None when max_iter iterations leave a density
+    element moving by tol."""
+    eigh, n_occ = mean_field._roothaan_eigh(m.S), m.n_electrons // 2
+    C = eigh(m.h_core)[1]
+    D = 2.0 * C[:, :n_occ] @ C[:, :n_occ].T
+    for n_iter in range(1, max_iter + 1):
+        C = eigh(mean_field.fock_build(D, m))[1]
+        D_new = 2.0 * C[:, :n_occ] @ C[:, :n_occ].T
+        delta = np.max(np.abs(D_new - D))
+        D = 0.3 * D + 0.7 * D_new
+        if delta < tol:
+            F = mean_field.fock_build(D, m)
+            return C, 0.5 * np.sum(D * (m.h_core + F)) + m.e_nuclear, n_iter
+    return None
+
+
+@pytest.mark.parametrize("n_atoms, spacing", [(8, 3.4), (10, 3.6), (12, 3.0)])
+def test_stretched_chains_converge(n_atoms, spacing):
+    # Damped density mixing alone leaves these unconverged after 200 iterations.
+    m = _chain(n_atoms, spacing)
+    assert _damped_scf(m) is None
+    mf = mean_field.scf_solve(m)
+    assert mf.converged
+    assert mf.n_iterations <= 20
+
+
+@pytest.mark.parametrize("n_atoms", range(2, 13, 2))
+def test_diis_energy_matches_damped_scf(n_atoms):
+    both = 0
+    for spacing in (0.8, 1.4, 2.2, 3.0):
+        m = _chain(n_atoms, spacing)
+        mf, reference = mean_field.scf_solve(m), _damped_scf(m)
+        assert mf.converged
+        if reference is not None:
+            both += 1
+            assert abs(mf.e_total - reference[1]) < 1e-10
+            assert mf.n_iterations <= reference[2]
+    assert both == (3 if n_atoms == 12 else 4)  # H12 at 3.0 bohr: damped fails
+
+
+@pytest.mark.parametrize("spacing", [2.1, 2.25, 2.95])
+def test_diis_density_is_within_1e_8_of_the_fixed_point(spacing):
+    # On these H6 chains a DIIS step moves the density by less than 1e-8
+    # while it is still 6e-8 to 1.3e-7 from the fixed point; the stop test
+    # diagonalizes the Fock matrix of the current density instead.
+    m = _chain(6, spacing)
+    C = _damped_scf(m, tol=1e-13)[0][:, :3]
+    assert np.max(np.abs(mean_field.scf_solve(m).D - 2.0 * C @ C.T)) < 1e-8
+
+
+def _singular(B, rhs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def test_singular_diis_system_takes_the_damped_step(monkeypatch):
+    # Every DIIS system singular: each iteration is the reference's.
+    m = _chain(8, 2.0)
+    C, e_total, n_iter = _damped_scf(m)
+    monkeypatch.setattr(np.linalg, "solve", _singular)
+    mf = mean_field.scf_solve(m)
+    assert mf.converged and mf.n_iterations == n_iter
+    assert mf.C.tobytes() == C.tobytes()
+    assert abs(mf.e_total - e_total) < 1e-10
+
+
+@pytest.mark.parametrize("failure", ["singular", "non-finite"])
+def test_diis_converges_through_failed_systems(monkeypatch, failure):
+    # Every other DIIS system fails: those iterations take the damped step.
+    m = _chain(8, 2.0)
+    e_total = mean_field.scf_solve(m).e_total
+    solve, calls = np.linalg.solve, []
+
+    def flaky(B, rhs):
+        calls.append(len(rhs))
+        if len(calls) % 2 == 0:
+            return solve(B, rhs)
+        if failure == "singular":
+            return _singular(B, rhs)
+        return np.full(len(rhs), np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", flaky)
+    mf = mean_field.scf_solve(m)
+    assert mf.converged and len(calls) >= 4
+    assert abs(mf.e_total - e_total) < 1e-10
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field, what", [("h_core", "energy"), ("eri", "Fock matrix")])
 def test_overflow_to_non_finite_is_an_error(field, what):
@@ -97,8 +191,7 @@ def test_overflow_to_non_finite_is_an_error(field, what):
 @pytest.mark.parametrize("n_atoms", range(2, 13))
 def test_roothaan_eigh_matches_scipy_generalized_eigh(n_atoms):
     # scf_solve's eigensolver against scipy.linalg.eigh(F, S), on the core
-    # Hamiltonian and the last Fock matrix of the SCF (H12 at 3.0 bohr does
-    # not converge in 200 damped iterations).  Both reduce F C = S C eps
+    # Hamiltonian and the last Fock matrix of the SCF.  Both reduce F C = S C eps
     # by the Cholesky factor of S, so no MO column flips sign.  Round-off of
     # size 1e-16 |F| turns a column by about 1e-16 |F| / gap, gap being the
     # distance to the nearest other eigenvalue: H12 at 3.0 bohr has gaps of
