@@ -340,30 +340,30 @@ _GROUP_CHUNK = 1 << 18
 
 
 def _group_values(groups, sector: np.ndarray, idx: np.ndarray):
-    """Yield (x, f, src) for each group of _compile_groups on the sorted basis
-    indices idx.
+    """(xs, F, SRC): the groups of _compile_groups on the d sorted basis indices
+    idx, which hold whole sectors, as (G, d) tables, row g for x = xs[g].
 
-    idx holds whole sectors; f[i] = f_x(idx[i]) = sum_k c_k (-1)^popcount(idx[i] & z_k)
-    and src[i] is the position in idx of idx[i] ^ x, so A_x takes the
-    amplitude at position i to position src[i] with weight f[i].  Where
-    idx[i] ^ x leaves the sectors, src[i] = i and f[i] is set to 0; it raises
-    ValueError if f_x there is above 1e-10 (H couples sectors).  The groups
-    run in chunks of whole groups whose terms x d sign table holds at most
-    _GROUP_CHUNK values (or one group): one bitwise_count gives a chunk's
-    signs, and one gather from a 2^n table of positions in idx its groups'
-    src, the positions a searchsorted in idx finds.  f stays one cs @ signs
-    product per group, over that group's rows of the table, so every value is
-    bit for bit that of a loop over the groups.
+    F[g, i] = f_x(idx[i]) = sum_k c_k (-1)^popcount(idx[i] & z_k) and SRC[g, i]
+    is the position in idx of idx[i] ^ x, so A_x takes the amplitude at
+    position i to position SRC[g, i] with weight F[g, i].  Where idx[i] ^ x
+    leaves the sectors, SRC[g, i] = i and F[g, i] is set to 0; it raises
+    ValueError if f_x there is above 1e-10 (H couples sectors).  Chunks of
+    whole groups whose terms x d sign table holds at most _GROUP_CHUNK values
+    (or one group) take their signs from one bitwise_count and their SRC
+    rows from one gather in a 2^n table of positions in idx.  F stays one
+    cs @ signs product per group, so every value is bit for bit that of a
+    loop over the groups.  Memory: G x d x 16 B, 0.1 MB for H8 (4e,5o)
+    (67 groups, d = 100) and 39 MB at 16 qubits (501 groups, d = 4,900).
     """
     xs, zs, cs, bounds = groups
     labels = sector[idx]
-    pos = np.empty(sector.size, dtype=np.int64)  # pos[idx[i]] = i
-    pos[idx] = np.arange(idx.size)
+    pos = np.searchsorted(idx, np.arange(sector.size))  # pos[idx[i]] = i
+    F, SRC = np.empty((xs.size, idx.size)), np.empty((xs.size, idx.size), np.int64)
     g = 0
     while g < xs.size:
         # Groups g to end - 1: as many whole groups as fit, at least one.
         end = max(g + 1, int(np.searchsorted(
-            bounds, bounds[g] + _GROUP_CHUNK // idx.size, "right")) - 1)
+            bounds, bounds[g] + _GROUP_CHUNK // max(idx.size, 1), "right")) - 1)
         lo = bounds[g]
         signs = 1.0 - 2.0 * (np.bitwise_count(zs[lo:bounds[end], None] & idx) & 1)
         f = np.stack([cs[a:b] @ signs[a - lo:b - lo]
@@ -373,9 +373,9 @@ def _group_values(groups, sector: np.ndarray, idx: np.ndarray):
         if np.any(np.abs(f[~inside]) > 1e-10):
             raise ValueError("Hamiltonian couples (N_alpha, N_beta) sectors")
         f[~inside] = 0.0
-        src = np.where(inside, pos[dst], np.arange(idx.size))
-        yield from zip(xs[g:end].tolist(), f, src)
+        F[g:end], SRC[g:end] = f, np.where(inside, pos[dst], np.arange(idx.size))
         g = end
+    return xs, F, SRC
 
 
 def _sector_start(psi0, sector: np.ndarray, times):
@@ -411,8 +411,8 @@ class ExactEvolver:
     ValueError if H has an odd-Y string (_compile_groups) or if a group maps
     an index out of the sector (H couples sectors).  Each evolve call builds
     and diagonalizes the block of every sector where the state has
-    amplitude.  Memory: d^2 per sector block, 8 B per element, e.g. d = 100
-    for (4e,5o) at 10 qubits; no 2^n x 2^n matrix is formed.
+    amplitude.  Memory: d^2 per sector block, 8 B per element, and while it
+    is built the G x d group table, 16 B per value; no 2^n x 2^n matrix.
     """
 
     def __init__(self, ph: PauliHamiltonian):
@@ -425,10 +425,13 @@ class ExactEvolver:
         """(indices, H): the sorted basis indices of the sector holding `index`, and
         the real block H[i, j] = <indices[i]|H|indices[j]>."""
         idx = np.flatnonzero(self._sector == self._sector[index])
+        xs, F, SRC = _group_values(self._groups, self._sector, idx)
         H = np.zeros((idx.size, idx.size))
-        cols = np.arange(idx.size)
-        for _, f, src in _group_values(self._groups, self._sector, idx):
-            H[src, cols] += f
+        # Off the diagonal, entry (i, j) gets one write, from the group of
+        # x = idx[i] ^ idx[j].  The diagonal gets the zeros of every group that
+        # leaves the sector, which the Z-only group's row (if any) replaces.
+        H[SRC, np.arange(idx.size)] = F
+        np.fill_diagonal(H, F[xs == 0].sum(axis=0))
         return idx, H
 
     def evolve(self, psi0: np.ndarray, t):
@@ -533,23 +536,23 @@ def trotter_evolve(ph: PauliHamiltonian, psi0: np.ndarray, times, order: int = 2
     interval is then one vector-matrix product.  A length used once is
     always stepped.  The two routes differ by round-off.  Raises ValueError
     for a time that is not finite, a Hamiltonian that is not real
-    (_compile_groups) or one that couples sectors.  Memory: the T x d states,
-    16 B per value (2.3 MB for 29 times at d = 4,900), and d^2 values per
-    distinct length that builds a propagator (21 KB at d = 36); each such
-    length serves more than (C + d^2) / (C + d) intervals, so all of them
-    together hold fewer than T * (C + d) values.
+    (_compile_groups) or one that couples sectors.  Memory: 16 B per value
+    of the G x d group table (0.1 MB for H8 (4e,5o), 39 MB at 16 qubits) and
+    of the T x d states (2.3 MB for 29 times at d = 4,900), and d^2 values
+    per distinct length that builds a propagator (21 KB at d = 36), fewer
+    than T * (C + d) in all, since each serves over (C + d^2) / (C + d).
     """
     _check_steps(order, r)
     sector = _sector_labels(ph.n_qubits)
     idx, psi, times = _sector_start(psi0, sector, times)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D grid")
-    acts = list(_group_values(_compile_groups(ph), sector, idx))
+    xs, F, SRC = _group_values(_compile_groups(ph), sector, idx)
 
     def step(h):
         theta = h / (order * r)
-        fwd = [(None, np.exp(-1j * theta * f), None) if x == 0 else
-               (src, np.cos(theta * f), -1j * np.sin(theta * f)) for x, f, src in acts]
+        fwd = [(src, np.cos(theta * f), -1j * np.sin(theta * f)) if x else
+               (None, np.exp(-1j * theta * f), None) for x, f, src in zip(xs.tolist(), F, SRC)]
         return fwd + fwd[::-1] if order == 2 else fwd
 
     lengths = np.diff(times, prepend=0.0).tolist()

@@ -356,8 +356,8 @@ def test_optimize_measurement_active_space_size_mismatch_exit_3(tmp_path, capsys
     (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": entries}))
     cfg = write_config(tmp_path, embedding={"mode": "dmet", "fragment": [0, 1]})
     assert run("fingerprint", "--config", cfg, "--out", str(tmp_path / "fp")) == 0
-    # h8_far's SCF does not converge (exit 4), but the mismatch at h4 stops
-    # the run before h8_far is solved.
+    # h8_far (H8 at 3.6 bohr) comes after h4: the mismatch at h4 stops the
+    # run before h8_far's SCF is solved.
     entries.append({"id": "h8_far", "target": 3.6,
                     "generator": {"kind": "chain", "z_positions": [3.6 * i for i in range(8)]}})
     (tmp_path / "data" / "manifest.json").write_text(json.dumps({"entries": entries}))

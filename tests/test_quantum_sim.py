@@ -805,9 +805,30 @@ def _group_values_loop(groups, sector, idx):
         yield x, np.where(inside, f, 0.0), src
 
 
+def _stacked_group_values_loop(groups, sector, idx):
+    """_group_values_loop's groups stacked into the (xs, F, SRC) table."""
+    xs, fs, srcs = zip(*_group_values_loop(groups, sector, idx))
+    return np.array(xs), np.array(fs), np.array(srcs)
+
+
+def _sector_matrix_loop(ph, index):
+    """The per-group scatter H[src, cols] += f that sector_matrix replaced,
+    over _group_values_loop's groups."""
+    sector = qs._sector_labels(ph.n_qubits)
+    idx = np.flatnonzero(sector == sector[index])
+    H, cols = np.zeros((idx.size, idx.size)), np.arange(idx.size)
+    for _, f, src in _group_values_loop(_compile_groups_lists(ph), sector, idx):
+        H[src, cols] += f
+    return idx, H
+
+
+# At the default _GROUP_CHUNK the sign table of an hf_ground block takes 1
+# chunk for h8_45 (d = 100), 2 for h8_66_12_qubits (d = 400) and 9 for
+# h10_67_14_qubits (d = 1,225).
 GROUP_SYSTEMS = {
     "h8_45": lambda: _chain_active(8, 4, 5),
     "h8_66_12_qubits": lambda: _chain_active(8, 6, 6),
+    "h10_67_14_qubits": lambda: _chain_active(10, 6, 7),
     "h4_dmet_cluster": _h4_dmet_cluster,
 }
 
@@ -816,9 +837,11 @@ GROUP_SYSTEMS = {
 @pytest.mark.parametrize("kind, system", [
     *[("hf_ground", s) for s in GROUP_SYSTEMS], ("half_occupied", "h4_dmet_cluster")])
 def test_group_values_match_per_group_loop_bitwise(monkeypatch, kind, system, chunk):
-    # Sector blocks and Trotter states from the chunked whole-array kernel
-    # equal those of the per-group loop bit for bit, at the default chunk and
-    # at one group per chunk.  half_occupied spans every sector.
+    # Sector blocks and Trotter states from the chunked group table equal
+    # those of the per-group loop bit for bit, at the default chunk and at one
+    # group per chunk: the blocks against the loop's per-group scatter, the
+    # states against the loop's groups stacked.  half_occupied spans every
+    # sector.
     eh = GROUP_SYSTEMS[system]()
     ph = qs.jordan_wigner(eh)
     _, psi0 = qs.prepare_initial(kind, ph.n_qubits, eh.n_active_electrons)
@@ -828,21 +851,32 @@ def test_group_values_match_per_group_loop_bitwise(monkeypatch, kind, system, ch
     nz = np.flatnonzero(psi0)
     # One basis index in each (N_alpha, N_beta) sector psi0 touches.
     firsts = nz[np.unique(qs._sector_labels(ph.n_qubits)[nz], return_index=True)[1]]
-
-    def run():
-        ev = qs.ExactEvolver(ph)
-        return ([ev.sector_matrix(int(b)) for b in firsts],
-                qs.trotter_evolve(ph, psi0, EVOLVE_TIMES, 2, 2))
-
-    blocks, (idx, states) = run()
+    ev = qs.ExactEvolver(ph)
+    blocks = [ev.sector_matrix(int(b)) for b in firsts]
+    idx, states = qs.trotter_evolve(ph, psi0, EVOLVE_TIMES, 2, 2)
+    ref_blocks = [_sector_matrix_loop(ph, int(b)) for b in firsts]
     with monkeypatch.context() as m:
         m.setattr(qs, "_compile_groups", _compile_groups_lists)
-        m.setattr(qs, "_group_values", _group_values_loop)
-        ref_blocks, (ref_idx, ref_states) = run()
+        m.setattr(qs, "_group_values", _stacked_group_values_loop)
+        ref_idx, ref_states = qs.trotter_evolve(ph, psi0, EVOLVE_TIMES, 2, 2)
     assert len(blocks) == len(ref_blocks) == (25 if kind == "half_occupied" else 1)
     for (i, H), (ri, rH) in zip(blocks, ref_blocks):
         assert i.tobytes() == ri.tobytes() and H.tobytes() == rH.tobytes()
     assert idx.tobytes() == ref_idx.tobytes() and states.tobytes() == ref_states.tobytes()
+
+
+def test_zero_state_gives_empty_states_from_both_evolvers(h2_pauli):
+    # A zero state touches no sector: the group table is (G, 0), and both
+    # evolvers return no indices and (T, 0) states.  Two intervals of one
+    # length make trotter_evolve build that length's (0 x 0) propagator.
+    n, times = h2_pauli.n_qubits, [0.0, 1.0, 2.0]
+    zero = np.zeros(1 << n)
+    groups = qs._compile_groups(h2_pauli)
+    _, F, SRC = qs._group_values(groups, qs._sector_labels(n), np.arange(0))
+    assert F.shape == SRC.shape == (groups[0].size, 0)
+    for idx, states in (qs.ExactEvolver(h2_pauli).evolve(zero, times),
+                        qs.trotter_evolve(h2_pauli, zero, times)):
+        assert idx.shape == (0,) and states.shape == (3, 0)
 
 
 def test_group_values_reject_sector_coupling_in_any_chunk(monkeypatch):
