@@ -102,51 +102,18 @@ def _ladder_branches(modes: np.ndarray, daggers, m: int):
     return ((x << m) | z).ravel(), c.ravel()
 
 
-def _key_table(keys: np.ndarray, m: int):
-    """(inverse, x, z, sign, odd, order) of the keys x << m | z: the np.unique
-    inverse, each unique key's masks, its real sign 1 - (nY & 2), whether nY
-    is odd, and the unique keys' string order (I < X < Y < Z, qubit 0 first)."""
-    keys, inverse = np.unique(keys, return_inverse=True)
-    x, z = keys >> m, keys & ((1 << m) - 1)
-    ny = np.bitwise_count(x & z).astype(np.int64)  # uint8: cast before the arithmetic
-    order = np.lexsort(_symbol_codes(x, z, m).T[::-1])
-    return inverse, x, z, 1 - (ny & 2), (ny & 1) == 1, order
-
-
-def _collect(table, values: np.ndarray, m: int) -> PauliHamiltonian:
-    """The PauliHamiltonian of sum_k values[k] E(keys[k]), table = _key_table(keys, m).
-
-    E(x, z) is (-i)^nY times the Pauli string of masks (x, z).  np.bincount
-    adds each key's values in input order from 0.0; strings whose coefficient
-    is imaginary (odd nY) must be at most 1e-10 (ValueError naming one
-    otherwise) and are dropped, as are real ones of |coefficient| <= 1e-12;
-    the rest keep the table's string order, which a sort of the kept keys
-    alone gives too, since no two keys tie.
-    """
-    inverse, x, z, sign, odd, order = table
-    sums = np.bincount(inverse, values, x.size)
-    # The string's coefficient is sums * sign for even nY, and sums times -i,
-    # imaginary, for odd nY, which only a non-symmetric h_eff or eri gives.
-    signed = sums * sign
-    if np.any(bad := odd & (np.abs(sums) > 1e-10)):
-        coeff, string = PauliHamiltonian(x, z, signed, m).terms[np.argmax(bad)]
-        raise ValueError(f"non-Hermitian coefficient {-coeff}j for {string}")
-    rows = order[(~odd & (np.abs(sums) > 1e-12))[order]]
-    return PauliHamiltonian(x[rows], z[rows], signed[rows], m)
-
-
 @functools.lru_cache(maxsize=8)
 def _jw_table(m: int):
-    """(at, factors, key table) of jordan_wigner on m qubits, built once per m.
+    """(at, factors, keys) of jordan_wigner on m qubits, built once per m.
 
     One entry per ladder branch, in the merged-pair loop's order and then
     the core energy: the index of its weight in [h.ravel(), eri.ravel(),
-    e_core] and its factor +-2^-k (1 for e_core); the key table is
-    _key_table of the branches' keys.  Nothing here depends on a molecule,
-    so a series of same-size molecules shares it; the 8 qubit counts used
-    last are kept.  24 B per branch plus
-    33 B per distinct key: 189 KB at 8 qubits, 482 KB at 10 and 3.4 MB at
-    16.  The arrays are read-only because every call shares them.
+    e_core] and its factor +-2^-k (1 for e_core).  keys is (inverse, x, z,
+    sign, odd, order) of the np.unique branch keys x << m | z: each key's
+    masks, its sign 1 - (nY & 2), whether nY is odd, and the string order
+    (I < X < Y < Z, qubit 0 first).  Nothing here depends on a molecule;
+    the 8 qubit counts used last are kept.  189 KB at 8 qubits, 482 KB at
+    10 and 3.4 MB at 16, read-only because every call shares them.
     """
     n = m // 2
     P, Q = np.array([(p, q) for p in range(m) for q in range(p % 2, m, 2)],
@@ -161,8 +128,12 @@ def _jw_table(m: int):
     h_at = (P >> 1) * n + (Q >> 1)
     eri_at = (((P[pq] >> 1) * n + (Q[pq] >> 1)) * n + (P[rs] >> 1)) * n + (Q[rs] >> 1)
     at = np.concatenate([np.repeat(h_at, 4), n * n + np.repeat(eri_at, 16), [n * n + n ** 4]])
+    keys, inverse = np.unique(np.concatenate([k1, k2, [0]]), return_inverse=True)
+    x, z = keys >> m, keys & ((1 << m) - 1)
+    ny = np.bitwise_count(x & z).astype(np.int64)  # uint8: cast before the arithmetic
+    order = np.lexsort(_symbol_codes(x, z, m).T[::-1])
     table = (at, np.concatenate([f1, f2, [1.0]]),
-             _key_table(np.concatenate([k1, k2, [0]]), m))
+             (inverse, x, z, 1 - (ny & 2), (ny & 1) == 1, order))
     for a in (*table[:2], *table[2]):
         a.flags.writeable = False
     return table
@@ -179,38 +150,26 @@ def jordan_wigner(eh) -> PauliHamiltonian:
     1/2 sum over all ordered quartets (1,025 quartets instead of 2,500 at 10
     qubits, 7,232 instead of 16,384 at 16).  Everything but the weights
     comes from _jw_table(m); each branch is w * +-2^-k, exact unless it is
-    subnormal, and _collect adds each (x, z) key's branches in the loop's
+    subnormal, and np.bincount adds each (x, z) key's branches in the loop's
     order from 0.0, e_core last.  A zero weight, which the loop skips, adds
-    +-0.0 and changes no sum.  m <= 31.
+    +-0.0 and changes no sum.  A key is (-i)^nY times its string: odd-nY
+    (imaginary) sums must be at most 1e-10 (ValueError naming one otherwise),
+    and they and real ones of |coefficient| <= 1e-12 are dropped.  m <= 31.
     """
     h, eri, m = eh.h_eff, eh.eri_active, 2 * len(eh.h_eff)
     if m > 31:
         raise ValueError("jordan_wigner packs (x, z) masks into int64: at most 31 qubits")
-    at, factors, table = _jw_table(m)
+    at, factors, (inverse, x, z, sign, odd, order) = _jw_table(m)
     weights = np.concatenate([np.ravel(h), np.ravel(eri), [eh.e_core]])
-    return _collect(table, weights[at] * factors, m)
-
-
-def number_shifted(ph: PauliHamiltonian, mu: float, qubits) -> PauliHamiltonian:
-    """ph - mu * sum_q n_q over the given qubits, n_q = (I - Z_q) / 2.
-
-    Adds -mu * len(qubits) / 2 to the identity row and +mu / 2 to each Z_q
-    row, after that row's coefficient, through the tail of jordan_wigner
-    (_collect): a row that reaches |coefficient| <= 1e-12 is dropped and a
-    new Z_q row is placed in string order.  Every other row keeps its bits.
-    For ph = jordan_wigner(eh) and the qubits of whole spatial orbitals, this
-    is jordan_wigner of eh with -mu on those orbitals' h_eff diagonal, to
-    round-off: within 1e-13 where ph kept the row, and within the 1e-12
-    drop threshold where ph had dropped it.
-    """
-    qubits = np.asarray(qubits, dtype=np.int64)
-    m = ph.n_qubits
-    # Rows of ph are real strings (even nY): E(x, z) = string * (1 - (nY & 2)).
-    ny = np.bitwise_count(ph.x & ph.z).astype(np.int64)
-    keys = np.concatenate([ph.x << m | ph.z, [0], np.int64(1) << qubits])
-    values = np.concatenate([ph.coeffs * (1 - (ny & 2)), [-mu * (qubits.size / 2)],
-                             np.full(qubits.size, mu / 2)])
-    return _collect(_key_table(keys, m), values, m)
+    sums = np.bincount(inverse, weights[at] * factors, x.size)
+    # The string's coefficient is sums * sign for even nY, and sums times -i,
+    # imaginary, for odd nY, which only a non-symmetric h_eff or eri gives.
+    signed = sums * sign
+    if np.any(bad := odd & (np.abs(sums) > 1e-10)):
+        coeff, string = PauliHamiltonian(x, z, signed, m).terms[np.argmax(bad)]
+        raise ValueError(f"non-Hermitian coefficient {-coeff}j for {string}")
+    rows = order[(~odd & (np.abs(sums) > 1e-12))[order]]
+    return PauliHamiltonian(x[rows], z[rows], signed[rows], m)
 
 
 # ---------------------------------------------------------------------------

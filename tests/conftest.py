@@ -67,6 +67,26 @@ def fold_sequence(gs, scale):
                                     global_phase=gs.global_phase)
 
 
+def counted_mu_fits(monkeypatch):
+    """Wrap embedding.fragment_count_builder; the returned list holds, for
+    each builder made, the number of times the mu-fit called it."""
+    fits = []
+    make = embedding.fragment_count_builder
+
+    def counted(eh):
+        count, i = make(eh), len(fits)
+        fits.append(0)
+
+        def builder(mu):
+            fits[i] += 1
+            return count(mu)
+
+        return builder
+
+    monkeypatch.setattr(embedding, "fragment_count_builder", counted)
+    return fits
+
+
 def full_width(idx, states, n_qubits):
     """An evolver's (idx, states) as (..., 2^n) statevectors: each state's
     amplitudes scattered to its basis indices idx, zero elsewhere."""

@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qfp import chem_io, embedding, fci, mean_field, pipeline, quantum_sim
+from qfp import chem_io, embedding, fci, fingerprint_ml, mean_field, pipeline, quantum_sim
 from qfp.chem_io import MolecularIntegrals
 from qfp.embedding import EmbeddingError
 
-from conftest import dmet_h2, h2_molecule, h4_molecule
+from conftest import counted_mu_fits, dmet_h2, h2_molecule, h4_molecule
 
 
 def _localized(m):
@@ -256,67 +256,22 @@ def _h4_cluster():
     return embedding.dmet_hamiltonian(m_loc, embedding.dmet_cluster_basis(D_loc, [0, 1]))
 
 
-def _same_rows(got, ref, atol):
-    assert got.n_qubits == ref.n_qubits
-    assert got.x.tolist() == ref.x.tolist() and got.z.tolist() == ref.z.tolist()
-    assert np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0) <= atol
-
-
-@pytest.mark.parametrize("mu", [-0.7, 0.0, 0.31, 0.517, 1.0])
-def test_shifted_pauli_form_matches_jordan_wigner_of_shifted_integrals(mu):
-    # The fitted-mu form is the mu = 0 one plus -mu N_frag, row for row.
-    eh0 = _h4_cluster()
-    eh0.pauli_form()
-    shifted = embedding.shift_chemical_potential(eh0, mu)
-    _same_rows(shifted.pauli_form(), quantum_sim.jordan_wigner(shifted), 1e-13)
-    # The mu = 0 form is kept, and a second shift derives from it too.
-    assert eh0.pauli_form() is eh0.pauli_form()
-    twice = embedding.shift_chemical_potential(shifted, 0.25)
-    _same_rows(twice.pauli_form(), quantum_sim.jordan_wigner(twice), 1e-13)
-
-
-def test_shifted_pauli_form_drops_and_adds_rows_as_jordan_wigner_does():
-    # Without two-electron terms the Z rows of orbital p's qubits 2p and 2p + 1
-    # have coefficient -h_pp / 2 and gain mu / 2 from the shift.  Orbital 0
-    # ends at exactly 0 (its rows go), orbital 1 starts at 0 (its rows
-    # appear), orbitals 2 and 3 end 1.5e-12 and 5e-13 from 0, either side of
-    # the 1e-12 drop threshold, and orbital 4 is not in the fragment.
-    mu = 0.37
-    h = np.diag([mu, 0.0, mu + 3e-12, mu + 1e-12, -0.4])
-    h[0, 4] = h[4, 0] = 0.1
-    eh0 = embedding.EmbeddedHamiltonian(5, 2, h, np.zeros((5,) * 4), 0.2,
-                                        fragment_mask=np.arange(5) < 4)
-    shifted = embedding.shift_chemical_potential(eh0, mu)
-    got = shifted.pauli_form()
-    _same_rows(got, quantum_sim.jordan_wigner(shifted), 1e-13)
-
-    def z_orbitals(ph):
-        rows = {s for _, s in ph.terms}
-        return [p for p in range(5) if all(
-            "I" * q + "Z" + "I" * (9 - q) in rows for q in (2 * p, 2 * p + 1))]
-
-    assert z_orbitals(eh0.pauli_form()) == [0, 2, 3, 4]
-    assert z_orbitals(got) == [1, 2, 4]
-
-
-@pytest.mark.parametrize("change", [
-    {"h_eff": lambda eh: eh.h_eff + 0.01 * np.eye(len(eh.h_eff))},
-    {"eri_active": lambda eh: 0.5 * eh.eri_active},
-    {"e_core": lambda eh: 0.0},
-])
-def test_replaced_hamiltonian_builds_its_own_pauli_form(change):
-    eh0 = _h4_cluster()
-    shifted = embedding.shift_chemical_potential(eh0, 0.3)
-    for eh in (eh0, shifted):
-        for built in (False, True):
-            if built:
-                eh.pauli_form()
-            (name, value), = change.items()
-            new = dataclasses.replace(eh, **{name: value(eh)})
-            ref = quantum_sim.jordan_wigner(new)
-            got = new.pauli_form()
-            assert got.x.tolist() == ref.x.tolist() and got.z.tolist() == ref.z.tolist()
-            assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+@pytest.mark.parametrize("orbitals", [[0, 1, 2, 3], [0]])
+def test_in_place_edit_reaches_the_fingerprint(orbitals):
+    # An EmbeddedHamiltonian keeps no qubit form, so a fingerprint taken
+    # after an in-place edit of h_eff sees the edit, bit for bit as a fresh
+    # copy with the edited h_eff does.  0.01 on every diagonal entry is
+    # 0.01 N, a phase on the state; on orbital 0 alone it moves the dynamics.
+    eh = _h4_cluster()
+    assert eh.n_active_orbitals == 4
+    grid = np.linspace(0.0, 2.0, 5)
+    before = fingerprint_ml.compute_fingerprint(eh, "hf_ground", grid).values
+    eh.h_eff[orbitals, orbitals] += 0.01
+    after = fingerprint_ml.compute_fingerprint(eh, "hf_ground", grid).values
+    fresh = fingerprint_ml.compute_fingerprint(
+        dataclasses.replace(eh, h_eff=eh.h_eff.copy()), "hf_ground", grid).values
+    assert after.tobytes() == fresh.tobytes()
+    assert not np.allclose(after, before)
 
 
 @pytest.mark.parametrize("evolver, noise", [
@@ -324,7 +279,11 @@ def test_replaced_hamiltonian_builds_its_own_pauli_form(change):
     ({"kind": "trotter", "order": 2, "r": 2}, None),
     ({"kind": "trotter", "order": 2, "r": 1}, {"p": 0.02, "scale": 3, "n_trajectories": 4}),
 ])
-def test_fit_mu_fingerprints_run_jordan_wigner_once_per_molecule(monkeypatch, evolver, noise):
+def test_fit_mu_fingerprints_run_jordan_wigner_twice_per_molecule(monkeypatch, evolver, noise):
+    # One call for the mu = 0 block of the fit and one for the fitted
+    # Hamiltonian.  Each fit calls its builder at least 3 times, so a call
+    # per mu step would make at least 4.
+    fits = counted_mu_fits(monkeypatch)
     calls = []
     jw = quantum_sim.jordan_wigner
     monkeypatch.setattr(quantum_sim, "jordan_wigner", lambda eh: calls.append(eh) or jw(eh))
@@ -338,4 +297,5 @@ def test_fit_mu_fingerprints_run_jordan_wigner_once_per_molecule(monkeypatch, ev
         enumerate((1.4, 1.8, 2.4))]
     values = pipeline.run_fingerprints(cfg, entries)
     assert values.shape == (3, 3) and np.all(np.isfinite(values))
-    assert len(calls) == len(entries)
+    assert len(fits) == len(entries) and min(fits) >= 3
+    assert len(calls) == 2 * len(entries)

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from qfp import chem_io, embedding, fci, fingerprint_ml, mean_field, pipeline, quantum_sim as qs
 from qfp.quantum_sim import GateSequence, NoiseSpec, PauliHamiltonian
 
-from conftest import (PAULI_2X2, dmet_h2, fold_sequence, full_width, h4_molecule,
-                      hamiltonian_matrix, kron_string, number_expectation, pauli_hamiltonian,
-                      pauli_masks, pauli_matrix)
+from conftest import (PAULI_2X2, counted_mu_fits, dmet_h2, fold_sequence, full_width,
+                      h4_molecule, hamiltonian_matrix, kron_string, number_expectation,
+                      pauli_hamiltonian, pauli_masks, pauli_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -1020,8 +1020,11 @@ def _counted_jw_table(monkeypatch):
 ])
 def test_jw_table_built_once_per_qubit_count(monkeypatch, embed):
     # Six same-size molecules share one table: the first jordan_wigner call
-    # builds it and the other five read it.
+    # builds it and the others read it.  A fit-mu molecule calls it for the
+    # mu = 0 block of the fit and for the fitted Hamiltonian; its fit calls
+    # the builder at least 3 times, so a call per mu step would make 4.
     builds = _counted_jw_table(monkeypatch)
+    fits = counted_mu_fits(monkeypatch)
     calls = []
     jw = qs.jordan_wigner
     monkeypatch.setattr(qs, "jordan_wigner", lambda eh: calls.append(eh) or jw(eh))
@@ -1033,7 +1036,9 @@ def test_jw_table_built_once_per_qubit_count(monkeypatch, embed):
         for i, d in enumerate((1.4, 1.6, 1.8, 2.0, 2.2, 2.4))]
     values = pipeline.run_fingerprints(cfg, entries)
     assert values.shape == (6, 3) and np.all(np.isfinite(values))
-    assert len(calls) == 6
+    fit_mu = embed.get("fit_mu", False)
+    assert len(calls) == 6 * (2 if fit_mu else 1)
+    assert len(fits) == (6 if fit_mu else 0) and all(n >= 3 for n in fits)
     assert builds == [8]
 
 
